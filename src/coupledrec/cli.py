@@ -210,9 +210,10 @@ def cmd_solve(args) -> int:
     diag = result.diagnostics
     with open(out / "diagnostics.csv", "w", newline="") as fh:
         fh.write("iteration,energy,rel_change\n")
-        for it, (en, rc) in enumerate(zip(diag.energy, diag.rel_change)):
-            fh.write(f"{it},{en:.12g},{rc:.12g}\n")
-    print(f"iterations = {result.state.iteration}, energy = {diag.energy[-1]:.12g}")
+        for it, en in zip(diag.iterations, diag.energy):
+            fh.write(f"{it},{en:.12g},{diag.rel_change[it - 1]:.12g}\n")
+    energy = f", energy = {diag.energy[-1]:.12g}" if diag.energy else ""
+    print(f"iterations = {result.state.iteration}{energy}")
     closed = _closed_form(spec)
     if closed is not None:
         rel = float(

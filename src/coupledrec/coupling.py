@@ -1,5 +1,6 @@
-"""Pointwise coupling machinery: small SVDs, dual-ball projections,
-the orthonormal Haar transform, and the group-l2 ball projection.
+"""Pointwise coupling machinery: dual-ball projections (closed-form
+singular-value clips on 2-D grids), the orthonormal Haar transform, and the
+group-l2 ball projection.
 
 The dual prox of the coupled l1 terms is a pointwise projection onto the
 dual-norm ball: plain rescaling for Frobenius coupling, a singular-value
@@ -18,24 +19,36 @@ from .grids import (
 )
 
 
-def svd_small(m: np.ndarray):
-    """SVD of a single d x N block (d <= 3): returns (s, u, vt).
+def _clip_singular_values(values: np.ndarray, alpha: float) -> np.ndarray:
+    """Spectral-ball projection of the d x N site blocks of (..., N, d) values.
 
-    Computed via the d x d Gram matrix so the factor sizes stay tiny for
-    wide blocks; `m = u @ diag(s) @ vt` up to roundoff.
+    For d = 2 the clip is M @ B with M = f2 I + (f1 - f2) e1 e1^T and
+    f_k = min(1, alpha / s_k), where s_k^2 and e1 come in closed form from
+    the Gram matrix B B^T = [[a, b], [b, c]].  The small s_2 loses digits
+    when B is nearly rank-deficient, which does no harm: f2 = 1 as soon as
+    s_2 <= alpha.  Other d use a batched SVD.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] > 3:
-        raise ValueError("expected a d x N matrix with d <= 3")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return s, u, vt
-
-
-def _clip_singular_values(blocks: np.ndarray, alpha: float) -> np.ndarray:
-    """Batched spectral-ball projection of (..., d, N) blocks."""
-    u, s, vt = np.linalg.svd(blocks, full_matrices=False)
-    np.minimum(s, alpha, out=s)
-    return np.einsum("...ik,...k,...kn->...in", u, s, vt)
+    if values.shape[-1] != 2:
+        u, s, vt = np.linalg.svd(np.swapaxes(values, -1, -2), full_matrices=False)
+        np.minimum(s, alpha, out=s)
+        return np.einsum("...ik,...k,...kn->...ni", u, s, vt)
+    x, y = values[..., 0], values[..., 1]
+    a = np.einsum("...n,...n->...", x, x)
+    b = np.einsum("...n,...n->...", x, y)
+    c = np.einsum("...n,...n->...", y, y)
+    h = 0.5 * (a - c)
+    r = np.hypot(h, b)
+    mid = 0.5 * (a + c)
+    f1 = alpha / np.maximum(np.sqrt(mid + r), alpha)
+    f2 = alpha / np.maximum(np.sqrt(np.maximum(mid - r, 0.0)), alpha)
+    # e1 e1^T = [[1 + h/r, b/r], [b/r, 1 - h/r]] / 2; at r = 0, f1 = f2 and M = f I
+    g = 0.5 * (f1 - f2)
+    hr = np.divide(h, r, out=np.zeros_like(r), where=r > 0)
+    br = np.divide(b, r, out=np.zeros_like(r), where=r > 0)
+    m00 = (f2 + g * (1.0 + hr))[..., None]
+    m11 = (f2 + g * (1.0 - hr))[..., None]
+    m01 = (g * br)[..., None]
+    return np.stack([m00 * x + m01 * y, m01 * x + m11 * y], axis=-1)
 
 
 def project_dual_ball(z, alpha: float, coupling: str = "frobenius"):
@@ -58,12 +71,7 @@ def project_dual_ball(z, alpha: float, coupling: str = "frobenius"):
         norms = np.sqrt(np.sum(z.values**2, axis=(-2, -1), keepdims=True))
         return z.with_values(z.values / np.maximum(1.0, norms / alpha))
     if coupling == "nuclear":
-        n, d = z.channels, z.grid.ndim
-        blocks = z.values.reshape(-1, n, d).transpose(0, 2, 1)
-        clipped = _clip_singular_values(blocks, alpha)
-        return z.with_values(
-            clipped.transpose(0, 2, 1).reshape(z.values.shape)
-        )
+        return z.with_values(_clip_singular_values(z.values, alpha))
     raise ValueError(f"unknown coupling {coupling!r}")
 
 

@@ -202,6 +202,24 @@ def _vector_blocks(z: VectorField) -> np.ndarray:
     return z.values.reshape(-1, n, d).transpose(0, 2, 1)
 
 
+def _nuclear_norms_2d(values: np.ndarray) -> np.ndarray:
+    """Nuclear norms of the 2 x N site blocks of ``(*dims, N, 2)`` values.
+
+    With rows x and y, (s1 + s2)^2 = |x|^2 + |y|^2 + 2 sqrt(det(B B^T)), and
+    det(B B^T) is summed from the squared 2 x 2 minors (Lagrange's identity)
+    rather than as |x|^2 |y|^2 - (x.y)^2, which cancels catastrophically on
+    nearly rank-deficient blocks.
+    """
+    x, y = values[..., 0], values[..., 1]
+    det = np.zeros(values.shape[:-2])
+    n = values.shape[-2]
+    for i in range(n):
+        for j in range(i + 1, n):
+            det += (x[..., i] * y[..., j] - x[..., j] * y[..., i]) ** 2
+    sq = np.sum(values**2, axis=(-2, -1))
+    return np.sqrt(sq + 2.0 * np.sqrt(det)).reshape(-1)
+
+
 def pointwise_norms(z: VectorField | SymTensorField, coupling: str = "frobenius") -> np.ndarray:
     """Pointwise coupling norm per site, flat array of length ``sites``."""
     if isinstance(z, SymTensorField):
@@ -213,8 +231,9 @@ def pointwise_norms(z: VectorField | SymTensorField, coupling: str = "frobenius"
     if coupling == "frobenius":
         return np.sqrt(np.sum(z.values**2, axis=(-2, -1))).reshape(-1)
     if coupling == "nuclear":
-        blocks = _vector_blocks(z)
-        return np.linalg.svd(blocks, compute_uv=False).sum(axis=-1)
+        if z.grid.ndim == 2:
+            return _nuclear_norms_2d(z.values)
+        return np.linalg.svd(_vector_blocks(z), compute_uv=False).sum(axis=-1)
     raise ValueError(f"unknown coupling {coupling!r}")
 
 

@@ -61,8 +61,14 @@ class SolverState:
 
 @dataclass
 class Diagnostics:
-    """Per-iteration solve history."""
+    """Per-iteration solve history.
 
+    ``iterations`` names the iteration of each recorded row of ``energy``,
+    ``data_terms`` and ``reg_value``; ``rel_change`` has one entry for every
+    iteration.
+    """
+
+    iterations: list[int] = field(default_factory=list)
     energy: list[float] = field(default_factory=list)
     data_terms: list[list[float]] = field(default_factory=list)
     reg_value: list[float] = field(default_factory=list)
@@ -113,17 +119,23 @@ def regularizer_value(problem: ProblemSpec, u: MultiImage, v: VectorField | None
     return 0.5 * reg.weight * inner_product(u, u)
 
 
-def primal_energy(problem: ProblemSpec, u: MultiImage, v: VectorField | None = None) -> float:
-    """Full objective; +inf when a KL channel is infeasible."""
+def _energy(problem: ProblemSpec, u: MultiImage, reg: float, data_terms: list[float]) -> float:
+    """Objective from its parts: reg, then + lam_i * D_i; +inf when infeasible."""
     for i in problem.kl_channels:
         if np.any(u.channel(i) < 0):
             return np.inf
-    total = regularizer_value(problem, u, v)
-    for i, c in enumerate(problem.channels):
-        total += c.lam * channel_data_term(problem, u, i)
+    total = reg
+    for c, d in zip(problem.channels, data_terms):
+        total += c.lam * d
         if not np.isfinite(total):
             return np.inf
     return total
+
+
+def primal_energy(problem: ProblemSpec, u: MultiImage, v: VectorField | None = None) -> float:
+    """Full objective; +inf when a KL channel is infeasible."""
+    data_terms = [channel_data_term(problem, u, i) for i in range(problem.n_channels)]
+    return _energy(problem, u, regularizer_value(problem, u, v), data_terms)
 
 
 def _saddle_operator(problem: ProblemSpec) -> LinearOp:
@@ -264,13 +276,20 @@ def _init_state(problem: ProblemSpec, cfg: SolveConfig, knorm: float) -> SolverS
     return state
 
 
-def _primal_prox(problem: ProblemSpec, uvals: np.ndarray, tau: float) -> MultiImage:
-    grid = problem.grid
+def _primal_prox(problem: ProblemSpec, uvals: np.ndarray, tau: float) -> np.ndarray:
+    """Primal prox on a freshly computed array, which it may overwrite."""
     reg = problem.regularizer
     if isinstance(reg, Quadratic):
         uvals = uvals / (1.0 + tau * reg.weight)
-    u = MultiImage(grid, uvals)
-    return project_nonneg(u, problem.kl_channels)
+    for i in problem.kl_channels:
+        np.maximum(uvals[..., i], 0.0, out=uvals[..., i])
+    return uvals
+
+
+def _require_finite(iteration: int, **arrays: np.ndarray) -> None:
+    for name, values in arrays.items():
+        if not np.all(np.isfinite(values)):
+            raise SolverError(f"non-finite primal iterate {name} at iteration {iteration}")
 
 
 def pd_step(problem: ProblemSpec, state: SolverState) -> SolverState:
@@ -293,6 +312,8 @@ def pd_step(problem: ProblemSpec, state: SolverState) -> SolverState:
     for i, c in enumerate(problem.channels):
         tstar[..., i] = c.op.adjoint(r_new[i])
 
+    iteration = state.iteration + 1
+    updates = {}
     if isinstance(reg, TGV2):
         phat = VectorField(
             grid, state.p.values + sigma * (grad(state.ubar).values - state.vbar.values)
@@ -300,52 +321,37 @@ def pd_step(problem: ProblemSpec, state: SolverState) -> SolverState:
         p_new = cpl.project_dual_ball(phat, reg.alpha1, reg.coupling)
         qhat = SymTensorField(grid, state.q.values + sigma * sym_grad(state.vbar).values)
         q_new = cpl.project_dual_ball(qhat, reg.alpha0, "frobenius")
-        u_new = _primal_prox(
-            problem, state.u.values - tau * (-div(p_new).values + tstar), tau
-        )
-        v_new = VectorField(
-            grid, state.v.values - tau * (-p_new.values - sym_div(q_new).values)
-        )
-        new = replace(
-            state,
-            u=u_new,
-            ubar=MultiImage(grid, 2.0 * u_new.values - state.u.values),
-            v=v_new,
-            vbar=VectorField(grid, 2.0 * v_new.values - state.v.values),
-            p=p_new,
-            q=q_new,
-            r=r_new,
-            iteration=state.iteration + 1,
-        )
+        v_new = state.v.values - tau * (-p_new.values - sym_div(q_new).values)
+        vbar_new = 2.0 * v_new - state.v.values
+        _require_finite(iteration, v=v_new, vbar=vbar_new)
+        updates = {
+            "p": p_new,
+            "q": q_new,
+            "v": VectorField(grid, v_new),
+            "vbar": VectorField(grid, vbar_new),
+        }
+        u_grad = -div(p_new).values + tstar
     elif isinstance(reg, WaveletL21):
         shat = MultiImage(
             grid,
             state.s.values + sigma * cpl.haar_forward(state.ubar, reg.levels).values,
         )
-        s_new = cpl.project_group_l2ball(shat, 1.0)
-        wadj = cpl.haar_inverse(s_new, reg.levels).values
-        u_new = _primal_prox(problem, state.u.values - tau * (wadj + tstar), tau)
-        new = replace(
-            state,
-            u=u_new,
-            ubar=MultiImage(grid, 2.0 * u_new.values - state.u.values),
-            s=s_new,
-            r=r_new,
-            iteration=state.iteration + 1,
-        )
+        updates = {"s": cpl.project_group_l2ball(shat, 1.0)}
+        u_grad = cpl.haar_inverse(updates["s"], reg.levels).values + tstar
     else:
-        u_new = _primal_prox(problem, state.u.values - tau * tstar, tau)
-        new = replace(
-            state,
-            u=u_new,
-            ubar=MultiImage(grid, 2.0 * u_new.values - state.u.values),
-            r=r_new,
-            iteration=state.iteration + 1,
-        )
+        u_grad = tstar
 
-    if not np.all(np.isfinite(new.u.values)):
-        raise SolverError(f"non-finite primal iterate at iteration {new.iteration}")
-    return new
+    u_new = _primal_prox(problem, state.u.values - tau * u_grad, tau)
+    ubar_new = 2.0 * u_new - state.u.values
+    _require_finite(iteration, u=u_new, ubar=ubar_new)
+    return replace(
+        state,
+        u=MultiImage(grid, u_new),
+        ubar=MultiImage(grid, ubar_new),
+        r=r_new,
+        iteration=iteration,
+        **updates,
+    )
 
 
 def step_policy(
@@ -414,11 +420,12 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
             MultiImage(problem.grid, new.u.values - state.u.values)
         ) / max(field_norm(state.u), tiny)
         if new.iteration % max(cfg.diag_every, 1) == 0:
-            diag.energy.append(primal_energy(problem, new.u, new.v))
-            diag.data_terms.append(
-                [channel_data_term(problem, new.u, i) for i in range(problem.n_channels)]
-            )
-            diag.reg_value.append(regularizer_value(problem, new.u, new.v))
+            data_terms = [channel_data_term(problem, new.u, i) for i in range(problem.n_channels)]
+            reg_value = regularizer_value(problem, new.u, new.v)
+            diag.iterations.append(new.iteration)
+            diag.energy.append(_energy(problem, new.u, reg_value, data_terms))
+            diag.data_terms.append(data_terms)
+            diag.reg_value.append(reg_value)
         diag.rel_change.append(rel)
         state = new
         if rel < cfg.tol:

@@ -115,6 +115,23 @@ def test_solve_is_deterministic(tmp_path, capsys):
     assert (a / "diagnostics.csv").read_text() == (b / "diagnostics.csv").read_text()
 
 
+def test_solve_diagnostics_csv_counts_iterations_from_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "schema = 1\n"
+        "grid.dims = 8 8\n"
+        "channels = 1\n"
+        "regularizer.kind = quadratic\n"
+        "solver.max_iters = 5\n"
+        "solver.tol = 0\n"
+    )
+    code, out, _ = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 0
+    assert "iterations = 5, energy = " in out
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == [1, 2, 3, 4, 5]
+
+
 def test_rates_command_writes_csv_and_gates(tmp_path, capsys):
     cfg = tmp_path / "rates.cfg"
     cfg.write_text(

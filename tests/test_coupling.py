@@ -9,7 +9,6 @@ from coupledrec.coupling import (
     haar_inverse,
     project_dual_ball,
     project_group_l2ball,
-    svd_small,
 )
 from coupledrec.grids import (
     Grid,
@@ -28,34 +27,110 @@ def _vf(grid, channels, seed):
 # --- SVD oracle ---------------------------------------------------------------
 
 
+def _rot(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
 def jacobi_svd_2x2(m):
-    """Independent two-sided rotation SVD for a 2x2 block (test oracle)."""
+    """Independent two-sided rotation SVD of a 2x2 block (test oracle).
+
+    Returns (u, s, vt) with m = u @ diag(s) @ vt; s[1] may be negative, the
+    singular values are |s|.
+    """
     a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    # right rotation angle from m^T m
     e = (a + d) / 2.0
     f = (a - d) / 2.0
     g = (c + b) / 2.0
     h = (c - b) / 2.0
     q = np.hypot(e, h)
     r = np.hypot(f, g)
-    return np.array([q + r, abs(q - r)])
+    a1, a2 = np.arctan2(g, f), np.arctan2(h, e)
+    return _rot((a2 + a1) / 2.0), np.array([q + r, q - r]), _rot((a2 - a1) / 2.0)
 
 
-def test_svd_small_matches_jacobi_oracle():
+def _single_site(block):
+    """A one-site 2-D vector field whose d x N block is ``block``."""
+    return VectorField(Grid((1, 1)), block.T.reshape(1, 1, *block.T.shape))
+
+
+def test_closed_forms_match_jacobi_oracle():
     rng = np.random.default_rng(0)
+    alpha = 0.9
     for _ in range(200):
         m = rng.standard_normal((2, 2))
-        s = svd_small(m)[0]
-        np.testing.assert_allclose(np.sort(s)[::-1], jacobi_svd_2x2(m), atol=1e-12)
+        u, s, vt = jacobi_svd_2x2(m)
+        np.testing.assert_allclose(u @ np.diag(s) @ vt, m, atol=1e-12)
+        z = _single_site(m)
+        assert pointwise_norms(z, "nuclear")[0] == pytest.approx(np.abs(s).sum(), abs=1e-12)
+        clipped = u @ np.diag(np.sign(s) * np.minimum(np.abs(s), alpha)) @ vt
+        got = project_dual_ball(z, alpha, "nuclear").values[0, 0].T
+        np.testing.assert_allclose(got, clipped, atol=1e-12)
 
 
-def test_svd_small_reconstructs():
-    rng = np.random.default_rng(1)
-    for shape in [(1, 3), (2, 2), (3, 2), (3, 6)]:
-        m = rng.standard_normal(shape)
-        s, u, vt = svd_small(m)
-        k = min(shape)
-        np.testing.assert_allclose(u[:, :k] @ np.diag(s[:k]) @ vt[:k], m, atol=1e-12)
+def _svd_reference(z, alpha):
+    """Nuclear norms and singular-value clip of every site block by np.linalg.svd."""
+    n, d = z.channels, z.grid.ndim
+    blocks = z.values.reshape(-1, n, d).transpose(0, 2, 1)
+    u, s, vt = np.linalg.svd(blocks, full_matrices=False)
+    clipped = np.einsum("...ik,...k,...kn->...in", u, np.minimum(s, alpha), vt)
+    return s.sum(axis=-1), clipped.transpose(0, 2, 1).reshape(z.values.shape)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_nuclear_closed_forms_match_svd(channels):
+    g = Grid((9, 7))
+    for seed in range(3):
+        z = VectorField(g, 2.0 * _vf(g, channels, 10 + seed).values)
+        norms, clipped = _svd_reference(z, 1.3)
+        np.testing.assert_allclose(pointwise_norms(z, "nuclear"), norms, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(
+            project_dual_ball(z, 1.3, "nuclear").values, clipped, rtol=0, atol=1e-13
+        )
+
+
+@pytest.mark.parametrize(
+    "block, alpha",
+    [
+        (np.zeros((2, 3)), 1.0),  # zero
+        (np.array([[1.0, -2.0, 0.5], [2.0, -4.0, 1.0]]), 1.5),  # rank 1
+        (np.array([[0.0, 0.0], [1.0, -3.0]]), 0.5),  # rank 1, one zero row
+        (3.0 * np.array([[0.6, 0.8], [-0.8, 0.6]]), 2.0),  # equal singular values
+        (np.diag([3.0, 1.0]), 1.0),  # alpha equal to the small singular value
+        (np.diag([3.0, 1.0]), 3.0),  # alpha equal to the large singular value
+    ],
+)
+def test_nuclear_closed_forms_degenerate_blocks(block, alpha):
+    z = _single_site(block)
+    norms, clipped = _svd_reference(z, alpha)
+    assert pointwise_norms(z, "nuclear")[0] == pytest.approx(norms[0], rel=1e-15, abs=1e-15)
+    np.testing.assert_allclose(project_dual_ball(z, alpha, "nuclear").values, clipped, atol=1e-15)
+
+
+def test_nuclear_closed_form_keeps_clip_exact_inside_ball():
+    # blocks with spectral norm <= alpha come back bit for bit
+    z = _single_site(np.array([[0.3, -0.2, 0.1], [0.05, 0.4, -0.3]]))
+    np.testing.assert_array_equal(project_dual_ball(z, 1.0, "nuclear").values, z.values)
+
+
+def test_nuclear_norm_nearly_rank_deficient_block():
+    # |x|^2 |y|^2 - (x.y)^2 cancels to roundoff here; the 2x2 minors do not
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x = rng.standard_normal(3)
+        y = x + 1e-9 * rng.standard_normal(3)
+        z = _single_site(np.stack([x, y]))
+        norms, _ = _svd_reference(z, 1.0)
+        assert pointwise_norms(z, "nuclear")[0] == pytest.approx(norms[0], rel=1e-12)
+
+
+def test_nuclear_3d_grid_matches_svd():
+    g = Grid((3, 4, 2))
+    z = VectorField(g, 2.0 * _vf(g, 2, 12).values)
+    norms, clipped = _svd_reference(z, 1.1)
+    got = project_dual_ball(z, 1.1, "nuclear").values
+    np.testing.assert_allclose(pointwise_norms(z, "nuclear"), norms, rtol=1e-13)
+    np.testing.assert_allclose(got, clipped, atol=1e-13)
+    assert np.linalg.svd(got.reshape(-1, 2, 3), compute_uv=False).max() <= 1.1 + 1e-12
 
 
 # --- dual-ball projections ----------------------------------------------------

@@ -273,3 +273,44 @@ def test_regularizer_value_quadratic():
     u = MultiImage(g, np.full((4, 4, 1), 2.0))
     spec = _quad_problem(g, np.zeros(16), weight=3.0)
     assert regularizer_value(spec, u, None) == pytest.approx(0.5 * 3.0 * 4.0 * 16)
+
+
+def test_non_finite_iterate_raises_solver_error():
+    g = Grid((8, 8))
+    f = np.zeros(64)
+    f[::2] = 1.7e308
+    spec = ProblemSpec(
+        grid=g,
+        channels=(ChannelSpec(op=identity_op(g), data=f, lam=1.0, kind="l2"),),
+        regularizer=TGV2(2.0, 1.0, "frobenius"),
+    )
+    with np.errstate(over="ignore"), pytest.raises(SolverError, match="non-finite"):
+        solve(spec, SolveConfig(max_iters=50, tol=0.0))
+
+
+def test_diagnostics_rows_name_their_iterations():
+    g = Grid((8, 8))
+    spec = _quad_problem(g, _smooth(g, 3).reshape(-1))
+    res = solve(spec, SolveConfig(max_iters=10, tol=0.0, diag_every=3))
+    diag = res.diagnostics
+    assert diag.iterations == [3, 6, 9]
+    assert len(diag.energy) == len(diag.data_terms) == len(diag.reg_value) == 3
+    assert len(diag.rel_change) == 10
+
+
+def test_diagnostics_energy_equals_primal_energy():
+    g = Grid((10, 10))
+    rng = np.random.default_rng(12)
+    spec = ProblemSpec(
+        grid=g,
+        channels=(
+            ChannelSpec(op=identity_op(g), data=rng.random(100), lam=2.0, kind="l2"),
+            ChannelSpec(op=identity_op(g), data=rng.random(100) + 0.1, lam=3.0, kind="kl"),
+        ),
+        regularizer=TGV2(2.0, 1.0, "nuclear"),
+    )
+    for iters in (1, 7):
+        res = solve(spec, SolveConfig(max_iters=iters, tol=0.0))
+        diag = res.diagnostics
+        assert diag.energy[-1] == primal_energy(spec, res.u, res.v)
+        assert diag.reg_value[-1] == regularizer_value(spec, res.u, res.v)

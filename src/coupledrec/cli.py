@@ -1,14 +1,13 @@
 """Command-line front end.
 
 Subcommands: phantom, solve, adjoint-check, rates, info. Every command takes
---seed, --out-dir, --threads; results never depend on --threads. Exit codes:
-0 success, 1 validation failure, 2 numerical failure.
+--seed and --out-dir. Exit codes: 0 success, 1 validation failure, 2
+numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -345,7 +344,6 @@ def cmd_info(args) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out-dir", default=".", help="directory for output files")
-    p.add_argument("--threads", type=int, default=None, help="BLAS thread cap (wall time only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None):
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         return args.func(args)
     except ConfigError as e:

@@ -15,8 +15,29 @@ from .grids import (
     MultiImage,
     SymTensorField,
     VectorField,
+    pointwise_norms_array,
     sym_weights,
 )
+
+
+def _gram_2x2(values: np.ndarray):
+    """Rows x, y of the 2 x N site blocks B of (..., N, 2) values, and h, b, r,
+    mid of B B^T = [[a, b], [b, c]]: its eigenvalues are mid +- r = hypot(h, b)."""
+    x, y = values[..., 0], values[..., 1]
+    a = np.einsum("...n,...n->...", x, x)
+    b = np.einsum("...n,...n->...", x, y)
+    c = np.einsum("...n,...n->...", y, y)
+    h = 0.5 * (a - c)
+    return x, y, h, b, np.hypot(h, b), 0.5 * (a + c)
+
+
+def spectral_norms(values: np.ndarray) -> np.ndarray:
+    """Largest singular value of each d x N site block of (..., N, d) values, flat
+    per site: the dual norm of nuclear coupling (closed form for d = 2)."""
+    if values.shape[-1] != 2:
+        return np.linalg.svd(np.swapaxes(values, -1, -2), compute_uv=False)[..., 0].reshape(-1)
+    *_, r, mid = _gram_2x2(values)
+    return np.sqrt(mid + r).reshape(-1)
 
 
 def _clip_singular_values(values: np.ndarray, alpha: float) -> np.ndarray:
@@ -32,13 +53,7 @@ def _clip_singular_values(values: np.ndarray, alpha: float) -> np.ndarray:
         u, s, vt = np.linalg.svd(np.swapaxes(values, -1, -2), full_matrices=False)
         np.minimum(s, alpha, out=s)
         return np.einsum("...ik,...k,...kn->...ni", u, s, vt)
-    x, y = values[..., 0], values[..., 1]
-    a = np.einsum("...n,...n->...", x, x)
-    b = np.einsum("...n,...n->...", x, y)
-    c = np.einsum("...n,...n->...", y, y)
-    h = 0.5 * (a - c)
-    r = np.hypot(h, b)
-    mid = 0.5 * (a + c)
+    x, y, h, b, r, mid = _gram_2x2(values)
     f1 = alpha / np.maximum(np.sqrt(mid + r), alpha)
     f2 = alpha / np.maximum(np.sqrt(np.maximum(mid - r, 0.0)), alpha)
     # e1 e1^T = [[1 + h/r, b/r], [b/r, 1 - h/r]] / 2; at r = 0, f1 = f2 and M = f I
@@ -51,28 +66,32 @@ def _clip_singular_values(values: np.ndarray, alpha: float) -> np.ndarray:
     return np.stack([m00 * x + m01 * y, m01 * x + m11 * y], axis=-1)
 
 
+def project_dual_ball_array(values: np.ndarray, alpha: float, coupling="frobenius", weights=None):
+    """Project each (N, k) site block of (..., N, k) values onto the dual ball."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if coupling == "frobenius":
+        norms = pointwise_norms_array(values, weights=weights)
+        return values / np.maximum(1.0, norms.reshape(values.shape[:-2] + (1, 1)) / alpha)
+    if coupling == "nuclear":
+        return _clip_singular_values(values, alpha)
+    raise ValueError(f"unknown coupling {coupling!r}")
+
+
 def project_dual_ball(z, alpha: float, coupling: str = "frobenius"):
     """Pointwise projection onto the coupling dual ball of radius alpha.
 
     Frobenius coupling: scale each site block to pointwise norm <= alpha.
     Nuclear coupling (vector fields only): clip singular values at alpha.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     if isinstance(z, SymTensorField):
         if coupling != "frobenius":
             raise ValueError("symmetric tensor fields only support Frobenius coupling")
-        w = sym_weights(z.grid.ndim)
-        norms = np.sqrt(np.sum(z.values**2 * w, axis=(-2, -1), keepdims=True))
-        return z.with_values(z.values / np.maximum(1.0, norms / alpha))
+        weights = sym_weights(z.grid.ndim)
+        return z.with_values(project_dual_ball_array(z.values, alpha, weights=weights))
     if not isinstance(z, VectorField):
         raise ValueError("expected a VectorField or SymTensorField")
-    if coupling == "frobenius":
-        norms = np.sqrt(np.sum(z.values**2, axis=(-2, -1), keepdims=True))
-        return z.with_values(z.values / np.maximum(1.0, norms / alpha))
-    if coupling == "nuclear":
-        return z.with_values(_clip_singular_values(z.values, alpha))
-    raise ValueError(f"unknown coupling {coupling!r}")
+    return z.with_values(project_dual_ball_array(z.values, alpha, coupling))
 
 
 def _check_levels(dims, levels: int) -> None:
@@ -100,46 +119,57 @@ def _haar1d_inv(a: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def _haar_levels(values: np.ndarray, levels: int, transform, order) -> np.ndarray:
+    """Transform every grid axis of the level-k corner block, for k in ``order``."""
+    dims = values.shape[:-1]
+    _check_levels(dims, levels)
+    vals = values.copy()
+    for k in order:
+        region = tuple(slice(0, n >> k) for n in dims)
+        block = vals[region]
+        for ax in range(len(dims)):
+            block = transform(block, ax)
+        vals[region] = block
+    return vals
+
+
+def haar_forward_array(values: np.ndarray, levels: int) -> np.ndarray:
+    """Orthonormal multi-level Haar transform of ``(*dims, N)`` values, channel-wise."""
+    return _haar_levels(values, levels, _haar1d_fwd, range(levels))
+
+
+def haar_inverse_array(values: np.ndarray, levels: int) -> np.ndarray:
+    """Inverse (= adjoint) of :func:`haar_forward_array`."""
+    return _haar_levels(values, levels, _haar1d_inv, reversed(range(levels)))
+
+
 def haar_forward(u: MultiImage, levels: int) -> MultiImage:
     """Orthonormal multi-level Haar transform, channel-wise, Mallat layout."""
-    _check_levels(u.grid.dims, levels)
-    nd = u.grid.ndim
-    vals = u.values.copy()
-    sizes = list(u.grid.dims)
-    for _ in range(levels):
-        region = tuple(slice(0, s) for s in sizes)
-        block = vals[region]
-        for ax in range(nd):
-            block = _haar1d_fwd(block, ax)
-        vals[region] = block
-        sizes = [s // 2 for s in sizes]
-    return u.with_values(vals)
+    return u.with_values(haar_forward_array(u.values, levels))
 
 
 def haar_inverse(coeffs: MultiImage, levels: int) -> MultiImage:
     """Inverse (= adjoint) of :func:`haar_forward`."""
-    _check_levels(coeffs.grid.dims, levels)
-    nd = coeffs.grid.ndim
-    vals = coeffs.values.copy()
-    sizes = [n >> levels for n in coeffs.grid.dims]
-    for _ in range(levels):
-        sizes = [2 * s for s in sizes]
-        region = tuple(slice(0, s) for s in sizes)
-        block = vals[region]
-        for ax in range(nd):
-            block = _haar1d_inv(block, ax)
-        vals[region] = block
-    return coeffs.with_values(vals)
+    return coeffs.with_values(haar_inverse_array(coeffs.values, levels))
+
+
+def group_norms(values: np.ndarray) -> np.ndarray:
+    """Cross-channel 2-norm of each coefficient of ``(*dims, N)`` values."""
+    return np.sqrt(np.sum(values**2, axis=-1))
+
+
+def project_group_l2ball_array(values: np.ndarray, alpha: float) -> np.ndarray:
+    """Per coefficient index, scale the cross-channel vector to norm <= alpha."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return values / np.maximum(1.0, group_norms(values)[..., None] / alpha)
 
 
 def project_group_l2ball(shat: MultiImage, alpha: float) -> MultiImage:
     """Per coefficient index, scale the cross-channel vector to norm <= alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    norms = np.sqrt(np.sum(shat.values**2, axis=-1, keepdims=True))
-    return shat.with_values(shat.values / np.maximum(1.0, norms / alpha))
+    return shat.with_values(project_group_l2ball_array(shat.values, alpha))
 
 
-def group_l21_norm(coeffs: MultiImage) -> float:
-    """Sum over coefficient indices of the cross-channel 2-norm."""
-    return float(np.sum(np.sqrt(np.sum(coeffs.values**2, axis=-1))))
+def group_l21_norm(coeffs: np.ndarray) -> float:
+    """Sum over coefficient indices of the cross-channel 2-norm, ``(*dims, N)`` values."""
+    return float(np.sum(group_norms(coeffs)))

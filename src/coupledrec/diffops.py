@@ -19,7 +19,7 @@ from .grids import (
     SymTensorField,
     VectorField,
     sym_index_pairs,
-    sym_size,
+    sym_weights,
 )
 
 
@@ -79,54 +79,72 @@ def _backward_diff_adj(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out / h
 
 
+def grad_array(values: np.ndarray, spacing) -> np.ndarray:
+    """Forward-difference gradient of ``(*dims, N)`` values, shaped ``(*dims, N, d)``."""
+    d = len(spacing)
+    out = np.empty(values.shape + (d,))
+    for a in range(d):
+        out[..., a] = _forward_diff(values, axis=a, h=spacing[a])
+    return out
+
+
+def div_array(values: np.ndarray, spacing) -> np.ndarray:
+    """Negative adjoint of :func:`grad_array`, from ``(*dims, N, d)`` to ``(*dims, N)``."""
+    out = np.zeros(values.shape[:-1])
+    for a in range(len(spacing)):
+        out -= _forward_diff_negadj(values[..., a], axis=a, h=spacing[a])
+    # out currently holds +adjoint; div is its negation
+    return -out
+
+
+def sym_grad_array(values: np.ndarray, spacing) -> np.ndarray:
+    """Symmetrized backward-difference Jacobian of ``(*dims, N, d)`` values."""
+    pairs = sym_index_pairs(len(spacing))
+    h = spacing
+    out = np.empty(values.shape[:-1] + (len(pairs),))
+    for k, (a, b) in enumerate(pairs):
+        if a == b:
+            out[..., k] = _backward_diff(values[..., a], axis=a, h=h[a])
+        else:
+            out[..., k] = 0.5 * (
+                _backward_diff(values[..., a], axis=b, h=h[b])
+                + _backward_diff(values[..., b], axis=a, h=h[a])
+            )
+    return out
+
+
+def sym_div_array(values: np.ndarray, spacing) -> np.ndarray:
+    """Negative adjoint of :func:`sym_grad_array` w.r.t. the weighted inner product."""
+    d = len(spacing)
+    h = spacing
+    key = {(min(a, b), max(a, b)): k for k, (a, b) in enumerate(sym_index_pairs(d))}
+    out = np.zeros(values.shape[:-1] + (d,))
+    for a in range(d):
+        acc = np.zeros(values.shape[:-1])
+        for b in range(d):
+            acc += _backward_diff_adj(values[..., key[(min(a, b), max(a, b))]], axis=b, h=h[b])
+        out[..., a] = -acc
+    return out
+
+
 def grad(u: MultiImage) -> VectorField:
     """Channel-wise forward-difference gradient."""
-    d = u.grid.ndim
-    out = np.empty(u.values.shape + (d,))
-    for a in range(d):
-        out[..., a] = _forward_diff(u.values, axis=a, h=u.grid.spacing[a])
-    return VectorField(u.grid, out)
+    return VectorField(u.grid, grad_array(u.values, u.grid.spacing))
 
 
 def div(p: VectorField) -> MultiImage:
     """Negative adjoint of :func:`grad`: ``<grad u, p> = <u, -div p>``."""
-    d = p.grid.ndim
-    out = np.zeros(p.values.shape[:-1])
-    for a in range(d):
-        out -= _forward_diff_negadj(p.values[..., a], axis=a, h=p.grid.spacing[a])
-    # out currently holds +adjoint; div is its negation
-    return MultiImage(p.grid, -out)
+    return MultiImage(p.grid, div_array(p.values, p.grid.spacing))
 
 
 def sym_grad(v: VectorField) -> SymTensorField:
     """Symmetrized backward-difference Jacobian, upper-triangle storage."""
-    d = v.grid.ndim
-    h = v.grid.spacing
-    pairs = sym_index_pairs(d)
-    out = np.empty(v.values.shape[:-1] + (len(pairs),))
-    for k, (a, b) in enumerate(pairs):
-        if a == b:
-            out[..., k] = _backward_diff(v.values[..., a], axis=a, h=h[a])
-        else:
-            out[..., k] = 0.5 * (
-                _backward_diff(v.values[..., a], axis=b, h=h[b])
-                + _backward_diff(v.values[..., b], axis=a, h=h[a])
-            )
-    return SymTensorField(v.grid, out)
+    return SymTensorField(v.grid, sym_grad_array(v.values, v.grid.spacing))
 
 
 def sym_div(q: SymTensorField) -> VectorField:
     """Negative adjoint of :func:`sym_grad` w.r.t. the weighted inner product."""
-    d = q.grid.ndim
-    h = q.grid.spacing
-    key = {(min(a, b), max(a, b)): k for k, (a, b) in enumerate(sym_index_pairs(d))}
-    out = np.zeros(q.values.shape[:-1] + (d,))
-    for a in range(d):
-        acc = np.zeros(q.values.shape[:-1])
-        for b in range(d):
-            acc += _backward_diff_adj(q.values[..., key[(min(a, b), max(a, b))]], axis=b, h=h[b])
-        out[..., a] = -acc
-    return VectorField(q.grid, out)
+    return VectorField(q.grid, sym_div_array(q.values, q.grid.spacing))
 
 
 @dataclass
@@ -137,20 +155,6 @@ class LinearOp:
     adjoint: Callable[[np.ndarray], np.ndarray]
     domain_dim: int
     codomain_dim: int
-
-    def __matmul__(self, other: "LinearOp") -> "LinearOp":
-        if self.domain_dim != other.codomain_dim:
-            raise ValueError("operator composition shape mismatch")
-        return LinearOp(
-            apply=lambda x: self.apply(other.apply(x)),
-            adjoint=lambda y: other.adjoint(self.adjoint(y)),
-            domain_dim=other.domain_dim,
-            codomain_dim=self.codomain_dim,
-        )
-
-
-def identity_linear_op(dim: int, scale: float = 1.0) -> LinearOp:
-    return LinearOp(lambda x: scale * x, lambda y: scale * y, dim, dim)
 
 
 def adjoint_check(op: LinearOp, trials: int = 10, seed: int = 0) -> float:
@@ -197,29 +201,14 @@ def op_norm_estimate(op: LinearOp, iters: int = 100, seed: int = 0) -> float:
     return float(est)
 
 
-def _field_linear_op(fwd, adj, dom_zero, cod_zero) -> LinearOp:
-    """Wrap field-to-field maps into a flat LinearOp (testing/norm helper)."""
-    dom_shape = dom_zero.values.shape
-    cod_shape = cod_zero.values.shape
-
-    def apply(x):
-        f = dom_zero.with_values(x.reshape(dom_shape))
-        return fwd(f).values.reshape(-1)
-
-    def adjoint(y):
-        f = cod_zero.with_values(y.reshape(cod_shape))
-        return adj(f).values.reshape(-1)
-
-    return LinearOp(apply, adjoint, int(np.prod(dom_shape)), int(np.prod(cod_shape)))
-
-
 def grad_linear_op(grid, channels: int) -> LinearOp:
     """grad with its adjoint -div, flattened; note sym-weight-free spaces."""
-    return _field_linear_op(
-        grad,
-        lambda p: MultiImage(grid, -div(p).values),
-        MultiImage.zeros(grid, channels),
-        VectorField.zeros(grid, channels),
+    shape = grid.dims + (channels,)
+    return LinearOp(
+        lambda x: grad_array(x.reshape(shape), grid.spacing).reshape(-1),
+        lambda y: -div_array(y.reshape(shape + (grid.ndim,)), grid.spacing).reshape(-1),
+        int(np.prod(shape)),
+        int(np.prod(shape)) * grid.ndim,
     )
 
 
@@ -229,20 +218,12 @@ def sym_grad_linear_op(grid, channels: int) -> LinearOp:
     The flat vectors use scaled tensor coordinates ``sqrt(w_k) q_k`` so the
     Euclidean dot product matches the weighted field inner product.
     """
-    from .grids import sym_weights
-
-    w = sym_weights(grid.ndim)
-    sq = np.sqrt(w)
-    dom = VectorField.zeros(grid, channels)
-    cod = SymTensorField.zeros(grid, channels)
-    dom_shape, cod_shape = dom.values.shape, cod.values.shape
-
-    def apply(x):
-        v = VectorField(grid, x.reshape(dom_shape))
-        return (sym_grad(v).values * sq).reshape(-1)
-
-    def adjoint(y):
-        q = SymTensorField(grid, y.reshape(cod_shape) / sq)
-        return (-sym_div(q).values).reshape(-1)
-
-    return LinearOp(apply, adjoint, int(np.prod(dom_shape)), int(np.prod(cod_shape)))
+    sq = np.sqrt(sym_weights(grid.ndim))
+    dom_shape = grid.dims + (channels, grid.ndim)
+    cod_shape = grid.dims + (channels, len(sq))
+    return LinearOp(
+        lambda x: (sym_grad_array(x.reshape(dom_shape), grid.spacing) * sq).reshape(-1),
+        lambda y: (-sym_div_array(y.reshape(cod_shape) / sq, grid.spacing)).reshape(-1),
+        int(np.prod(dom_shape)),
+        int(np.prod(cod_shape)),
+    )

@@ -192,16 +192,6 @@ def inner_product(a: Field, b: Field) -> float:
     return float(np.sum(a.values * b.values))
 
 
-def field_norm(a: Field) -> float:
-    return float(np.sqrt(inner_product(a, a)))
-
-
-def _vector_blocks(z: VectorField) -> np.ndarray:
-    """Pointwise d x N blocks, shape (sites, d, N)."""
-    n, d = z.channels, z.grid.ndim
-    return z.values.reshape(-1, n, d).transpose(0, 2, 1)
-
-
 def _nuclear_norms_2d(values: np.ndarray) -> np.ndarray:
     """Nuclear norms of the 2 x N site blocks of ``(*dims, N, 2)`` values.
 
@@ -220,23 +210,24 @@ def _nuclear_norms_2d(values: np.ndarray) -> np.ndarray:
     return np.sqrt(sq + 2.0 * np.sqrt(det)).reshape(-1)
 
 
+def pointwise_norms_array(values: np.ndarray, coupling: str = "frobenius", weights=None):
+    """Coupling norm of each (N, k) site block of (*dims, N, k) values, flat per
+    site; Frobenius ``weights`` scale the squared entries of the last axis."""
+    if coupling == "frobenius":
+        sq = values**2 if weights is None else values**2 * weights
+        return np.sqrt(np.sum(sq, axis=(-2, -1))).reshape(-1)
+    if coupling == "nuclear" and values.shape[-1] == 2:
+        return _nuclear_norms_2d(values)
+    if coupling == "nuclear":
+        blocks = values.reshape((-1,) + values.shape[-2:]).transpose(0, 2, 1)
+        return np.linalg.svd(blocks, compute_uv=False).sum(axis=-1)
+    raise ValueError(f"unknown coupling {coupling!r}")
+
+
 def pointwise_norms(z: VectorField | SymTensorField, coupling: str = "frobenius") -> np.ndarray:
     """Pointwise coupling norm per site, flat array of length ``sites``."""
     if isinstance(z, SymTensorField):
         if coupling != "frobenius":
             raise ValueError("symmetric tensor fields only support Frobenius coupling")
-        w = sym_weights(z.grid.ndim)
-        sq = np.sum(z.values**2 * w, axis=(-2, -1))
-        return np.sqrt(sq).reshape(-1)
-    if coupling == "frobenius":
-        return np.sqrt(np.sum(z.values**2, axis=(-2, -1))).reshape(-1)
-    if coupling == "nuclear":
-        if z.grid.ndim == 2:
-            return _nuclear_norms_2d(z.values)
-        return np.linalg.svd(_vector_blocks(z), compute_uv=False).sum(axis=-1)
-    raise ValueError(f"unknown coupling {coupling!r}")
-
-
-def coupled_l1_norm(z: VectorField | SymTensorField, coupling: str = "frobenius") -> float:
-    """Sum over sites of the pointwise coupling norm."""
-    return float(pointwise_norms(z, coupling).sum())
+        return pointwise_norms_array(z.values, weights=sym_weights(z.grid.ndim))
+    return pointwise_norms_array(z.values, coupling)

@@ -109,7 +109,3 @@ class ProblemSpec:
     @property
     def kl_channels(self) -> list[int]:
         return [i for i, c in enumerate(self.channels) if c.kind == "kl"]
-
-    @property
-    def l2_channels(self) -> list[int]:
-        return [i for i, c in enumerate(self.channels) if c.kind == "l2"]

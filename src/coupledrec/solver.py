@@ -1,9 +1,11 @@
 """Primal-dual solver for the coupled saddle-point problem.
 
-One iteration: dual prox steps (coupling-ball projections and the
-discrepancy conjugate proxes), a primal gradient-prox step, and 2x - x
-over-relaxation.  The default stepsizes are sigma = tau = 0.99 / ||K||
-with ||K|| estimated by power iteration and inflated by 1%.
+One iteration over K = [K_reg; T_1; ...; T_N]: dual prox steps (the
+regularizer's dual-ball projections and the discrepancy conjugate proxes), a
+primal gradient-prox step, and 2x - x over-relaxation.  The default
+stepsizes are sigma = tau = 0.99 / ||K|| with ||K|| estimated by power
+iteration and inflated by 1%.  Each regularizer is described once, in
+``_BLOCKS``; inside the loop all iterates are plain float64 arrays.
 """
 
 from __future__ import annotations
@@ -13,29 +15,26 @@ import struct
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import coupling as cpl
-from .diffops import LinearOp, div, grad, op_norm_estimate, sym_div, sym_grad
-from .discrepancy import (
-    eval_kl,
-    eval_l2sq,
-    project_nonneg,
-    prox_kl_dual,
-    prox_l2_dual,
+from .diffops import (
+    LinearOp,
+    div_array,
+    grad_array,
+    op_norm_estimate,
+    sym_div_array,
+    sym_grad_array,
 )
-from .grids import (
-    MultiImage,
-    SymTensorField,
-    VectorField,
-    coupled_l1_norm,
-    field_norm,
-    inner_product,
-    pointwise_norms,
-    sym_weights,
-)
+from .discrepancy import eval_kl, eval_l2sq, project_nonneg, prox_kl_dual, prox_l2_dual
+from .grids import MultiImage, VectorField, pointwise_norms_array, sym_size, sym_weights
 from .problem import ProblemSpec, Quadratic, TGV2, WaveletL21
+
+# Unused here, but bench/tracing.py rebinds these names on this module.
+from .diffops import div, grad, sym_div, sym_grad  # noqa: F401
+from .grids import inner_product, pointwise_norms  # noqa: F401
 
 
 class SolverError(RuntimeError):
@@ -44,18 +43,22 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverState:
-    """All primal/dual iterates plus the active stepsizes."""
+    """All primal/dual iterates as float64 arrays, plus the active stepsizes.
 
-    u: MultiImage
-    ubar: MultiImage
-    v: VectorField | None
-    vbar: VectorField | None
-    p: VectorField | None
-    q: SymTensorField | None
-    s: MultiImage | None  # wavelet-mode dual coefficients
+    ``v``, ``vbar``, ``p``, ``q`` (TGV) and ``s`` (wavelets) are ``None``
+    unless the regularizer uses them; shapes as in ``_iterate_shapes``.
+    """
+
+    u: np.ndarray
+    ubar: np.ndarray
     r: list[np.ndarray]
     sigma: float
     tau: float
+    v: np.ndarray | None = None
+    vbar: np.ndarray | None = None
+    p: np.ndarray | None = None
+    q: np.ndarray | None = None
+    s: np.ndarray | None = None  # wavelet-mode dual coefficients
     iteration: int = 0
 
 
@@ -83,7 +86,6 @@ class SolveConfig:
     step_policy: str = "constant"  # "constant" | "adaptive"
     seed: int = 0
     warm_start: bool = False
-    norm_iters: int = 100
     diag_every: int = 1  # record energy/data/reg every k-th iteration
 
 
@@ -96,33 +98,129 @@ class SolveResult:
     converged: bool
 
 
-def channel_data_term(problem: ProblemSpec, u: MultiImage, i: int) -> float:
-    """D_i(T_i u_i, f_i) without the lambda weight."""
+# --- the regularizer table ---------------------------------------------------
+
+
+# Each regularizer iterate is shaped (*dims, N) + _TAILS[name](d); the inner
+# product of q weighs its squared entries by the off-diagonal multiplicity.
+_TAILS = dict(v=lambda d: (d,), p=lambda d: (d,), q=lambda d: (sym_size(d),), s=lambda d: ())
+_WEIGHTS = {"q": sym_weights}
+
+
+@dataclass(frozen=True)
+class _Block:
+    """A regularizer's part of the saddle problem; the defaults have no K_reg.
+
+    ``primal`` names its iterates besides u, ``dual`` its dual iterates.  The
+    functions take the regularizer, the grid spacing h, then arrays: ``value``
+    and ``apply`` (K_reg, one array per dual) take (u, *primal); ``adjoint``
+    (the u part, None if K_reg ignores u, then one per primal), ``project``
+    (the dual prox) and ``dual_norms`` (pointwise dual norm and ball radius
+    per dual) take the duals.
+    """
+
+    value: Callable
+    primal: tuple[str, ...] = ()
+    dual: tuple[str, ...] = ()
+    apply: Callable = lambda reg, h, u: ()
+    adjoint: Callable = lambda reg, h: (None,)
+    project: Callable = lambda reg, h: ()
+    dual_norms: Callable = lambda reg, h: ()
+    prox: Callable | None = None  # (reg, u, tau) -> primal prox of u
+    affine_injective: bool = False  # every T_i must be injective on affine images
+
+
+def _tgv_value(reg, h, u, v):
+    first = pointwise_norms_array(grad_array(u, h) - v, reg.coupling)
+    second = pointwise_norms_array(sym_grad_array(v, h), weights=sym_weights(len(h)))
+    return reg.alpha1 * float(first.sum()) + reg.alpha0 * float(second.sum())
+
+
+_BLOCKS = {
+    TGV2: _Block(
+        primal=("v",),
+        dual=("p", "q"),
+        apply=lambda reg, h, u, v: (grad_array(u, h) - v, sym_grad_array(v, h)),
+        adjoint=lambda reg, h, p, q: (-div_array(p, h), -p - sym_div_array(q, h)),
+        project=lambda reg, h, p, q: (
+            cpl.project_dual_ball_array(p, reg.alpha1, reg.coupling),
+            cpl.project_dual_ball_array(q, reg.alpha0, weights=sym_weights(len(h))),
+        ),
+        value=_tgv_value,
+        # the dual norm of nuclear coupling is the spectral norm
+        dual_norms=lambda reg, h, p, q: (
+            (cpl.spectral_norms(p) if reg.coupling == "nuclear" else pointwise_norms_array(p),
+             reg.alpha1),
+            (pointwise_norms_array(q, weights=sym_weights(len(h))), reg.alpha0),
+        ),
+        affine_injective=True,
+    ),
+    WaveletL21: _Block(
+        dual=("s",),
+        apply=lambda reg, h, u: (cpl.haar_forward_array(u, reg.levels),),
+        adjoint=lambda reg, h, s: (cpl.haar_inverse_array(s, reg.levels),),
+        project=lambda reg, h, s: (cpl.project_group_l2ball_array(s, 1.0),),
+        value=lambda reg, h, u: cpl.group_l21_norm(cpl.haar_forward_array(u, reg.levels)),
+        dual_norms=lambda reg, h, s: ((cpl.group_norms(s).reshape(-1), 1.0),),
+    ),
+    Quadratic: _Block(
+        value=lambda reg, h, u: 0.5 * reg.weight * float(np.sum(u * u)),
+        prox=lambda reg, u, tau: u / (1.0 + tau * reg.weight),
+    ),
+}
+
+
+def _block(reg) -> _Block:
+    """The table entry of a regularizer: the one place its type is tested."""
+    try:
+        return _BLOCKS[type(reg)]
+    except KeyError:
+        raise ValueError(f"unsupported regularizer {type(reg).__name__}") from None
+
+
+def _iterates(state: SolverState, names, suffix: str = "") -> list[np.ndarray]:
+    return [getattr(state, name + suffix) for name in names]
+
+
+def _iterate_shapes(problem: ProblemSpec) -> dict[str, tuple[int, ...]]:
+    """Shape of every iterate the problem's regularizer uses, in checkpoint order."""
+    grid = problem.grid
+    block = _block(problem.regularizer)
+    base = grid.dims + (problem.n_channels,)
+    shapes = {"u": base, "ubar": base}
+    for name in block.primal:
+        shapes[name] = shapes[name + "bar"] = base + _TAILS[name](grid.ndim)
+    for name in block.dual:
+        shapes[name] = base + _TAILS[name](grid.ndim)
+    return shapes
+
+
+def _data_term(problem: ProblemSpec, u: np.ndarray, i: int) -> float:
     c = problem.channels[i]
-    pred = c.op.apply(u.channel(i))
+    pred = c.op.apply(u[..., i])
     if c.kind == "l2":
         return eval_l2sq(pred, c.data)
     return eval_kl(pred + c.background, c.data)
 
 
+def channel_data_term(problem: ProblemSpec, u: MultiImage, i: int) -> float:
+    """D_i(T_i u_i, f_i) without the lambda weight."""
+    return _data_term(problem, u.values, i)
+
+
 def regularizer_value(problem: ProblemSpec, u: MultiImage, v: VectorField | None) -> float:
     reg = problem.regularizer
-    if isinstance(reg, TGV2):
-        if v is None:
-            raise ValueError("TGV energy needs the balancing field v")
-        diff = VectorField(u.grid, grad(u).values - v.values)
-        return reg.alpha1 * coupled_l1_norm(diff, reg.coupling) + reg.alpha0 * coupled_l1_norm(
-            sym_grad(v), "frobenius"
-        )
-    if isinstance(reg, WaveletL21):
-        return cpl.group_l21_norm(cpl.haar_forward(u, reg.levels))
-    return 0.5 * reg.weight * inner_product(u, u)
+    block = _block(reg)
+    if block.primal and v is None:
+        raise ValueError(f"{type(reg).__name__} energy needs the balancing field v")
+    primal = (v.values,) if block.primal else ()
+    return block.value(reg, problem.grid.spacing, u.values, *primal)
 
 
-def _energy(problem: ProblemSpec, u: MultiImage, reg: float, data_terms: list[float]) -> float:
+def _energy(problem: ProblemSpec, u: np.ndarray, reg: float, data_terms: list[float]) -> float:
     """Objective from its parts: reg, then + lam_i * D_i; +inf when infeasible."""
     for i in problem.kl_channels:
-        if np.any(u.channel(i) < 0):
+        if np.any(u[..., i] < 0):
             return np.inf
     total = reg
     for c, d in zip(problem.channels, data_terms):
@@ -135,91 +233,63 @@ def _energy(problem: ProblemSpec, u: MultiImage, reg: float, data_terms: list[fl
 def primal_energy(problem: ProblemSpec, u: MultiImage, v: VectorField | None = None) -> float:
     """Full objective; +inf when a KL channel is infeasible."""
     data_terms = [channel_data_term(problem, u, i) for i in range(problem.n_channels)]
-    return _energy(problem, u, regularizer_value(problem, u, v), data_terms)
+    return _energy(problem, u.values, regularizer_value(problem, u, v), data_terms)
+
+
+def _splitter(shapes) -> tuple[Callable, int]:
+    """A function cutting a flat vector into consecutive pieces of ``shapes``,
+    and the length of that vector."""
+    ends = np.cumsum([int(np.prod(s)) for s in shapes]).tolist()
+    starts = [0] + ends[:-1]
+    return lambda flat: [flat[a:b].reshape(s) for a, b, s in zip(starts, ends, shapes)], ends[-1]
+
+
+def _data_adjoint(problem: ProblemSpec, r: list[np.ndarray]) -> np.ndarray:
+    """T_i^* r_i for every channel i, stacked into a ``(*dims, N)`` array."""
+    tstar = np.empty(problem.grid.dims + (problem.n_channels,))
+    for i, c in enumerate(problem.channels):
+        tstar[..., i] = c.op.adjoint(r[i])
+    return tstar
 
 
 def _saddle_operator(problem: ProblemSpec) -> LinearOp:
-    """K as a flat LinearOp over the stacked primal variables, for ||K||."""
-    grid = problem.grid
-    n = problem.n_channels
-    reg = problem.regularizer
-    nu = grid.sites * n
+    """K as a flat LinearOp over the stacked primal variables, for ||K||.
+
+    A dual variable with inner-product weights w is stored as sqrt(w) times
+    its entries, so that the Euclidean dot product is the weighted one.
+    """
+    reg, h = problem.regularizer, problem.grid.spacing
+    block = _block(reg)
+    shapes = _iterate_shapes(problem)
     ops = [c.op for c in problem.channels]
+    split_x, domain = _splitter([shapes[name] for name in ("u",) + block.primal])
     data_dims = [op.codomain_dim for op in ops]
-    sw = np.sqrt(sym_weights(grid.ndim))
-
-    if isinstance(reg, TGV2):
-        d = grid.ndim
-        nv = nu * d
-        u_shape = grid.dims + (n,)
-        v_shape = grid.dims + (n, d)
-
-        def apply(x):
-            u = MultiImage(grid, x[:nu].reshape(u_shape))
-            v = VectorField(grid, x[nu:].reshape(v_shape))
-            gu = grad(u).values - v.values
-            ev = sym_grad(v).values * sw
-            parts = [gu.reshape(-1), ev.reshape(-1)]
-            parts += [op.apply(u.channel(i)) for i, op in enumerate(ops)]
-            return np.concatenate(parts)
-
-        def adjoint(y):
-            off = 0
-            p = VectorField(grid, y[off : off + nv].reshape(v_shape))
-            off += nv
-            ns = nu * len(sw)
-            q = SymTensorField(grid, y[off : off + ns].reshape(grid.dims + (n, len(sw))) / sw)
-            off += ns
-            ut = -div(p).values
-            for i, op in enumerate(ops):
-                ut[..., i] += op.adjoint(y[off : off + data_dims[i]])
-                off += data_dims[i]
-            vt = -p.values - sym_div(q).values
-            return np.concatenate([ut.reshape(-1), vt.reshape(-1)])
-
-        cod = nv + nu * len(sw) + sum(data_dims)
-        return LinearOp(apply, adjoint, nu + nv, cod)
-
-    if isinstance(reg, WaveletL21):
-        u_shape = grid.dims + (n,)
-
-        def apply(x):
-            u = MultiImage(grid, x.reshape(u_shape))
-            parts = [cpl.haar_forward(u, reg.levels).values.reshape(-1)]
-            parts += [op.apply(u.channel(i)) for i, op in enumerate(ops)]
-            return np.concatenate(parts)
-
-        def adjoint(y):
-            coeffs = MultiImage(grid, y[:nu].reshape(u_shape))
-            ut = cpl.haar_inverse(coeffs, reg.levels).values.copy()
-            off = nu
-            for i, op in enumerate(ops):
-                ut[..., i] += op.adjoint(y[off : off + data_dims[i]])
-                off += data_dims[i]
-            return ut.reshape(-1)
-
-        return LinearOp(apply, adjoint, nu, nu + sum(data_dims))
-
-    u_shape = grid.dims + (n,)
+    split_y, codomain = _splitter([shapes[name] for name in block.dual] + data_dims)
+    roots = [np.sqrt(_WEIGHTS[n](len(h))) if n in _WEIGHTS else None for n in block.dual]
 
     def apply(x):
-        u = MultiImage(grid, x.reshape(u_shape))
-        return np.concatenate([op.apply(u.channel(i)) for i, op in enumerate(ops)])
+        u, *xs = split_x(x)
+        rows = zip(block.apply(reg, h, u, *xs), roots)
+        parts = [(k if w is None else k * w).reshape(-1) for k, w in rows]
+        return np.concatenate(parts + [op.apply(u[..., i]) for i, op in enumerate(ops)])
 
     def adjoint(y):
-        ut = np.zeros(u_shape)
-        off = 0
-        for i, op in enumerate(ops):
-            ut[..., i] = op.adjoint(y[off : off + data_dims[i]])
-            off += data_dims[i]
-        return ut.reshape(-1)
+        pieces = split_y(y)
+        duals = [k if w is None else k / w for k, w in zip(pieces, roots)]
+        u_part, *x_parts = block.adjoint(reg, h, *duals)
+        tstar = _data_adjoint(problem, pieces[len(duals) :])
+        if u_part is not None:
+            tstar += u_part
+        if not x_parts:
+            return tstar.reshape(-1)
+        return np.concatenate([tstar.reshape(-1)] + [g.reshape(-1) for g in x_parts])
 
-    return LinearOp(apply, adjoint, nu, sum(data_dims))
+    return LinearOp(apply, adjoint, domain, codomain)
 
 
-def estimate_saddle_norm(problem: ProblemSpec, iters: int = 100, seed: int = 0) -> float:
-    """Power-iteration estimate of ||K||, inflated by 1% for safety."""
-    return 1.01 * op_norm_estimate(_saddle_operator(problem), iters=iters, seed=seed)
+def estimate_saddle_norm(problem: ProblemSpec, seed: int = 0) -> float:
+    """Power-iteration estimate of ||K|| (100 iterations), inflated by 1% for safety."""
+    return 1.01 * op_norm_estimate(_saddle_operator(problem), iters=100, seed=seed)
 
 
 def check_affine_injectivity(problem: ProblemSpec, tol: float = 1e-8) -> None:
@@ -241,49 +311,14 @@ def check_affine_injectivity(problem: ProblemSpec, tol: float = 1e-8) -> None:
 
 
 def _init_state(problem: ProblemSpec, cfg: SolveConfig, knorm: float) -> SolverState:
-    grid = problem.grid
-    n = problem.n_channels
-    reg = problem.regularizer
+    iterates = {name: np.zeros(shape) for name, shape in _iterate_shapes(problem).items()}
     if cfg.warm_start:
-        uvals = np.stack(
-            [problem.channels[i].op.adjoint(problem.channels[i].data) for i in range(n)],
-            axis=-1,
-        ) / max(knorm, 1e-30)
-        u = MultiImage(grid, uvals)
-        u = project_nonneg(u, problem.kl_channels)
-    else:
-        u = MultiImage.zeros(grid, n)
+        u = np.stack([c.op.adjoint(c.data) for c in problem.channels], axis=-1) / max(knorm, 1e-30)
+        u = project_nonneg(MultiImage(problem.grid, u), problem.kl_channels).values
+        iterates["u"] = iterates["ubar"] = u
     step = 0.99 / max(knorm, 1e-30)
-    state = SolverState(
-        u=u,
-        ubar=u,
-        v=None,
-        vbar=None,
-        p=None,
-        q=None,
-        s=None,
-        r=[np.zeros(c.op.codomain_dim) for c in problem.channels],
-        sigma=step,
-        tau=step,
-    )
-    if isinstance(reg, TGV2):
-        state.v = VectorField.zeros(grid, n)
-        state.vbar = state.v
-        state.p = VectorField.zeros(grid, n)
-        state.q = SymTensorField.zeros(grid, n)
-    elif isinstance(reg, WaveletL21):
-        state.s = MultiImage.zeros(grid, n)
-    return state
-
-
-def _primal_prox(problem: ProblemSpec, uvals: np.ndarray, tau: float) -> np.ndarray:
-    """Primal prox on a freshly computed array, which it may overwrite."""
-    reg = problem.regularizer
-    if isinstance(reg, Quadratic):
-        uvals = uvals / (1.0 + tau * reg.weight)
-    for i in problem.kl_channels:
-        np.maximum(uvals[..., i], 0.0, out=uvals[..., i])
-    return uvals
+    r = [np.zeros(c.op.codomain_dim) for c in problem.channels]
+    return SolverState(r=r, sigma=step, tau=step, **iterates)
 
 
 def _require_finite(iteration: int, **arrays: np.ndarray) -> None:
@@ -294,64 +329,45 @@ def _require_finite(iteration: int, **arrays: np.ndarray) -> None:
 
 def pd_step(problem: ProblemSpec, state: SolverState) -> SolverState:
     """One full primal-dual iteration; raises SolverError on non-finite state."""
-    reg = problem.regularizer
+    reg, h = problem.regularizer, problem.grid.spacing
+    block = _block(reg)
     sigma, tau = state.sigma, state.tau
-    grid = problem.grid
 
     r_new = []
     for i, c in enumerate(problem.channels):
-        pred = c.op.apply(state.ubar.channel(i))
+        pred = c.op.apply(state.ubar[..., i])
         if c.kind == "l2":
             r_new.append(prox_l2_dual(state.r[i] + sigma * (pred - c.data), sigma, c.lam))
         else:
             r_new.append(
                 prox_kl_dual(state.r[i] + sigma * (pred + c.background), c.data, sigma, c.lam)
             )
-
-    tstar = np.empty(grid.dims + (problem.n_channels,))
-    for i, c in enumerate(problem.channels):
-        tstar[..., i] = c.op.adjoint(r_new[i])
+    tstar = _data_adjoint(problem, r_new)
 
     iteration = state.iteration + 1
-    updates = {}
-    if isinstance(reg, TGV2):
-        phat = VectorField(
-            grid, state.p.values + sigma * (grad(state.ubar).values - state.vbar.values)
-        )
-        p_new = cpl.project_dual_ball(phat, reg.alpha1, reg.coupling)
-        qhat = SymTensorField(grid, state.q.values + sigma * sym_grad(state.vbar).values)
-        q_new = cpl.project_dual_ball(qhat, reg.alpha0, "frobenius")
-        v_new = state.v.values - tau * (-p_new.values - sym_div(q_new).values)
-        vbar_new = 2.0 * v_new - state.v.values
-        _require_finite(iteration, v=v_new, vbar=vbar_new)
-        updates = {
-            "p": p_new,
-            "q": q_new,
-            "v": VectorField(grid, v_new),
-            "vbar": VectorField(grid, vbar_new),
-        }
-        u_grad = -div(p_new).values + tstar
-    elif isinstance(reg, WaveletL21):
-        shat = MultiImage(
-            grid,
-            state.s.values + sigma * cpl.haar_forward(state.ubar, reg.levels).values,
-        )
-        updates = {"s": cpl.project_group_l2ball(shat, 1.0)}
-        u_grad = cpl.haar_inverse(updates["s"], reg.levels).values + tstar
-    else:
-        u_grad = tstar
+    # k_bar and dual_hat are as large as the duals: dropped once used, for peak heap
+    k_bar = block.apply(reg, h, state.ubar, *_iterates(state, block.primal, "bar"))
+    dual_hat = [y + sigma * k for y, k in zip(_iterates(state, block.dual), k_bar)]
+    del k_bar
+    duals = dict(zip(block.dual, block.project(reg, h, *dual_hat)))
+    del dual_hat
+    u_part, *x_parts = block.adjoint(reg, h, *duals.values())
+    primal = {}
+    for name, x, g in zip(block.primal, _iterates(state, block.primal), x_parts):
+        x_new = x - tau * g
+        primal[name], primal[name + "bar"] = x_new, 2.0 * x_new - x
+    _require_finite(iteration, **primal)
 
-    u_new = _primal_prox(problem, state.u.values - tau * u_grad, tau)
-    ubar_new = 2.0 * u_new - state.u.values
+    if u_part is not None:
+        tstar += u_part
+    u_new = state.u - tau * tstar
+    if block.prox is not None:
+        u_new = block.prox(reg, u_new, tau)
+    for i in problem.kl_channels:
+        np.maximum(u_new[..., i], 0.0, out=u_new[..., i])
+    ubar_new = 2.0 * u_new - state.u
     _require_finite(iteration, u=u_new, ubar=ubar_new)
-    return replace(
-        state,
-        u=MultiImage(grid, u_new),
-        ubar=MultiImage(grid, ubar_new),
-        r=r_new,
-        iteration=iteration,
-        **updates,
-    )
+    return replace(state, u=u_new, ubar=ubar_new, r=r_new, iteration=iteration, **duals, **primal)
 
 
 def step_policy(
@@ -378,30 +394,34 @@ def step_policy(
     return sigma, tau
 
 
+def _norm(x: np.ndarray, weights: np.ndarray | None = None) -> float:
+    return float(np.sqrt(np.sum(x * x if weights is None else x * x * weights)))
+
+
 def _residuals(problem: ProblemSpec, old: SolverState, new: SolverState) -> tuple[float, float]:
-    primal = field_norm(
-        MultiImage(problem.grid, new.u.values - old.u.values)
-    ) / max(new.tau, 1e-30)
-    if old.v is not None:
-        primal += field_norm(
-            VectorField(problem.grid, new.v.values - old.v.values)
-        ) / max(new.tau, 1e-30)
-    dual = sum(float(np.linalg.norm(a - b)) for a, b in zip(new.r, old.r)) / max(
-        new.sigma, 1e-30
-    )
-    if old.p is not None:
-        dual += field_norm(VectorField(problem.grid, new.p.values - old.p.values)) / max(
-            new.sigma, 1e-30
+    """Primal and dual residuals: iterate changes over tau and over sigma."""
+    block = _block(problem.regularizer)
+    d = problem.grid.ndim
+
+    def dist(names):
+        return sum(
+            _norm(getattr(new, n) - getattr(old, n), _WEIGHTS[n](d) if n in _WEIGHTS else None)
+            for n in names
         )
-    return primal, dual
+
+    primal = (_norm(new.u - old.u) + dist(block.primal)) / max(new.tau, 1e-30)
+    dual = sum(float(np.linalg.norm(a - b)) for a, b in zip(new.r, old.r))
+    return primal, (dual + dist(block.dual)) / max(new.sigma, 1e-30)
 
 
 def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
     """Run the primal-dual iteration to the relative-change stopping rule."""
     cfg = cfg or SolveConfig()
-    if isinstance(problem.regularizer, TGV2):
+    reg, grid = problem.regularizer, problem.grid
+    block = _block(reg)
+    if block.affine_injective:
         check_affine_injectivity(problem)
-    knorm = estimate_saddle_norm(problem, iters=cfg.norm_iters, seed=cfg.seed)
+    knorm = estimate_saddle_norm(problem, seed=cfg.seed)
     if knorm <= 0:
         raise SolverError("saddle operator has zero norm")
     state = _init_state(problem, cfg, knorm)
@@ -416,12 +436,10 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
         if cfg.step_policy == "adaptive":
             pres, dres = _residuals(problem, state, new)
             new.sigma, new.tau = step_policy("adaptive", new, pres, dres, step_cap)
-        rel = field_norm(
-            MultiImage(problem.grid, new.u.values - state.u.values)
-        ) / max(field_norm(state.u), tiny)
+        rel = _norm(new.u - state.u) / max(_norm(state.u), tiny)
         if new.iteration % max(cfg.diag_every, 1) == 0:
-            data_terms = [channel_data_term(problem, new.u, i) for i in range(problem.n_channels)]
-            reg_value = regularizer_value(problem, new.u, new.v)
+            data_terms = [_data_term(problem, new.u, i) for i in range(problem.n_channels)]
+            reg_value = block.value(reg, grid.spacing, new.u, *_iterates(new, block.primal))
             diag.iterations.append(new.iteration)
             diag.energy.append(_energy(problem, new.u, reg_value, data_terms))
             diag.data_terms.append(data_terms)
@@ -436,16 +454,17 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
         else:
             quiet_streak = 0
     diag.wall_time = time.perf_counter() - t0
-    return SolveResult(u=state.u, v=state.v, diagnostics=diag, state=state, converged=converged)
+    u, v = MultiImage(grid, state.u), None if state.v is None else VectorField(grid, state.v)
+    return SolveResult(u=u, v=v, diagnostics=diag, state=state, converged=converged)
 
 
 def dual_feasibility_gap(problem: ProblemSpec, state: SolverState) -> float:
     """Max violation of the pointwise dual-ball constraints (0 when feasible)."""
     reg = problem.regularizer
+    block = _block(reg)
     worst = 0.0
-    if isinstance(reg, TGV2):
-        worst = max(worst, float(pointwise_norms(state.p, reg.coupling).max() - reg.alpha1))
-        worst = max(worst, float(pointwise_norms(state.q, "frobenius").max() - reg.alpha0))
+    for norms, radius in block.dual_norms(reg, problem.grid.spacing, *_iterates(state, block.dual)):
+        worst = max(worst, float(norms.max() - radius))
     return max(worst, 0.0)
 
 
@@ -472,21 +491,16 @@ def _read_block(buf: bytes, off: int) -> tuple[np.ndarray, int]:
 
 
 def save_checkpoint(path: str | Path, state: SolverState) -> None:
-    """Serialize the full solver state (bitwise-reproducible resume)."""
+    """Serialize the full solver state (bitwise-reproducible continuation)."""
+    names = [n for n in ("u", "ubar", "v", "vbar", "p", "q", "s") if getattr(state, n) is not None]
     manifest = {
         "sigma": state.sigma,
         "tau": state.tau,
         "iteration": state.iteration,
-        "fields": [],
+        "fields": names,
         "n_r": len(state.r),
     }
-    blocks = []
-    for name in ("u", "ubar", "v", "vbar", "p", "q", "s"):
-        f = getattr(state, name)
-        if f is not None:
-            manifest["fields"].append(name)
-            blocks.append(f.values)
-    blocks.extend(state.r)
+    blocks = [getattr(state, n) for n in names] + state.r
     mjson = json.dumps(manifest, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_CHK_MAGIC)
@@ -497,40 +511,25 @@ def save_checkpoint(path: str | Path, state: SolverState) -> None:
 
 
 def load_checkpoint(path: str | Path, problem: ProblemSpec) -> SolverState:
+    """Read a state written by :func:`save_checkpoint` for ``problem``."""
     buf = Path(path).read_bytes()
     if buf[:4] != _CHK_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
     (mlen,) = struct.unpack_from("<I", buf, 4)
     manifest = json.loads(buf[8 : 8 + mlen].decode())
     off = 8 + mlen
-    grid = problem.grid
-    wrap = {
-        "u": lambda a: MultiImage(grid, a),
-        "ubar": lambda a: MultiImage(grid, a),
-        "v": lambda a: VectorField(grid, a),
-        "vbar": lambda a: VectorField(grid, a),
-        "p": lambda a: VectorField(grid, a),
-        "q": lambda a: SymTensorField(grid, a),
-        "s": lambda a: MultiImage(grid, a),
-    }
-    fields = {k: None for k in wrap}
-    for name in manifest["fields"]:
+    shapes = _iterate_shapes(problem)
+    if manifest["fields"] != list(shapes):
+        raise ValueError(f"{path}: fields {manifest['fields']} do not match {list(shapes)}")
+    iterates = {}
+    for name, shape in shapes.items():
         arr, off = _read_block(buf, off)
-        fields[name] = wrap[name](arr)
+        if arr.shape != shape or not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: {name} must be finite with shape {shape}, got {arr.shape}")
+        iterates[name] = arr
     r = []
     for _ in range(manifest["n_r"]):
         arr, off = _read_block(buf, off)
         r.append(arr.reshape(-1))
-    return SolverState(
-        u=fields["u"],
-        ubar=fields["ubar"],
-        v=fields["v"],
-        vbar=fields["vbar"],
-        p=fields["p"],
-        q=fields["q"],
-        s=fields["s"],
-        r=r,
-        sigma=manifest["sigma"],
-        tau=manifest["tau"],
-        iteration=manifest["iteration"],
-    )
+    sigma, tau, iteration = manifest["sigma"], manifest["tau"], manifest["iteration"]
+    return SolverState(r=r, sigma=sigma, tau=tau, iteration=iteration, **iterates)

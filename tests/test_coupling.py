@@ -302,8 +302,7 @@ def test_group_ball_projection_scales_cross_channel():
 
 
 def test_group_l21_norm_value():
-    g = Grid((2, 1))
     vals = np.zeros((2, 1, 2))
     vals[0, 0] = [3.0, 4.0]
     vals[1, 0] = [0.0, 2.0]
-    assert group_l21_norm(MultiImage(g, vals)) == pytest.approx(7.0)
+    assert group_l21_norm(vals) == pytest.approx(7.0)

@@ -6,8 +6,6 @@ from coupledrec.grids import (
     MultiImage,
     SymTensorField,
     VectorField,
-    coupled_l1_norm,
-    field_norm,
     inner_product,
     pointwise_norms,
     sym_index_pairs,
@@ -55,7 +53,6 @@ def test_inner_product_weights_off_diagonal():
     g = Grid((1, 1))
     q = SymTensorField(g, np.array([0.0, 3.0, 0.0]).reshape(1, 1, 1, 3))
     assert inner_product(q, q) == pytest.approx(18.0)
-    assert field_norm(q) == pytest.approx(np.sqrt(18.0))
 
 
 def test_inner_product_bilinear():
@@ -102,4 +99,4 @@ def test_coupled_l1_norm_single_site():
     vals = np.zeros((1, 1, 1, 2))
     vals[0, 0, 0] = [3.0, 4.0]
     v = VectorField(g, vals)
-    assert coupled_l1_norm(v, "frobenius") == pytest.approx(5.0)
+    assert pointwise_norms(v, "frobenius").sum() == pytest.approx(5.0)

@@ -60,7 +60,6 @@ def test_problem_spec_channel_index_sets():
     )
     assert spec.n_channels == 3
     assert spec.kl_channels == [1]
-    assert spec.l2_channels == [0, 2]
 
 
 def test_problem_spec_rejects_empty_and_mismatched_grid():

@@ -26,75 +26,54 @@ class ConfigError(ValueError):
         super().__init__(prefix + message)
 
 
+def _parse_bool(text: str) -> bool:
+    v = text.lower()
+    if v in ("true", "yes", "1", "on"):
+        return True
+    if v in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(text)
+
+
 @dataclass
 class RunConfig:
     values: dict[str, str] = field(default_factory=dict)
     lines: dict[str, int] = field(default_factory=dict)  # key -> source line
 
-    def _line(self, key: str) -> int | None:
-        return self.lines.get(key)
-
     def has(self, key: str) -> bool:
         return key in self.values
 
+    def _get(self, key: str, default, parse, what: str = ""):
+        """``parse`` the value of ``key``, or return ``default`` when it is absent;
+        a ValueError from ``parse`` is reported as "is not <what>"."""
+        if key not in self.values:
+            if default is None:
+                raise ConfigError(f"missing required key {key!r}")
+            return default
+        try:
+            return parse(self.values[key])
+        except ValueError:
+            raise ConfigError(
+                f"{key} = {self.values[key]!r} is not {what}", self.lines.get(key)
+            ) from None
+
     def get_str(self, key: str, default: str | None = None) -> str:
-        if key in self.values:
-            return self.values[key]
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+        return self._get(key, default, str)
 
     def get_int(self, key: str, default: int | None = None) -> int:
-        if key not in self.values:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        try:
-            return int(self.values[key])
-        except ValueError:
-            raise ConfigError(f"{key} = {self.values[key]!r} is not an integer", self._line(key))
+        return self._get(key, default, int, "an integer")
 
     def get_float(self, key: str, default: float | None = None) -> float:
-        if key not in self.values:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        try:
-            return float(self.values[key])
-        except ValueError:
-            raise ConfigError(f"{key} = {self.values[key]!r} is not a number", self._line(key))
+        return self._get(key, default, float, "a number")
 
     def get_bool(self, key: str, default: bool | None = None) -> bool:
-        if key not in self.values:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        v = self.values[key].lower()
-        if v in ("true", "yes", "1", "on"):
-            return True
-        if v in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{key} = {self.values[key]!r} is not a boolean", self._line(key))
+        return self._get(key, default, _parse_bool, "a boolean")
 
     def get_ints(self, key: str, default: tuple[int, ...] | None = None) -> tuple[int, ...]:
-        if key not in self.values:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        try:
-            return tuple(int(t) for t in self.values[key].split())
-        except ValueError:
-            raise ConfigError(f"{key} = {self.values[key]!r} is not a list of integers", self._line(key))
+        return self._get(key, default, lambda t: tuple(map(int, t.split())), "a list of integers")
 
     def get_floats(self, key: str, default: tuple[float, ...] | None = None) -> tuple[float, ...]:
-        if key not in self.values:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        try:
-            return tuple(float(t) for t in self.values[key].split())
-        except ValueError:
-            raise ConfigError(f"{key} = {self.values[key]!r} is not a list of numbers", self._line(key))
+        return self._get(key, default, lambda t: tuple(map(float, t.split())), "a list of numbers")
 
     def dump(self) -> str:
         """Canonical sorted rendering, used to echo the resolved config."""

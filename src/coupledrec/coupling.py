@@ -11,13 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import (
-    MultiImage,
-    SymTensorField,
-    VectorField,
-    pointwise_norms_array,
-    sym_weights,
-)
+from .grids import MultiImage, SymTensorField, VectorField, pointwise_norms_array
 
 
 def _gram_2x2(values: np.ndarray):
@@ -84,14 +78,12 @@ def project_dual_ball(z, alpha: float, coupling: str = "frobenius"):
     Frobenius coupling: scale each site block to pointwise norm <= alpha.
     Nuclear coupling (vector fields only): clip singular values at alpha.
     """
-    if isinstance(z, SymTensorField):
-        if coupling != "frobenius":
-            raise ValueError("symmetric tensor fields only support Frobenius coupling")
-        weights = sym_weights(z.grid.ndim)
-        return z.with_values(project_dual_ball_array(z.values, alpha, weights=weights))
-    if not isinstance(z, VectorField):
+    if not isinstance(z, (VectorField, SymTensorField)):
         raise ValueError("expected a VectorField or SymTensorField")
-    return z.with_values(project_dual_ball_array(z.values, alpha, coupling))
+    weights = z.weights(z.grid.ndim)
+    if weights is not None and coupling != "frobenius":
+        raise ValueError("symmetric tensor fields only support Frobenius coupling")
+    return z.with_values(project_dual_ball_array(z.values, alpha, coupling, weights))
 
 
 def _check_levels(dims, levels: int) -> None:

@@ -14,13 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import (
-    MultiImage,
-    SymTensorField,
-    VectorField,
-    sym_index_pairs,
-    sym_weights,
-)
+from .grids import MultiImage, SymTensorField, VectorField, sym_index_pairs
 
 
 def _sl(ndim: int, axis: int, s: slice) -> tuple:
@@ -218,7 +212,7 @@ def sym_grad_linear_op(grid, channels: int) -> LinearOp:
     The flat vectors use scaled tensor coordinates ``sqrt(w_k) q_k`` so the
     Euclidean dot product matches the weighted field inner product.
     """
-    sq = np.sqrt(sym_weights(grid.ndim))
+    sq = np.sqrt(SymTensorField.weights(grid.ndim))
     dom_shape = grid.dims + (channels, grid.ndim)
     cod_shape = grid.dims + (channels, len(sq))
     return LinearOp(

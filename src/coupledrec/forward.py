@@ -9,7 +9,7 @@ is the exact transpose, so the dot-product test passes to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,8 +18,6 @@ import scipy.sparse as sp
 
 from .diffops import LinearOp
 from .grids import Grid
-
-KINDS = ("identity", "convolution", "masked_fourier", "radon")
 
 
 @dataclass
@@ -31,7 +29,6 @@ class ForwardOp:
     codomain_dim: int
     _apply: Callable[[np.ndarray], np.ndarray]
     _adjoint: Callable[[np.ndarray], np.ndarray]
-    meta: dict = field(default_factory=dict)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
@@ -86,7 +83,6 @@ def convolution_op(grid: Grid, kernel: np.ndarray) -> ForwardOp:
         _adjoint=lambda y: ndi.correlate(
             y.reshape(grid.dims), flipped, mode="constant", cval=0.0
         ),
-        meta={"kernel": kernel},
     )
 
 
@@ -117,7 +113,6 @@ def masked_fourier_op(grid: Grid, mask: np.ndarray) -> ForwardOp:
         codomain_dim=2 * m,
         _apply=apply,
         _adjoint=adjoint,
-        meta={"mask": mask},
     )
 
 
@@ -171,7 +166,6 @@ def radon_op(grid: Grid, angles, n_bins: int) -> ForwardOp:
         codomain_dim=mat.shape[0],
         _apply=lambda u: mat @ u.reshape(-1),
         _adjoint=lambda y: (mat_t @ y).reshape(grid.dims),
-        meta={"angles": angles, "n_bins": n_bins},
     )
 
 

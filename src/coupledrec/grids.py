@@ -1,10 +1,12 @@
 """Rectangular grids and multi-channel field containers.
 
-All solver state lives in three field types over a common grid: scalar
-images with N channels, per-channel d-vectors, and per-channel symmetric
-d x d tensors.  Symmetric tensors are stored as the upper triangle; their
-inner product carries a multiplicity weight of 2 on off-diagonal entries so
-that it agrees with the full-matrix Frobenius inner product.
+Fields come in three kinds over a common grid: scalar images with N
+channels, per-channel d-vectors, and per-channel symmetric d x d tensors.
+A kind fixes its layout, the trailing axes and the inner-product weights,
+and the solver sizes and weighs its plain-array iterates from it.  Symmetric
+tensors are stored as the upper triangle; their inner product carries a
+multiplicity weight of 2 on off-diagonal entries so that it agrees with the
+full-matrix Frobenius inner product.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ class Grid:
         spacing = tuple(float(h) for h in spacing)
         if len(spacing) != len(dims):
             raise ValueError("spacing length must match dims length")
-        if any(h <= 0 for h in spacing):
-            raise ValueError(f"spacing must be positive, got {spacing}")
+        if not all(0 < h < np.inf for h in spacing):
+            raise ValueError(f"spacing must be positive and finite, got {spacing}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
 
@@ -64,104 +66,89 @@ class Grid:
         return int(np.prod(self.dims))
 
 
-def _check_values(values: np.ndarray, expected_shape: tuple[int, ...], what: str) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != expected_shape:
-        raise ValueError(f"{what}: expected shape {expected_shape}, got {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what}: non-finite values")
-    return values
-
-
 @dataclass(frozen=True)
-class MultiImage:
-    """N-channel scalar field on a grid; values shaped ``(*dims, N)``."""
+class Field:
+    """N-channel field on a grid; values shaped ``(*dims, N) + tail(d)``.
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = self.values.shape[-1] if np.ndim(self.values) == self.grid.ndim + 1 else 0
-        if n < 1:
-            raise ValueError("MultiImage needs at least one channel")
-        vals = _check_values(self.values, self.grid.dims + (n,), "MultiImage")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[-1]
-
-    @classmethod
-    def zeros(cls, grid: Grid, channels: int) -> "MultiImage":
-        return cls(grid, np.zeros(grid.dims + (channels,)))
-
-    def channel(self, i: int) -> np.ndarray:
-        """Single-channel array shaped like the grid."""
-        return self.values[..., i]
-
-    def with_values(self, values: np.ndarray) -> "MultiImage":
-        return MultiImage(self.grid, values)
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Per-site, per-channel d-vectors; values shaped ``(*dims, N, d)``."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        shape = np.shape(self.values)
-        if len(shape) != self.grid.ndim + 2 or shape[-1] != self.grid.ndim:
-            raise ValueError(
-                f"VectorField: expected shape (*{self.grid.dims}, N, {self.grid.ndim})"
-            )
-        n = shape[-2]
-        vals = _check_values(self.values, self.grid.dims + (n, self.grid.ndim), "VectorField")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[-2]
-
-    @classmethod
-    def zeros(cls, grid: Grid, channels: int) -> "VectorField":
-        return cls(grid, np.zeros(grid.dims + (channels, grid.ndim)))
-
-    def with_values(self, values: np.ndarray) -> "VectorField":
-        return VectorField(self.grid, values)
-
-
-@dataclass(frozen=True)
-class SymTensorField:
-    """Per-site, per-channel symmetric tensors, upper triangle storage.
-
-    Values are shaped ``(*dims, N, d*(d+1)/2)`` with entries ordered as
-    :func:`sym_index_pairs`.
+    A kind states only its trailing axes (``tail``) and the inner-product
+    weights of its last axis (``weights``, None for the plain Euclidean
+    product); validation and construction are shared.
     """
 
     grid: Grid
     values: np.ndarray
 
+    @staticmethod
+    def tail(d: int) -> tuple[int, ...]:
+        raise TypeError("Field is abstract; use MultiImage, VectorField or SymTensorField")
+
+    @staticmethod
+    def weights(d: int) -> np.ndarray | None:
+        return None
+
     def __post_init__(self):
-        s = sym_size(self.grid.ndim)
-        shape = np.shape(self.values)
-        if len(shape) != self.grid.ndim + 2 or shape[-1] != s:
-            raise ValueError(f"SymTensorField: expected shape (*{self.grid.dims}, N, {s})")
-        n = shape[-2]
-        vals = _check_values(self.values, self.grid.dims + (n, s), "SymTensorField")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", self._check_values(self.values))
+
+    def _check_values(self, values) -> np.ndarray:
+        values = np.asarray(values, dtype=np.float64)
+        dims, tail = self.grid.dims, self.tail(self.grid.ndim)
+        n = values.shape[len(dims)] if values.ndim == len(dims) + 1 + len(tail) else 0
+        if n < 1 or values.shape != dims + (n,) + tail:
+            raise ValueError(
+                f"{type(self).__name__}: expected shape {dims} + (N,) + {tail} with N >= 1, "
+                f"got {values.shape}"
+            )
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{type(self).__name__}: non-finite values")
+        return values
 
     @property
     def channels(self) -> int:
-        return self.values.shape[-2]
+        return self.values.shape[self.grid.ndim]
 
     @classmethod
-    def zeros(cls, grid: Grid, channels: int) -> "SymTensorField":
-        return cls(grid, np.zeros(grid.dims + (channels, sym_size(grid.ndim))))
+    def zeros(cls, grid: Grid, channels: int):
+        return cls(grid, np.zeros(grid.dims + (channels,) + cls.tail(grid.ndim)))
 
-    def with_values(self, values: np.ndarray) -> "SymTensorField":
-        return SymTensorField(self.grid, values)
+    def with_values(self, values: np.ndarray):
+        """A field of the same kind and grid holding ``values``."""
+        return type(self)(self.grid, values)
+
+
+class MultiImage(Field):
+    """N-channel scalar field on a grid; values shaped ``(*dims, N)``."""
+
+    @staticmethod
+    def tail(d: int) -> tuple[int, ...]:
+        return ()
+
+    def channel(self, i: int) -> np.ndarray:
+        """Single-channel array shaped like the grid."""
+        return self.values[..., i]
+
+
+class VectorField(Field):
+    """Per-site, per-channel d-vectors; values shaped ``(*dims, N, d)``."""
+
+    @staticmethod
+    def tail(d: int) -> tuple[int, ...]:
+        return (d,)
+
+
+class SymTensorField(Field):
+    """Per-site, per-channel symmetric tensors, upper triangle storage.
+
+    Values are shaped ``(*dims, N, d*(d+1)/2)`` with entries ordered as
+    :func:`sym_index_pairs`; the inner product weighs them by :func:`sym_weights`.
+    """
+
+    @staticmethod
+    def tail(d: int) -> tuple[int, ...]:
+        return (sym_size(d),)
+
+    @staticmethod
+    def weights(d: int) -> np.ndarray:
+        return sym_weights(d)
 
     def to_full_matrices(self) -> np.ndarray:
         """Expand to full symmetric matrices, shape ``(*dims, N, d, d)``."""
@@ -173,9 +160,6 @@ class SymTensorField:
         return out
 
 
-Field = MultiImage | VectorField | SymTensorField
-
-
 def _require_compatible(a: Field, b: Field) -> None:
     if type(a) is not type(b):
         raise ValueError(f"field type mismatch: {type(a).__name__} vs {type(b).__name__}")
@@ -184,12 +168,12 @@ def _require_compatible(a: Field, b: Field) -> None:
 
 
 def inner_product(a: Field, b: Field) -> float:
-    """Euclidean inner product; symmetric tensors count off-diagonals twice."""
+    """Euclidean inner product, weighted by the kind's ``weights``."""
     _require_compatible(a, b)
-    if isinstance(a, SymTensorField):
-        w = sym_weights(a.grid.ndim)
-        return float(np.sum(a.values * b.values * w))
-    return float(np.sum(a.values * b.values))
+    w = a.weights(a.grid.ndim)
+    if w is None:
+        return float(np.sum(a.values * b.values))
+    return float(np.sum(a.values * b.values * w))
 
 
 def _nuclear_norms_2d(values: np.ndarray) -> np.ndarray:
@@ -226,8 +210,7 @@ def pointwise_norms_array(values: np.ndarray, coupling: str = "frobenius", weigh
 
 def pointwise_norms(z: VectorField | SymTensorField, coupling: str = "frobenius") -> np.ndarray:
     """Pointwise coupling norm per site, flat array of length ``sites``."""
-    if isinstance(z, SymTensorField):
-        if coupling != "frobenius":
-            raise ValueError("symmetric tensor fields only support Frobenius coupling")
-        return pointwise_norms_array(z.values, weights=sym_weights(z.grid.ndim))
-    return pointwise_norms_array(z.values, coupling)
+    weights = z.weights(z.grid.ndim)
+    if weights is not None and coupling != "frobenius":
+        raise ValueError("symmetric tensor fields only support Frobenius coupling")
+    return pointwise_norms_array(z.values, coupling, weights)

@@ -21,8 +21,8 @@ class TGV2:
     coupling: str = "frobenius"
 
     def __post_init__(self):
-        if self.alpha0 <= 0 or self.alpha1 <= 0:
-            raise ValueError("TGV weights must be positive")
+        if not (0 < self.alpha0 < np.inf and 0 < self.alpha1 < np.inf):
+            raise ValueError("TGV weights must be positive and finite")
         if self.coupling not in COUPLINGS:
             raise ValueError(f"unknown coupling {self.coupling!r}")
 
@@ -45,8 +45,8 @@ class Quadratic:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
+        if not 0 < self.weight < np.inf:
+            raise ValueError("weight must be positive and finite")
 
 
 Regularizer = TGV2 | WaveletL21 | Quadratic

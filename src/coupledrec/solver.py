@@ -29,7 +29,7 @@ from .diffops import (
     sym_grad_array,
 )
 from .discrepancy import eval_kl, eval_l2sq, project_nonneg, prox_kl_dual, prox_l2_dual
-from .grids import MultiImage, VectorField, pointwise_norms_array, sym_size, sym_weights
+from .grids import MultiImage, SymTensorField, VectorField, pointwise_norms_array
 from .problem import ProblemSpec, Quadratic, TGV2, WaveletL21
 
 # Unused here, but bench/tracing.py rebinds these names on this module.
@@ -79,14 +79,23 @@ class Diagnostics:
     wall_time: float = 0.0
 
 
+STEP_POLICIES = ("constant", "adaptive")
+
+
 @dataclass
 class SolveConfig:
     max_iters: int = 2000
     tol: float = 1e-8
-    step_policy: str = "constant"  # "constant" | "adaptive"
+    step_policy: str = "constant"  # one of STEP_POLICIES
     seed: int = 0
     warm_start: bool = False
     diag_every: int = 1  # record energy/data/reg every k-th iteration
+
+    def __post_init__(self):
+        if self.step_policy not in STEP_POLICIES:
+            raise ValueError(
+                f"unknown step policy {self.step_policy!r}; expected one of {STEP_POLICIES}"
+            )
 
 
 @dataclass
@@ -101,22 +110,21 @@ class SolveResult:
 # --- the regularizer table ---------------------------------------------------
 
 
-# Each regularizer iterate is shaped (*dims, N) + _TAILS[name](d); the inner
-# product of q weighs its squared entries by the off-diagonal multiplicity.
-_TAILS = dict(v=lambda d: (d,), p=lambda d: (d,), q=lambda d: (sym_size(d),), s=lambda d: ())
-_WEIGHTS = {"q": sym_weights}
+# The field kind of each regularizer iterate: the iterate is shaped
+# (*dims, N) + kind.tail(d), and its inner product is weighted by kind.weights(d).
+_KINDS = {"v": VectorField, "p": VectorField, "q": SymTensorField, "s": MultiImage}
 
 
 @dataclass(frozen=True)
 class _Block:
     """A regularizer's part of the saddle problem; the defaults have no K_reg.
 
-    ``primal`` names its iterates besides u, ``dual`` its dual iterates.  The
-    functions take the regularizer, the grid spacing h, then arrays: ``value``
-    and ``apply`` (K_reg, one array per dual) take (u, *primal); ``adjoint``
-    (the u part, None if K_reg ignores u, then one per primal), ``project``
-    (the dual prox) and ``dual_norms`` (pointwise dual norm and ball radius
-    per dual) take the duals.
+    ``primal`` names its iterates besides u, ``dual`` its dual iterates (both
+    keys of ``_KINDS``).  The functions take the regularizer, the grid
+    spacing h, then arrays: ``value`` and ``apply`` (K_reg, one array per
+    dual) take (u, *primal); ``adjoint`` (the u part, None if K_reg ignores
+    u, then one per primal), ``project`` (the dual prox) and ``dual_norms``
+    (pointwise dual norm and ball radius per dual) take the duals.
     """
 
     value: Callable
@@ -132,7 +140,7 @@ class _Block:
 
 def _tgv_value(reg, h, u, v):
     first = pointwise_norms_array(grad_array(u, h) - v, reg.coupling)
-    second = pointwise_norms_array(sym_grad_array(v, h), weights=sym_weights(len(h)))
+    second = pointwise_norms_array(sym_grad_array(v, h), weights=SymTensorField.weights(len(h)))
     return reg.alpha1 * float(first.sum()) + reg.alpha0 * float(second.sum())
 
 
@@ -144,14 +152,14 @@ _BLOCKS = {
         adjoint=lambda reg, h, p, q: (-div_array(p, h), -p - sym_div_array(q, h)),
         project=lambda reg, h, p, q: (
             cpl.project_dual_ball_array(p, reg.alpha1, reg.coupling),
-            cpl.project_dual_ball_array(q, reg.alpha0, weights=sym_weights(len(h))),
+            cpl.project_dual_ball_array(q, reg.alpha0, weights=SymTensorField.weights(len(h))),
         ),
         value=_tgv_value,
         # the dual norm of nuclear coupling is the spectral norm
         dual_norms=lambda reg, h, p, q: (
             (cpl.spectral_norms(p) if reg.coupling == "nuclear" else pointwise_norms_array(p),
              reg.alpha1),
-            (pointwise_norms_array(q, weights=sym_weights(len(h))), reg.alpha0),
+            (pointwise_norms_array(q, weights=SymTensorField.weights(len(h))), reg.alpha0),
         ),
         affine_injective=True,
     ),
@@ -189,9 +197,9 @@ def _iterate_shapes(problem: ProblemSpec) -> dict[str, tuple[int, ...]]:
     base = grid.dims + (problem.n_channels,)
     shapes = {"u": base, "ubar": base}
     for name in block.primal:
-        shapes[name] = shapes[name + "bar"] = base + _TAILS[name](grid.ndim)
+        shapes[name] = shapes[name + "bar"] = base + _KINDS[name].tail(grid.ndim)
     for name in block.dual:
-        shapes[name] = base + _TAILS[name](grid.ndim)
+        shapes[name] = base + _KINDS[name].tail(grid.ndim)
     return shapes
 
 
@@ -265,7 +273,8 @@ def _saddle_operator(problem: ProblemSpec) -> LinearOp:
     split_x, domain = _splitter([shapes[name] for name in ("u",) + block.primal])
     data_dims = [op.codomain_dim for op in ops]
     split_y, codomain = _splitter([shapes[name] for name in block.dual] + data_dims)
-    roots = [np.sqrt(_WEIGHTS[n](len(h))) if n in _WEIGHTS else None for n in block.dual]
+    weights = [_KINDS[name].weights(len(h)) for name in block.dual]
+    roots = [None if w is None else np.sqrt(w) for w in weights]
 
     def apply(x):
         u, *xs = split_x(x)
@@ -404,10 +413,7 @@ def _residuals(problem: ProblemSpec, old: SolverState, new: SolverState) -> tupl
     d = problem.grid.ndim
 
     def dist(names):
-        return sum(
-            _norm(getattr(new, n) - getattr(old, n), _WEIGHTS[n](d) if n in _WEIGHTS else None)
-            for n in names
-        )
+        return sum(_norm(getattr(new, n) - getattr(old, n), _KINDS[n].weights(d)) for n in names)
 
     primal = (_norm(new.u - old.u) + dist(block.primal)) / max(new.tau, 1e-30)
     dual = sum(float(np.linalg.norm(a - b)) for a, b in zip(new.r, old.r))
@@ -527,9 +533,17 @@ def load_checkpoint(path: str | Path, problem: ProblemSpec) -> SolverState:
         if arr.shape != shape or not np.all(np.isfinite(arr)):
             raise ValueError(f"{path}: {name} must be finite with shape {shape}, got {arr.shape}")
         iterates[name] = arr
+    if manifest["n_r"] != problem.n_channels:
+        raise ValueError(f"{path}: {manifest['n_r']} r blocks for {problem.n_channels} channels")
     r = []
-    for _ in range(manifest["n_r"]):
+    for i, c in enumerate(problem.channels):
         arr, off = _read_block(buf, off)
+        if arr.size != c.op.codomain_dim or not np.all(np.isfinite(arr)):
+            raise ValueError(
+                f"{path}: r[{i}] must be finite with length {c.op.codomain_dim}, got {arr.size}"
+            )
         r.append(arr.reshape(-1))
     sigma, tau, iteration = manifest["sigma"], manifest["tau"], manifest["iteration"]
+    if not (0 < sigma < np.inf and 0 < tau < np.inf):
+        raise ValueError(f"{path}: sigma = {sigma} and tau = {tau} must be positive and finite")
     return SolverState(r=r, sigma=sigma, tau=tau, iteration=iteration, **iterates)

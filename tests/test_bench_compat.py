@@ -3,8 +3,12 @@
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import coupledrec.rates as rates
 import coupledrec.solver as solver
+from coupledrec.grids import Grid, MultiImage, SymTensorField, VectorField
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import tracing  # noqa: E402
@@ -46,3 +50,21 @@ def test_tracer_rebinds_and_restores_every_name():
         tracer.uninstall()
     for (m, name), original in before.items():
         assert getattr(m, name) is original, f"{m.__name__}.{name} was not restored"
+
+
+def test_tracer_counts_every_field_kind():
+    kinds = (MultiImage, VectorField, SymTensorField)
+    g = Grid((4, 4))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for kind in kinds:
+            kind.zeros(g, 2)
+        assert tracer.fields[tracer.op] == 3
+    finally:
+        tracer.uninstall()
+    for kind in kinds:
+        vals = kind.zeros(g, 2).values.copy()
+        vals[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            kind(g, vals)

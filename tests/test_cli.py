@@ -168,6 +168,28 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert run(capsys, "solve", str(tmp_path / "absent.cfg"))[0] == 1
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("solver.step_policy = adaptve", "unknown step policy"),
+        ("regularizer.alpha0 = nan", "positive and finite"),
+        ("grid.spacing = inf 1", "positive and finite"),
+    ],
+)
+def test_bad_setting_exits_as_configuration_error(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "schema = 1\n"
+        "grid.dims = 8 8\n"
+        "channels = 1\n"
+        "regularizer.kind = tgv2\n"
+        "solver.max_iters = 5\n" + line + "\n"
+    )
+    code, _, err = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert message in err
+
+
 def test_info_command(capsys):
     code, out, _ = run(capsys, "info")
     assert code == 0

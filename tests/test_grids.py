@@ -36,6 +36,26 @@ def test_field_shapes():
     assert q.values.shape == (3, 4, 2, 3)
     with pytest.raises(ValueError):
         MultiImage(g, np.zeros((3, 4)))
+    for dims in ((5,), (3, 4), (2, 3, 4)):
+        g = Grid(dims)
+        d = g.ndim
+        for kind, tail in ((MultiImage, ()), (VectorField, (d,)), (SymTensorField, (sym_size(d),))):
+            z = kind.zeros(g, 2)
+            assert z.values.shape == dims + (2,) + tail
+            assert z.channels == 2
+            moved = z.with_values(np.ones(z.values.shape))
+            assert type(moved) is kind and moved.grid == g
+            assert (kind.weights(d) is not None) == (kind is SymTensorField)
+            wrong_tail = tail[:-1] + (tail[-1] + 1,) if tail else (1,)
+            with pytest.raises(ValueError, match="expected shape"):
+                kind(g, np.zeros(dims + (2,) + wrong_tail))
+            with pytest.raises(ValueError, match="N >= 1"):
+                kind(g, np.zeros(dims + (0,) + tail))
+            for bad in (np.nan, np.inf):
+                vals = np.zeros(dims + (2,) + tail)
+                vals.flat[-1] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    kind(g, vals)
 
 
 def test_sym_layout():

@@ -24,6 +24,23 @@ def test_regularizer_validation():
         Quadratic(weight=-1.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Grid((8, 8), (np.nan, 1.0)),
+        lambda: Grid((8, 8), (np.inf, 1.0)),
+        lambda: TGV2(np.nan, 1.0),
+        lambda: TGV2(1.0, np.inf),
+        lambda: Quadratic(np.inf),
+        lambda: Quadratic(np.nan),
+    ],
+    ids=["spacing_nan", "spacing_inf", "tgv_alpha0_nan", "tgv_alpha1_inf", "quad_inf", "quad_nan"],
+)
+def test_non_finite_model_numbers_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_channel_spec_flattens_and_validates():
     g = Grid((3, 3))
     c = _chan(g, data=np.ones((3, 3)))

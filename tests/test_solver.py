@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from coupledrec.cli import random_fourier_mask
 from coupledrec.diffops import adjoint_check
-from coupledrec.forward import ForwardOp, identity_op
+from coupledrec.forward import ForwardOp, identity_op, masked_fourier_op
 from coupledrec.grids import Grid, MultiImage, SymTensorField, VectorField, pointwise_norms
 from coupledrec.problem import ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
 from coupledrec.solver import (
@@ -280,6 +281,40 @@ def test_checkpoint_fields_follow_the_regularizer(tmp_path):
     np.testing.assert_array_equal(pd_step(spec, loaded).s, pd_step(spec, res.state).s)
     with pytest.raises(ValueError, match="do not match"):
         load_checkpoint(path, ProblemSpec(grid=g, channels=channels, regularizer=TGV2(2.0, 1.0)))
+
+
+def _fourier_problem(grid, fraction):
+    op = masked_fourier_op(grid, random_fourier_mask(grid.dims, fraction, seed=4))
+    channel = ChannelSpec(op=op, data=op.apply(_smooth(grid, 5)[..., 0]), lam=1.0)
+    return ProblemSpec(grid=grid, channels=(channel,), regularizer=Quadratic(0.5))
+
+
+def test_checkpoint_validates_residual_duals(tmp_path):
+    g = Grid((8, 8))
+    spec = _fourier_problem(g, 0.5)
+    state = solve(spec, SolveConfig(max_iters=5, tol=0.0)).state
+    path = tmp_path / "fourier.crck"
+    save_checkpoint(path, state)
+    assert load_checkpoint(path, spec).r[0].size == spec.channels[0].op.codomain_dim
+    other = _fourier_problem(g, 0.25)
+    assert other.channels[0].op.codomain_dim != spec.channels[0].op.codomain_dim
+    with pytest.raises(ValueError, match=r"r\[0\]"):
+        load_checkpoint(path, other)
+    state.r[0][3] = np.nan
+    save_checkpoint(path, state)
+    with pytest.raises(ValueError, match=r"r\[0\]"):
+        load_checkpoint(path, spec)
+    state.r[0][3] = 0.0
+    state.sigma = np.inf
+    save_checkpoint(path, state)
+    with pytest.raises(ValueError, match="sigma"):
+        load_checkpoint(path, spec)
+
+
+def test_unknown_step_policy_rejected():
+    with pytest.raises(ValueError, match="step policy"):
+        SolveConfig(step_policy="adaptve")
+    assert SolveConfig(step_policy="adaptive").step_policy == "adaptive"
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

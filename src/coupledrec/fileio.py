@@ -60,13 +60,8 @@ def write_pgm(path: str | Path, channel: np.ndarray) -> None:
         fh.write(pix.tobytes())
 
 
-def write_mask(path: str | Path, mask: np.ndarray) -> None:
-    """Flat u8 0/1 raster matching the grid dims."""
-    arr = np.asarray(mask).astype(bool).astype(np.uint8)
-    Path(path).write_bytes(arr.tobytes())
-
-
 def read_mask(path: str | Path, grid: Grid) -> np.ndarray:
+    """Read a flat u8 0/1 raster with one entry per grid site, site-major."""
     raw = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
     if raw.size != grid.sites:
         raise ValueError(f"{path}: mask has {raw.size} entries, grid has {grid.sites} sites")

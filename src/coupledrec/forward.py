@@ -10,6 +10,7 @@ is the exact transpose, so the dot-product test passes to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -61,28 +62,62 @@ def identity_op(grid: Grid) -> ForwardOp:
     )
 
 
+def _separable_factors(kernel: np.ndarray) -> list[np.ndarray] | None:
+    """1-D factors whose outer product is ``kernel``, or None if it is not rank 1.
+
+    The factors are the kernel's fibres through its largest-magnitude entry,
+    all but the first divided by that entry, so a nonnegative kernel has
+    nonnegative factors.
+    """
+    peak = np.unravel_index(np.argmax(np.abs(kernel)), kernel.shape)
+    top = kernel[peak]
+    if top == 0:
+        return None
+    factors = []
+    for ax in range(kernel.ndim):
+        fibre = kernel[peak[:ax] + (slice(None),) + peak[ax + 1 :]]
+        factors.append(fibre.copy() if ax == 0 else fibre / top)
+    if np.max(np.abs(reduce(np.multiply.outer, factors) - kernel)) > 1e-14 * abs(top):
+        return None
+    return factors
+
+
+def _correlate_axes(u: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """Zero-padded correlation with the outer product of ``factors``, one axis at a time."""
+    for ax, f in enumerate(factors):
+        u = ndi.correlate1d(u, f, axis=ax, mode="constant", cval=0.0)
+    return u
+
+
 def convolution_op(grid: Grid, kernel: np.ndarray) -> ForwardOp:
     """Same-size correlation with zero padding; adjoint flips the kernel.
 
     Kernel sizes must be odd along every axis so the centered origin is
-    self-consistent between the pair.
+    self-consistent between the pair.  A separable kernel runs as one 1-D
+    pass per axis, any other as a direct n-D correlation; either way a
+    nonnegative kernel maps nonnegative images to nonnegative data.
     """
-    kernel = np.asarray(kernel, dtype=np.float64)
+    kernel = np.array(kernel, dtype=np.float64)  # a copy: the caller may reuse theirs
     if kernel.ndim != grid.ndim:
         raise ValueError("kernel dimensionality must match the grid")
     if not np.all(np.isfinite(kernel)):
         raise ValueError("kernel must be finite")
     if any(s % 2 == 0 for s in kernel.shape):
         raise ValueError("kernel sizes must be odd")
-    flipped = kernel[tuple(slice(None, None, -1) for _ in range(kernel.ndim))].copy()
+    factors = _separable_factors(kernel)
+    if factors is None:
+        flipped = kernel[tuple(slice(None, None, -1) for _ in range(kernel.ndim))].copy()
+        apply = partial(ndi.correlate, weights=kernel, mode="constant", cval=0.0)
+        adjoint = partial(ndi.correlate, weights=flipped, mode="constant", cval=0.0)
+    else:
+        apply = partial(_correlate_axes, factors=factors)
+        adjoint = partial(_correlate_axes, factors=[f[::-1].copy() for f in factors])
     return ForwardOp(
         kind="convolution",
         grid=grid,
         codomain_dim=grid.sites,
-        _apply=lambda u: ndi.correlate(u, kernel, mode="constant", cval=0.0).reshape(-1),
-        _adjoint=lambda y: ndi.correlate(
-            y.reshape(grid.dims), flipped, mode="constant", cval=0.0
-        ),
+        _apply=lambda u: apply(u).reshape(-1),
+        _adjoint=lambda y: adjoint(y.reshape(grid.dims)),
     )
 
 

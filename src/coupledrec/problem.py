@@ -34,8 +34,9 @@ class WaveletL21:
     levels: int = 2
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
+        levels = self.levels
+        if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)) or levels < 1:
+            raise ValueError(f"levels must be an integer >= 1, got {levels!r}")
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,12 @@ class SolveConfig:
             raise ValueError(
                 f"unknown step policy {self.step_policy!r}; expected one of {STEP_POLICIES}"
             )
+        if not 0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        if self.diag_every < 1:
+            raise ValueError(f"diag_every must be >= 1, got {self.diag_every!r}")
 
 
 @dataclass
@@ -443,7 +449,7 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
             pres, dres = _residuals(problem, state, new)
             new.sigma, new.tau = step_policy("adaptive", new, pres, dres, step_cap)
         rel = _norm(new.u - state.u) / max(_norm(state.u), tiny)
-        if new.iteration % max(cfg.diag_every, 1) == 0:
+        if new.iteration % cfg.diag_every == 0:
             data_terms = [_data_term(problem, new.u, i) for i in range(problem.n_channels)]
             reg_value = block.value(reg, grid.spacing, new.u, *_iterates(new, block.primal))
             diag.iterations.append(new.iteration)

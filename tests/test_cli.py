@@ -174,6 +174,7 @@ def test_config_error_exit_code(tmp_path, capsys):
         ("solver.step_policy = adaptve", "unknown step policy"),
         ("regularizer.alpha0 = nan", "positive and finite"),
         ("grid.spacing = inf 1", "positive and finite"),
+        ("solver.tol = nan", "tol must be finite"),
     ],
 )
 def test_bad_setting_exits_as_configuration_error(tmp_path, capsys, line, message):

@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from coupledrec.coupling import (
     group_l21_norm,
+    group_norms,
     haar_forward,
+    haar_forward_array,
     haar_inverse,
+    haar_inverse_array,
     project_dual_ball,
     project_group_l2ball,
 )
@@ -291,6 +294,57 @@ def test_haar_adjoint_is_inverse():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+# The moveaxis/concatenate Haar transform the in-place one replaced, kept
+# verbatim as the reference: the arithmetic is the same, so the outputs must
+# be bitwise equal.
+
+
+def _ref_haar1d_fwd(a: np.ndarray, axis: int) -> np.ndarray:
+    a = np.moveaxis(a, axis, 0)
+    lo = (a[0::2] + a[1::2]) / np.sqrt(2.0)
+    hi = (a[0::2] - a[1::2]) / np.sqrt(2.0)
+    return np.moveaxis(np.concatenate([lo, hi], axis=0), 0, axis)
+
+
+def _ref_haar1d_inv(a: np.ndarray, axis: int) -> np.ndarray:
+    a = np.moveaxis(a, axis, 0)
+    n = a.shape[0] // 2
+    lo, hi = a[:n], a[n:]
+    out = np.empty_like(a)
+    out[0::2] = (lo + hi) / np.sqrt(2.0)
+    out[1::2] = (lo - hi) / np.sqrt(2.0)
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_haar_levels(values: np.ndarray, levels: int, transform, order) -> np.ndarray:
+    dims = values.shape[:-1]
+    vals = values.copy()
+    for k in order:
+        region = tuple(slice(0, n >> k) for n in dims)
+        block = vals[region]
+        for ax in range(len(dims)):
+            block = transform(block, ax)
+        vals[region] = block
+    return vals
+
+
+@pytest.mark.parametrize("dims", [(32,), (16, 8), (8, 16, 8)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_haar_matches_reference_bitwise(dims, levels):
+    rng = np.random.default_rng(len(dims) * 10 + levels)
+    values = rng.standard_normal(dims + (3,))
+    before = values.copy()
+    fwd = haar_forward_array(values, levels)
+    inv = haar_inverse_array(values, levels)
+    np.testing.assert_array_equal(values, before)
+    np.testing.assert_array_equal(
+        fwd, _ref_haar_levels(values, levels, _ref_haar1d_fwd, range(levels))
+    )
+    np.testing.assert_array_equal(
+        inv, _ref_haar_levels(values, levels, _ref_haar1d_inv, reversed(range(levels)))
+    )
+
+
 # --- group shrinkage ----------------------------------------------------------
 
 
@@ -306,3 +360,10 @@ def test_group_l21_norm_value():
     vals[0, 0] = [3.0, 4.0]
     vals[1, 0] = [0.0, 2.0]
     assert group_l21_norm(vals) == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("channels", range(1, 8))
+def test_group_norms_match_reduction_bitwise(channels):
+    rng = np.random.default_rng(channels)
+    values = rng.standard_normal((9, 7, channels)) * 10.0 ** rng.integers(-5, 6, (9, 7, channels))
+    np.testing.assert_array_equal(group_norms(values), np.sqrt(np.sum(values**2, axis=-1)))

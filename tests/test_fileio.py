@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coupledrec.fileio import read_mask, read_mfi, write_mask, write_mfi, write_pgm
+from coupledrec.fileio import read_mask, read_mfi, write_mfi, write_pgm
 from coupledrec.grids import Grid, MultiImage
 
 
@@ -71,13 +71,13 @@ def test_mask_roundtrip(tmp_path):
     g = Grid((4, 5))
     mask = np.random.default_rng(1).random((4, 5)) < 0.5
     p = tmp_path / "m.mask"
-    write_mask(p, mask)
+    mask.astype(np.uint8).tofile(p)
     np.testing.assert_array_equal(read_mask(p, g), mask)
 
 
 def test_mask_rejects_wrong_size(tmp_path):
     p = tmp_path / "m.mask"
-    write_mask(p, np.ones((3, 3)))
+    np.ones((3, 3), np.uint8).tofile(p)
     with pytest.raises(ValueError):
         read_mask(p, Grid((4, 4)))
 

@@ -1,8 +1,12 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
 
 from coupledrec.diffops import adjoint_check
 from coupledrec.forward import (
+    _separable_factors,
     convolution_op,
     default_n_bins,
     identity_op,
@@ -32,14 +36,41 @@ def test_identity_shape_check():
         op.adjoint(np.zeros(17))
 
 
-def test_convolution_constant_kernel_sum():
-    # averaging kernel on a constant interior-supported image keeps the mass
-    g = Grid((9, 9))
-    k = np.full((3, 3), 1.0 / 9.0)
-    op = convolution_op(g, k)
+def _gauss1d(sigma):
+    radius = int(np.ceil(3 * sigma))
+    k = np.exp(-(np.arange(-radius, radius + 1.0) ** 2) / (2 * sigma**2))
+    return k / k.sum()
+
+
+def _outer(*factors):
+    return reduce(np.multiply.outer, factors)
+
+
+@pytest.mark.parametrize(
+    "dims, kernel, support",
+    [
+        ((9, 9), np.full((3, 3), 1.0 / 9.0), np.s_[3:6, 3:6]),
+        ((40, 36), _outer(_gauss1d(1.5), _gauss1d(1.5)), np.s_[8:30, 6:28]),
+        ((12, 10), np.arange(1.0, 16.0).reshape(3, 5) ** 2 / 1240.0, np.s_[2:9, 3:7]),
+        ((12, 12, 12), _outer(*[_gauss1d(1.0)] * 3), np.s_[4:8, 3:9, 4:8]),
+        ((40,), _gauss1d(1.5), np.s_[10:30]),
+    ],
+    ids=["box_3x3", "gaussian_2d", "nonseparable_2d", "gaussian_3d", "gaussian_1d"],
+)
+def test_convolution_constant_kernel_sum(dims, kernel, support):
+    # a nonnegative kernel of sum 1 on a nonnegative interior-supported image
+    # keeps the mass, and neither the operator nor its adjoint yields a
+    # negative value, not even a roundoff-sized one where the result is zero
+    assert kernel.sum() == pytest.approx(1.0)
+    g = Grid(dims)
     u = np.zeros(g.dims)
-    u[3:6, 3:6] = 1.0
-    assert op.apply(u).sum() == pytest.approx(u.sum())
+    u[support] = np.random.default_rng(9).random(u[support].shape)
+    op = convolution_op(g, kernel)
+    y = op.apply(u)
+    assert y.sum() == pytest.approx(u.sum())
+    assert y.min() >= 0.0
+    assert op.adjoint(y).min() >= 0.0
+    assert np.count_nonzero(y == 0.0) > 0
 
 
 def test_convolution_rejects_even_kernel():
@@ -47,10 +78,56 @@ def test_convolution_rejects_even_kernel():
         convolution_op(Grid((8, 8)), np.ones((2, 3)))
 
 
-def test_convolution_adjoint():
-    g = Grid((12, 10))
+@pytest.mark.parametrize(
+    "dims, make_kernel, separable",
+    [
+        ((12, 10), lambda rng: rng.standard_normal((3, 5)), False),
+        ((12, 10), lambda rng: _outer(rng.standard_normal(3), rng.standard_normal(5)), True),
+        ((16, 16), lambda rng: _outer(_gauss1d(1.5), _gauss1d(1.5)), True),
+        ((12, 10), lambda rng: _outer(rng.random(3), rng.random(5)) + 1e-10 * np.eye(3, 5), False),
+        ((17,), lambda rng: rng.standard_normal(5), True),
+        ((6, 7, 5), lambda rng: _outer(*(rng.standard_normal(n) for n in (3, 5, 3))), True),
+        ((6, 7, 5), lambda rng: rng.standard_normal((3, 3, 3)), False),
+        ((4, 6), lambda rng: _outer(rng.standard_normal(9), rng.standard_normal(11)), True),
+        ((4, 6), lambda rng: rng.standard_normal((9, 11)), False),
+    ],
+    ids=[
+        "nonseparable_2d",
+        "separable_2d",
+        "gaussian_2d",
+        "near_rank1_2d",
+        "1d",
+        "separable_3d",
+        "nonseparable_3d",
+        "wider_than_grid_separable",
+        "wider_than_grid_nonseparable",
+    ],
+)
+def test_convolution_adjoint(dims, make_kernel, separable):
+    g = Grid(dims)
     rng = np.random.default_rng(3)
-    op = convolution_op(g, rng.standard_normal((3, 5)))
+    kernel = make_kernel(rng)
+    op = convolution_op(g, kernel)
+    assert (_separable_factors(kernel) is not None) == separable
+    assert adjoint_check(op.as_linear_op(), trials=10, seed=0) < 1e-12
+    # the direct n-D correlation is the oracle for the operator and its adjoint
+    u = rng.standard_normal(dims)
+    flipped = kernel[(slice(None, None, -1),) * kernel.ndim]
+    for got, want in (
+        (op.apply(u).reshape(dims), ndi.correlate(u, kernel, mode="constant", cval=0.0)),
+        (op.adjoint(u.reshape(-1)), ndi.correlate(u, flipped, mode="constant", cval=0.0)),
+    ):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (1, 5)], ids=["nonseparable", "separable"])
+def test_convolution_keeps_its_own_kernel(shape):
+    g = Grid((12, 10))
+    kernel = np.random.default_rng(5).standard_normal(shape)
+    op = convolution_op(g, kernel)
+    want = ndi.correlate(np.eye(12, 10), kernel, mode="constant", cval=0.0)
+    kernel *= -3.0  # the caller reuses its array; the operator must not change
+    np.testing.assert_allclose(op.apply(np.eye(12, 10)).reshape(g.dims), want, rtol=1e-13)
     assert adjoint_check(op.as_linear_op(), trials=10, seed=0) < 1e-12
 
 

@@ -25,19 +25,32 @@ def test_regularizer_validation():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, message",
     [
-        lambda: Grid((8, 8), (np.nan, 1.0)),
-        lambda: Grid((8, 8), (np.inf, 1.0)),
-        lambda: TGV2(np.nan, 1.0),
-        lambda: TGV2(1.0, np.inf),
-        lambda: Quadratic(np.inf),
-        lambda: Quadratic(np.nan),
+        (lambda: Grid((8, 8), (np.nan, 1.0)), "finite"),
+        (lambda: Grid((8, 8), (np.inf, 1.0)), "finite"),
+        (lambda: TGV2(np.nan, 1.0), "finite"),
+        (lambda: TGV2(1.0, np.inf), "finite"),
+        (lambda: Quadratic(np.inf), "finite"),
+        (lambda: Quadratic(np.nan), "finite"),
+        (lambda: WaveletL21(2.5), "integer"),
+        (lambda: WaveletL21(np.nan), "integer"),
+        (lambda: WaveletL21(True), "integer"),
     ],
-    ids=["spacing_nan", "spacing_inf", "tgv_alpha0_nan", "tgv_alpha1_inf", "quad_inf", "quad_nan"],
+    ids=[
+        "spacing_nan",
+        "spacing_inf",
+        "tgv_alpha0_nan",
+        "tgv_alpha1_inf",
+        "quad_inf",
+        "quad_nan",
+        "levels_fraction",
+        "levels_nan",
+        "levels_bool",
+    ],
 )
-def test_non_finite_model_numbers_rejected(build):
-    with pytest.raises(ValueError, match="finite"):
+def test_non_finite_model_numbers_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
         build()
 
 

@@ -317,6 +317,23 @@ def test_unknown_step_policy_rejected():
     assert SolveConfig(step_policy="adaptive").step_policy == "adaptive"
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tol": np.nan}, "tol"),
+        ({"tol": np.inf}, "tol"),
+        ({"tol": -1.0}, "tol"),
+        ({"max_iters": 0}, "max_iters"),
+        ({"max_iters": -3}, "max_iters"),
+        ({"diag_every": 0}, "diag_every"),
+    ],
+)
+def test_solve_config_rejects_bad_numbers(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SolveConfig(**kwargs)
+    assert SolveConfig(tol=0.0, max_iters=1, diag_every=1).tol == 0.0
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "x.crck"
     p.write_bytes(b"JUNKJUNKJUNK")

@@ -212,7 +212,10 @@ def cmd_solve(args) -> int:
         for it, en in zip(diag.iterations, diag.energy):
             fh.write(f"{it},{en:.12g},{diag.rel_change[it - 1]:.12g}\n")
     energy = f", energy = {diag.energy[-1]:.12g}" if diag.energy else ""
-    print(f"iterations = {result.state.iteration}{energy}")
+    print(
+        f"iterations = {result.state.iteration}{energy}, "
+        f"converged = {result.converged}, ||K|| = {result.knorm:.6g}"
+    )
     closed = _closed_form(spec)
     if closed is not None:
         rel = float(
@@ -310,6 +313,10 @@ def cmd_rates(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "rates.csv").write_text(table.to_csv())
     print(f"wrote rates.csv to {out}")
+    unconverged = sum(not r.converged for r in table.rows)
+    print(f"unconverged solves: {unconverged} of {len(table.rows)}")
+    if unconverged:
+        print("WARN  slopes rest on solves that stopped at solver.max_iters before converging")
     ok = True
     for i in range(n):
         slope = table.data_slopes[i]

@@ -9,7 +9,7 @@ are verified numerically.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .discrepancy import (
 from .forward import ForwardOp
 from .grids import Grid, MultiImage, inner_product
 from .problem import ChannelSpec, ProblemSpec, Quadratic, Regularizer
-from .solver import SolveConfig, channel_data_term, regularizer_value, solve
+from .solver import SolveConfig, channel_data_term, prepare, regularizer_value, solve
 
 LAMBDA_SENTINEL = 1e8  # stands in for lambda = infinity on exact-data channels
 
@@ -188,6 +188,8 @@ class RateRow:
     data_terms: list[float]
     reg: float
     bregman: float | None
+    iterations: int
+    converged: bool
 
 
 @dataclass
@@ -235,7 +237,14 @@ def _channel_seed(master_seed: int, level: int, channel: int) -> int:
 
 
 def run_rate_experiment(exp: RateExperiment) -> RateTable:
-    """Sweep noise levels, solve each instance, and fit log-log slopes."""
+    """Sweep noise levels, solve each instance, and fit log-log slopes.
+
+    Every instance has the same operators, grid and regularizer, so ||K||
+    (and the affine-injectivity check) is prepared once, on the first
+    instance, and shared by all solves.  The rows are computed from each
+    solve's result after it returns, never from its diagnostics, so the
+    solves evaluate no per-iteration energies (``diag_every = max_iters``).
+    """
     n = len(exp.channels)
     clean = [ch.op.apply(exp.u_true.channel(i)) for i, ch in enumerate(exp.channels)]
     scales = []
@@ -249,6 +258,8 @@ def run_rate_experiment(exp: RateExperiment) -> RateTable:
     rows: list[RateRow] = []
     premise: list[list[float]] = []
     p_pow = discrepancy_exponents([c.kind for c in exp.channels])
+    cfg = replace(exp.solve_cfg, diag_every=exp.solve_cfg.max_iters)
+    setup = None
     for lv, delta in enumerate(exp.deltas):
         premise_row = None
         for seed in exp.seeds:
@@ -273,7 +284,9 @@ def run_rate_experiment(exp: RateExperiment) -> RateTable:
                 ),
                 regularizer=exp.regularizer,
             )
-            result = solve(spec, exp.solve_cfg)
+            if setup is None:
+                setup = prepare(spec, cfg.seed)
+            result = solve(spec, cfg, setup=setup)
             data_terms = [channel_data_term(spec, result.u, i) for i in range(n)]
             breg = (
                 bregman_quadratic(result.u, exp.u_true, exp.regularizer.weight)
@@ -290,6 +303,8 @@ def run_rate_experiment(exp: RateExperiment) -> RateTable:
                     data_terms=data_terms,
                     reg=regularizer_value(spec, result.u, result.v),
                     bregman=breg,
+                    iterations=result.state.iteration,
+                    converged=result.converged,
                 )
             )
             if premise_row is None:

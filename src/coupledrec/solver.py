@@ -6,6 +6,10 @@ primal gradient-prox step, and 2x - x over-relaxation.  The default
 stepsizes are sigma = tau = 0.99 / ||K|| with ||K|| estimated by power
 iteration and inflated by 1%.  Each regularizer is described once, in
 ``_BLOCKS``; inside the loop all iterates are plain float64 arrays.
+
+The work a solve does on K alone (the estimate of ||K||, and the
+affine-injectivity check under TGV) is done by :func:`prepare`; solves of
+problems that differ only in their data and weights can share its result.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ from .diffops import (
     sym_grad_array,
 )
 from .discrepancy import eval_kl, eval_l2sq, project_nonneg, prox_kl_dual, prox_l2_dual
-from .grids import MultiImage, SymTensorField, VectorField, pointwise_norms_array
-from .problem import ProblemSpec, Quadratic, TGV2, WaveletL21
+from .forward import ForwardOp
+from .grids import Grid, MultiImage, SymTensorField, VectorField, pointwise_norms_array
+from .problem import ProblemSpec, Quadratic, Regularizer, TGV2, WaveletL21
 
 # Unused here, but bench/tracing.py rebinds these names on this module.
 from .diffops import div, grad, sym_div, sym_grad  # noqa: F401
@@ -111,6 +116,7 @@ class SolveResult:
     diagnostics: Diagnostics
     state: SolverState
     converged: bool
+    knorm: float  # the estimate of ||K|| the stepsizes were set from
 
 
 # --- the regularizer table ---------------------------------------------------
@@ -426,16 +432,69 @@ def _residuals(problem: ProblemSpec, old: SolverState, new: SolverState) -> tupl
     return primal, (dual + dist(block.dual)) / max(new.sigma, 1e-30)
 
 
-def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
-    """Run the primal-dual iteration to the relative-change stopping rule."""
-    cfg = cfg or SolveConfig()
-    reg, grid = problem.regularizer, problem.grid
-    block = _block(reg)
-    if block.affine_injective:
+@dataclass(frozen=True)
+class Setup:
+    """What :func:`prepare` computed for the saddle operator K of a problem.
+
+    K depends on the channel operators, the grid and the regularizer, not on
+    the data or the weights, so one setup serves every problem that shares
+    those three; the operators are compared by identity.  ``knorm`` is the
+    power-iteration estimate of ||K|| started from ``seed``.
+    """
+
+    ops: tuple[ForwardOp, ...]
+    grid: Grid
+    regularizer: Regularizer
+    seed: int
+    knorm: float
+
+    def require_fits(self, problem: ProblemSpec, seed: int) -> None:
+        """Raise ValueError unless this setup was prepared for ``problem`` and ``seed``."""
+        if problem.grid != self.grid:
+            raise ValueError(f"setup was prepared for grid {self.grid}, not {problem.grid}")
+        ops = [c.op for c in problem.channels]
+        if len(ops) != len(self.ops) or any(a is not b for a, b in zip(ops, self.ops)):
+            raise ValueError("setup was prepared for other channel operators")
+        if problem.regularizer != self.regularizer:
+            raise ValueError(
+                f"setup was prepared for regularizer {self.regularizer}, not {problem.regularizer}"
+            )
+        if seed != self.seed:
+            raise ValueError(f"setup was prepared with seed {self.seed}, not {seed}")
+
+
+def prepare(problem: ProblemSpec, seed: int = 0) -> Setup:
+    """Check and measure the saddle operator K of ``problem`` once.
+
+    Runs the affine-injectivity check when the regularizer needs it, then
+    estimates ||K|| with the power iteration seeded by ``seed``.  Raises
+    SolverError when either fails.
+    """
+    if _block(problem.regularizer).affine_injective:
         check_affine_injectivity(problem)
-    knorm = estimate_saddle_norm(problem, seed=cfg.seed)
+    knorm = estimate_saddle_norm(problem, seed=seed)
     if knorm <= 0:
         raise SolverError("saddle operator has zero norm")
+    ops = tuple(c.op for c in problem.channels)
+    return Setup(ops, problem.grid, problem.regularizer, seed, knorm)
+
+
+def solve(
+    problem: ProblemSpec, cfg: SolveConfig | None = None, setup: Setup | None = None
+) -> SolveResult:
+    """Run the primal-dual iteration to the relative-change stopping rule.
+
+    ``setup`` is ``prepare(problem, cfg.seed)`` unless given; a given setup
+    must fit the problem and ``cfg.seed`` (ValueError otherwise), and the
+    result is then the same, bit for bit.
+    """
+    cfg = cfg or SolveConfig()
+    if setup is None:
+        setup = prepare(problem, cfg.seed)
+    setup.require_fits(problem, cfg.seed)
+    reg, grid = problem.regularizer, problem.grid
+    block = _block(reg)
+    knorm = setup.knorm
     state = _init_state(problem, cfg, knorm)
     step_cap = 0.99 / knorm
     diag = Diagnostics()
@@ -467,7 +526,7 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
             quiet_streak = 0
     diag.wall_time = time.perf_counter() - t0
     u, v = MultiImage(grid, state.u), None if state.v is None else VectorField(grid, state.v)
-    return SolveResult(u=u, v=v, diagnostics=diag, state=state, converged=converged)
+    return SolveResult(u=u, v=v, diagnostics=diag, state=state, converged=converged, knorm=knorm)
 
 
 def dual_feasibility_gap(problem: ProblemSpec, state: SolverState) -> float:

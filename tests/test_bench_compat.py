@@ -8,7 +8,9 @@ import pytest
 
 import coupledrec.rates as rates
 import coupledrec.solver as solver
+from coupledrec.forward import identity_op
 from coupledrec.grids import Grid, MultiImage, SymTensorField, VectorField
+from coupledrec.problem import TGV2
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import tracing  # noqa: E402
@@ -26,6 +28,8 @@ REBOUND = {
         "prox_kl_dual",
         "eval_l2sq",
         "eval_kl",
+        "estimate_saddle_norm",
+        "check_affine_injectivity",
     ),
     rates: (
         "solve",
@@ -68,3 +72,29 @@ def test_tracer_counts_every_field_kind():
         vals[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             kind(g, vals)
+
+
+def test_traced_sweep_estimates_the_norm_once():
+    g = Grid((8, 8))
+    exp = rates.RateExperiment(
+        grid=g,
+        u_true=rates.phantom("smooth_bump", g, 1),
+        channels=[rates.RateChannel(op=identity_op(g), kind="l2")],
+        rule=rates.RateRule(kind="two_norm", mu=(1.0,)),
+        deltas=rates.geometric_deltas(levels=5),
+        seeds=(0, 1),
+        regularizer=TGV2(2.0, 1.0),
+        solve_cfg=solver.SolveConfig(max_iters=20, tol=0.0),
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rates.run_rate_experiment(exp)
+    finally:
+        tracer.uninstall()
+    spans = tracer.arrays()
+    names = spans["names"][spans["name"]].tolist()
+    assert names.count("solver.norm_estimate") == 1
+    assert names.count("solver.affine_check") == 1
+    assert names.count("solver.solve") == 5 * 2
+    assert len(tracer.opsets) == 1

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,9 @@ def test_solve_diagnostics_csv_counts_iterations_from_one(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
     assert code == 0
     assert "iterations = 5, energy = " in out
+    # one identity channel: ||K|| = 1, inflated by 1%
+    summary = r"^iterations = 5, energy = \S+, converged = False, \|\|K\|\| = 1\.01$"
+    assert re.search(summary, out, re.M)
     rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
     assert [int(r.split(",")[0]) for r in rows] == [1, 2, 3, 4, 5]
 
@@ -157,6 +162,32 @@ def test_rates_command_writes_csv_and_gates(tmp_path, capsys):
     # byte-identical on rerun
     assert run(capsys, "rates", str(cfg), "--out-dir", str(tmp_path))[0] == 0
     assert (tmp_path / "rates.csv").read_text() == csv1
+
+
+def test_rates_command_reports_unconverged_solves(tmp_path, capsys):
+    cfg = tmp_path / "rates.cfg"
+    body = (
+        "schema = 1\n"
+        "grid.dims = 8 8\n"
+        "channels = 1\n"
+        "rates.rule = two_norm\n"
+        "rates.mu = 1.0\n"
+        "rates.levels = 5\n"
+        "rates.seeds = 2\n"
+        "regularizer.kind = quadratic\n"
+        "regularizer.weight = 0.05\n"
+        "solver.tol = 1e-11\n"
+    )
+    cfg.write_text(body + "solver.max_iters = 1200\n")
+    code, out, _ = run(capsys, "rates", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 0
+    assert "unconverged solves: 0 of 10" in out
+    assert "WARN" not in out
+    cfg.write_text(body + "solver.max_iters = 5\n")
+    code, out, _ = run(capsys, "rates", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 0  # a warning, not a failed gate
+    assert "unconverged solves: 10 of 10" in out
+    assert "WARN" in out
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -1,10 +1,15 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import coupledrec.rates as rates
+import coupledrec.solver as solver
 from coupledrec.diffops import grad, sym_grad
 from coupledrec.forward import identity_op
 from coupledrec.grids import Grid, MultiImage, VectorField, pointwise_norms
-from coupledrec.problem import Quadratic
+from coupledrec.problem import TGV2, Quadratic
 from coupledrec.rates import (
     LAMBDA_SENTINEL,
     RateChannel,
@@ -18,7 +23,7 @@ from coupledrec.rates import (
     phantom,
     run_rate_experiment,
 )
-from coupledrec.solver import SolveConfig
+from coupledrec.solver import SolveConfig, solve
 
 
 # --- phantoms -----------------------------------------------------------------
@@ -267,3 +272,64 @@ def test_rate_experiment_table_structure():
     assert all(b < a for a, b in zip(col, col[1:]))
     # repeatability: the whole table is deterministic
     assert run_rate_experiment(exp).to_csv() == csv
+
+
+def _small_sweep(regularizer):
+    g = Grid((8, 8))
+    return RateExperiment(
+        grid=g,
+        u_true=phantom("smooth_bump", g, 2),
+        channels=[
+            RateChannel(op=identity_op(g), kind="l2"),
+            RateChannel(op=identity_op(g), kind="kl"),
+        ],
+        rule=RateRule(kind="mixed_nkl", mu=(1.0, 2.0)),
+        deltas=geometric_deltas(levels=5),
+        seeds=(0, 1),
+        regularizer=regularizer,
+        solve_cfg=SolveConfig(max_iters=100, tol=1e-10, seed=4, diag_every=2),
+    )
+
+
+SWEEP_REGULARIZERS = {"tgv": TGV2(2.0, 1.0, "nuclear"), "quadratic": Quadratic(0.05)}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_REGULARIZERS))
+def test_sweep_prepares_k_once_and_matches_unshared_solves(name, monkeypatch):
+    exp = _small_sweep(SWEEP_REGULARIZERS[name])
+    calls = Counter()
+    for fn in ("estimate_saddle_norm", "check_affine_injectivity"):
+        original = getattr(solver, fn)
+
+        def counted(*args, _fn=fn, _original=original, **kwargs):
+            calls[_fn] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, fn, counted)
+    table = run_rate_experiment(exp)
+    assert calls["estimate_saddle_norm"] == 1
+    assert calls["check_affine_injectivity"] == (1 if name == "tgv" else 0)
+
+    # reference: each solve prepares its own K and records diagnostics at the caller's stride
+    seen = []
+
+    def unshared(spec, cfg, setup=None):
+        seen.append((cfg.diag_every, setup is not None))
+        return solve(spec, replace(cfg, diag_every=exp.solve_cfg.diag_every))
+
+    monkeypatch.setattr(rates, "solve", unshared)
+    reference = run_rate_experiment(exp)
+    assert seen == [(exp.solve_cfg.max_iters, True)] * len(table.rows)
+    assert reference == table
+    assert reference.to_csv() == table.to_csv()
+
+
+def test_rate_rows_record_each_solves_iterations_and_convergence():
+    exp = _small_sweep(Quadratic(0.05))
+    exp.solve_cfg = SolveConfig(max_iters=12, tol=1e-10)
+    capped = run_rate_experiment(exp)
+    assert all(r.iterations == 12 and not r.converged for r in capped.rows)
+    exp.solve_cfg = SolveConfig(max_iters=2000, tol=1e-10)
+    rows = run_rate_experiment(exp).rows
+    assert all(r.converged and 12 < r.iterations < 2000 for r in rows)
+    assert len({r.iterations for r in rows}) > 1

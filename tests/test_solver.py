@@ -16,6 +16,7 @@ from coupledrec.solver import (
     dual_feasibility_gap,
     load_checkpoint,
     pd_step,
+    prepare,
     primal_energy,
     regularizer_value,
     save_checkpoint,
@@ -219,6 +220,8 @@ def test_affine_injectivity_guard():
     )
     with pytest.raises(SolverError):
         check_affine_injectivity(spec)
+    with pytest.raises(SolverError):
+        prepare(spec)
     with pytest.raises(SolverError):
         solve(spec, SolveConfig(max_iters=5))
 
@@ -440,3 +443,76 @@ def test_saddle_operator_adjoint_and_norm(mode):
     # singular values lie too close together for them to reach 1e-8
     if grid.ndim == 2:
         assert estimate_saddle_norm(spec) / 1.01 == pytest.approx(top, abs=1e-8)
+
+
+# --- prepare / setup= ----------------------------------------------------------
+
+
+def _state_arrays(state):
+    names = ("u", "ubar", "v", "vbar", "p", "q", "s")
+    return {n: getattr(state, n) for n in names} | {f"r{i}": r for i, r in enumerate(state.r)}
+
+
+@pytest.mark.parametrize(
+    "reg", [TGV2(2.0, 1.0, "nuclear"), WaveletL21(levels=2), Quadratic(1.0)], ids=str
+)
+@pytest.mark.parametrize("warm_start", [False, True])
+def test_solve_with_prepared_setup_is_bitwise_equal(reg, warm_start):
+    spec = _identity_pair(Grid((8, 8)), reg)
+    cfg = SolveConfig(max_iters=40, tol=0.0, seed=3, diag_every=7, warm_start=warm_start)
+    setup = prepare(spec, cfg.seed)
+    plain, shared = solve(spec, cfg), solve(spec, cfg, setup=setup)
+    assert shared.knorm == plain.knorm == setup.knorm
+    a, b = _state_arrays(plain.state), _state_arrays(shared.state)
+    for name in a:
+        if a[name] is None:
+            assert b[name] is None, name
+        else:
+            assert a[name].tobytes() == b[name].tobytes(), name
+    assert (plain.state.sigma, plain.state.tau) == (shared.state.sigma, shared.state.tau)
+    assert plain.diagnostics.energy == shared.diagnostics.energy
+    assert plain.diagnostics.rel_change == shared.diagnostics.rel_change
+
+
+def test_solve_rejects_a_setup_prepared_for_another_problem():
+    g = Grid((6, 6))
+    spec = _identity_pair(g, TGV2(2.0, 1.0, "nuclear"))
+    setup = prepare(spec, seed=1)
+    cfg = SolveConfig(max_iters=2, seed=1)
+    others = {
+        "operators": _identity_pair(g, spec.regularizer),  # equal, but new op objects
+        "grid": _identity_pair(Grid((6, 7)), spec.regularizer),
+        "regularizer": ProblemSpec(
+            grid=g, channels=spec.channels, regularizer=TGV2(2.0, 1.0, "frobenius")
+        ),
+    }
+    for what, other in others.items():
+        with pytest.raises(ValueError, match=what):
+            solve(other, cfg, setup=setup)
+    with pytest.raises(ValueError, match="seed"):
+        solve(spec, SolveConfig(max_iters=2, seed=2), setup=setup)
+    # data and weights are not part of the match
+    moved = ProblemSpec(
+        grid=g,
+        channels=tuple(
+            ChannelSpec(op=c.op, data=2.0 * c.data, lam=3.0 * c.lam, kind=c.kind)
+            for c in spec.channels
+        ),
+        regularizer=spec.regularizer,
+    )
+    assert solve(moved, cfg, setup=setup).knorm == setup.knorm
+
+
+def test_prepare_rejects_a_zero_saddle_operator():
+    g = Grid((4, 4))
+    zero_op = ForwardOp(
+        kind="identity", grid=g, codomain_dim=16,
+        _apply=lambda u: np.zeros(16), _adjoint=lambda y: np.zeros(g.dims),
+    )
+    spec = ProblemSpec(
+        grid=g,
+        channels=(ChannelSpec(op=zero_op, data=np.zeros(16), lam=1.0, kind="l2"),),
+        regularizer=Quadratic(1.0),
+    )
+    with pytest.raises(SolverError, match="zero norm"):
+        prepare(spec)

@@ -116,12 +116,11 @@ def _build_regularizer(cfg: RunConfig):
     raise ConfigError(f"regularizer.kind = {kind!r} is not known")
 
 
-def _build_solver_config(cfg: RunConfig, seed: int) -> SolveConfig:
+def _build_solver_config(cfg: RunConfig) -> SolveConfig:
     return SolveConfig(
         max_iters=cfg.get_int("solver.max_iters", 2000),
         tol=cfg.get_float("solver.tol", 1e-10),
         step_policy=cfg.get_str("solver.step_policy", "constant"),
-        seed=seed,
         warm_start=cfg.get_bool("solver.warm_start", False),
     )
 
@@ -200,7 +199,7 @@ def cmd_solve(args) -> int:
     seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
     spec, truth = _build_problem(cfg, seed)
     _echo(cfg, seed, sys.stdout)
-    result = solve(spec, _build_solver_config(cfg, seed))
+    result = solve(spec, _build_solver_config(cfg))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_mfi(out / "recon.mfi", result.u)
@@ -306,7 +305,7 @@ def cmd_rates(args) -> int:
         deltas=deltas,
         seeds=tuple(seed + k for k in range(n_seeds)),
         regularizer=_build_regularizer(cfg),
-        solve_cfg=_build_solver_config(cfg, seed),
+        solve_cfg=_build_solver_config(cfg),
     )
     table = run_rate_experiment(exp)
     out = Path(args.out_dir)

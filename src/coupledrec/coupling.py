@@ -25,15 +25,6 @@ def _gram_2x2(values: np.ndarray):
     return x, y, h, b, np.hypot(h, b), 0.5 * (a + c)
 
 
-def spectral_norms(values: np.ndarray) -> np.ndarray:
-    """Largest singular value of each d x N site block of (..., N, d) values, flat
-    per site: the dual norm of nuclear coupling (closed form for d = 2)."""
-    if values.shape[-1] != 2:
-        return np.linalg.svd(np.swapaxes(values, -1, -2), compute_uv=False)[..., 0].reshape(-1)
-    *_, r, mid = _gram_2x2(values)
-    return np.sqrt(mid + r).reshape(-1)
-
-
 def _clip_singular_values(values: np.ndarray, alpha: float) -> np.ndarray:
     """Spectral-ball projection of the d x N site blocks of (..., N, d) values.
 

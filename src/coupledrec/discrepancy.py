@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import MultiImage
-
 
 @dataclass(frozen=True)
 class NoiseRealization:
@@ -97,17 +95,6 @@ def prox_kl_dual(rhat: np.ndarray, f: np.ndarray, sigma: float, lam: float) -> n
         raise ValueError("KL data must be nonnegative")
     root = np.sqrt((rhat - lam) ** 2 + 4.0 * sigma * lam * f)
     return rhat - 0.5 * (rhat - lam + root)
-
-
-def project_nonneg(u: MultiImage, kl_channels) -> MultiImage:
-    """Clamp the listed channels at zero; leave the others untouched."""
-    kl_channels = list(kl_channels)
-    if not kl_channels:
-        return u
-    vals = u.values.copy()
-    for i in kl_channels:
-        np.maximum(vals[..., i], 0.0, out=vals[..., i])
-    return u.with_values(vals)
 
 
 def add_gaussian_noise(f_true: np.ndarray, target_delta: float, seed: int) -> NoiseRealization:

@@ -61,7 +61,7 @@ class ChannelSpec:
     data: np.ndarray
     lam: float
     kind: str = "l2"  # "l2" | "kl"
-    background: np.ndarray | None = None
+    background: np.ndarray | None = None  # KL channels only
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64).reshape(-1)
@@ -76,6 +76,8 @@ class ChannelSpec:
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError("lam must be a positive finite number")
         bg = self.background
+        if self.kind == "l2" and bg is not None:
+            raise ValueError("a background applies to KL channels only")
         if self.kind == "kl":
             if np.any(data < 0):
                 raise ValueError("KL data must be nonnegative")

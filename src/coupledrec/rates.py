@@ -172,6 +172,8 @@ class RateExperiment:
             raise ValueError("need a strictly decreasing positive delta sequence, >= 5 levels")
         if len(self.channels) != len(self.rule.mu):
             raise ValueError("one mu exponent per channel required")
+        if len(self.seeds) == 0:
+            raise ValueError("need at least one seed")
 
 
 def geometric_deltas(start: float = 0.1, ratio: float = 0.5, levels: int = 8) -> tuple:
@@ -285,7 +287,7 @@ def run_rate_experiment(exp: RateExperiment) -> RateTable:
                 regularizer=exp.regularizer,
             )
             if setup is None:
-                setup = prepare(spec, cfg.seed)
+                setup = prepare(spec)
             result = solve(spec, cfg, setup=setup)
             data_terms = [channel_data_term(spec, result.u, i) for i in range(n)]
             breg = (

@@ -32,7 +32,7 @@ from .diffops import (
     sym_div_array,
     sym_grad_array,
 )
-from .discrepancy import eval_kl, eval_l2sq, project_nonneg, prox_kl_dual, prox_l2_dual
+from .discrepancy import eval_kl, eval_l2sq, prox_kl_dual, prox_l2_dual
 from .forward import ForwardOp
 from .grids import Grid, MultiImage, SymTensorField, VectorField, pointwise_norms_array
 from .problem import ProblemSpec, Quadratic, Regularizer, TGV2, WaveletL21
@@ -92,7 +92,6 @@ class SolveConfig:
     max_iters: int = 2000
     tol: float = 1e-8
     step_policy: str = "constant"  # one of STEP_POLICIES
-    seed: int = 0
     warm_start: bool = False
     diag_every: int = 1  # record energy/data/reg every k-th iteration
 
@@ -135,8 +134,7 @@ class _Block:
     keys of ``_KINDS``).  The functions take the regularizer, the grid
     spacing h, then arrays: ``value`` and ``apply`` (K_reg, one array per
     dual) take (u, *primal); ``adjoint`` (the u part, None if K_reg ignores
-    u, then one per primal), ``project`` (the dual prox) and ``dual_norms``
-    (pointwise dual norm and ball radius per dual) take the duals.
+    u, then one per primal) and ``project`` (the dual prox) take the duals.
     """
 
     value: Callable
@@ -145,7 +143,6 @@ class _Block:
     apply: Callable = lambda reg, h, u: ()
     adjoint: Callable = lambda reg, h: (None,)
     project: Callable = lambda reg, h: ()
-    dual_norms: Callable = lambda reg, h: ()
     prox: Callable | None = None  # (reg, u, tau) -> primal prox of u
     affine_injective: bool = False  # every T_i must be injective on affine images
 
@@ -167,12 +164,6 @@ _BLOCKS = {
             cpl.project_dual_ball_array(q, reg.alpha0, weights=SymTensorField.weights(len(h))),
         ),
         value=_tgv_value,
-        # the dual norm of nuclear coupling is the spectral norm
-        dual_norms=lambda reg, h, p, q: (
-            (cpl.spectral_norms(p) if reg.coupling == "nuclear" else pointwise_norms_array(p),
-             reg.alpha1),
-            (pointwise_norms_array(q, weights=SymTensorField.weights(len(h))), reg.alpha0),
-        ),
         affine_injective=True,
     ),
     WaveletL21: _Block(
@@ -181,7 +172,6 @@ _BLOCKS = {
         adjoint=lambda reg, h, s: (cpl.haar_inverse_array(s, reg.levels),),
         project=lambda reg, h, s: (cpl.project_group_l2ball_array(s, 1.0),),
         value=lambda reg, h, u: cpl.group_l21_norm(cpl.haar_forward_array(u, reg.levels)),
-        dual_norms=lambda reg, h, s: ((cpl.group_norms(s).reshape(-1), 1.0),),
     ),
     Quadratic: _Block(
         value=lambda reg, h, u: 0.5 * reg.weight * float(np.sum(u * u)),
@@ -308,9 +298,10 @@ def _saddle_operator(problem: ProblemSpec) -> LinearOp:
     return LinearOp(apply, adjoint, domain, codomain)
 
 
-def estimate_saddle_norm(problem: ProblemSpec, seed: int = 0) -> float:
-    """Power-iteration estimate of ||K|| (100 iterations), inflated by 1% for safety."""
-    return 1.01 * op_norm_estimate(_saddle_operator(problem), iters=100, seed=seed)
+def estimate_saddle_norm(problem: ProblemSpec) -> float:
+    """Power-iteration estimate of ||K|| (100 iterations from a fixed seed of 0),
+    inflated by 1% for safety."""
+    return 1.01 * op_norm_estimate(_saddle_operator(problem), iters=100, seed=0)
 
 
 def check_affine_injectivity(problem: ProblemSpec, tol: float = 1e-8) -> None:
@@ -331,12 +322,18 @@ def check_affine_injectivity(problem: ProblemSpec, tol: float = 1e-8) -> None:
             )
 
 
+def _clamp_kl(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
+    """Clamp the KL channels of a ``(*dims, N)`` array at zero, in place."""
+    for i in problem.kl_channels:
+        np.maximum(u[..., i], 0.0, out=u[..., i])
+    return u
+
+
 def _init_state(problem: ProblemSpec, cfg: SolveConfig, knorm: float) -> SolverState:
     iterates = {name: np.zeros(shape) for name, shape in _iterate_shapes(problem).items()}
     if cfg.warm_start:
         u = np.stack([c.op.adjoint(c.data) for c in problem.channels], axis=-1) / max(knorm, 1e-30)
-        u = project_nonneg(MultiImage(problem.grid, u), problem.kl_channels).values
-        iterates["u"] = iterates["ubar"] = u
+        iterates["u"] = iterates["ubar"] = _clamp_kl(problem, u)
     step = 0.99 / max(knorm, 1e-30)
     r = [np.zeros(c.op.codomain_dim) for c in problem.channels]
     return SolverState(r=r, sigma=step, tau=step, **iterates)
@@ -384,8 +381,7 @@ def pd_step(problem: ProblemSpec, state: SolverState) -> SolverState:
     u_new = state.u - tau * tstar
     if block.prox is not None:
         u_new = block.prox(reg, u_new, tau)
-    for i in problem.kl_channels:
-        np.maximum(u_new[..., i], 0.0, out=u_new[..., i])
+    _clamp_kl(problem, u_new)
     ubar_new = 2.0 * u_new - state.u
     _require_finite(iteration, u=u_new, ubar=ubar_new)
     return replace(state, u=u_new, ubar=ubar_new, r=r_new, iteration=iteration, **duals, **primal)
@@ -439,17 +435,16 @@ class Setup:
     K depends on the channel operators, the grid and the regularizer, not on
     the data or the weights, so one setup serves every problem that shares
     those three; the operators are compared by identity.  ``knorm`` is the
-    power-iteration estimate of ||K|| started from ``seed``.
+    power-iteration estimate of ||K||.
     """
 
     ops: tuple[ForwardOp, ...]
     grid: Grid
     regularizer: Regularizer
-    seed: int
     knorm: float
 
-    def require_fits(self, problem: ProblemSpec, seed: int) -> None:
-        """Raise ValueError unless this setup was prepared for ``problem`` and ``seed``."""
+    def require_fits(self, problem: ProblemSpec) -> None:
+        """Raise ValueError unless this setup was prepared for ``problem``'s K."""
         if problem.grid != self.grid:
             raise ValueError(f"setup was prepared for grid {self.grid}, not {problem.grid}")
         ops = [c.op for c in problem.channels]
@@ -459,24 +454,22 @@ class Setup:
             raise ValueError(
                 f"setup was prepared for regularizer {self.regularizer}, not {problem.regularizer}"
             )
-        if seed != self.seed:
-            raise ValueError(f"setup was prepared with seed {self.seed}, not {seed}")
 
 
-def prepare(problem: ProblemSpec, seed: int = 0) -> Setup:
+def prepare(problem: ProblemSpec) -> Setup:
     """Check and measure the saddle operator K of ``problem`` once.
 
     Runs the affine-injectivity check when the regularizer needs it, then
-    estimates ||K|| with the power iteration seeded by ``seed``.  Raises
-    SolverError when either fails.
+    estimates ||K|| by power iteration.  Raises SolverError when either
+    fails.
     """
     if _block(problem.regularizer).affine_injective:
         check_affine_injectivity(problem)
-    knorm = estimate_saddle_norm(problem, seed=seed)
+    knorm = estimate_saddle_norm(problem)
     if knorm <= 0:
         raise SolverError("saddle operator has zero norm")
     ops = tuple(c.op for c in problem.channels)
-    return Setup(ops, problem.grid, problem.regularizer, seed, knorm)
+    return Setup(ops, problem.grid, problem.regularizer, knorm)
 
 
 def solve(
@@ -484,14 +477,14 @@ def solve(
 ) -> SolveResult:
     """Run the primal-dual iteration to the relative-change stopping rule.
 
-    ``setup`` is ``prepare(problem, cfg.seed)`` unless given; a given setup
-    must fit the problem and ``cfg.seed`` (ValueError otherwise), and the
-    result is then the same, bit for bit.
+    ``setup`` is ``prepare(problem)`` unless given; a given setup must fit
+    the problem (ValueError otherwise), and the result is then the same, bit
+    for bit.
     """
     cfg = cfg or SolveConfig()
     if setup is None:
-        setup = prepare(problem, cfg.seed)
-    setup.require_fits(problem, cfg.seed)
+        setup = prepare(problem)
+    setup.require_fits(problem)
     reg, grid = problem.regularizer, problem.grid
     block = _block(reg)
     knorm = setup.knorm
@@ -527,16 +520,6 @@ def solve(
     diag.wall_time = time.perf_counter() - t0
     u, v = MultiImage(grid, state.u), None if state.v is None else VectorField(grid, state.v)
     return SolveResult(u=u, v=v, diagnostics=diag, state=state, converged=converged, knorm=knorm)
-
-
-def dual_feasibility_gap(problem: ProblemSpec, state: SolverState) -> float:
-    """Max violation of the pointwise dual-ball constraints (0 when feasible)."""
-    reg = problem.regularizer
-    block = _block(reg)
-    worst = 0.0
-    for norms, radius in block.dual_norms(reg, problem.grid.spacing, *_iterates(state, block.dual)):
-        worst = max(worst, float(norms.max() - radius))
-    return max(worst, 0.0)
 
 
 # --- checkpointing -----------------------------------------------------------

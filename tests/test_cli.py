@@ -190,6 +190,24 @@ def test_rates_command_reports_unconverged_solves(tmp_path, capsys):
     assert "WARN" in out
 
 
+def test_rates_command_rejects_an_empty_seed_list(tmp_path, capsys):
+    cfg = tmp_path / "rates.cfg"
+    cfg.write_text(
+        "schema = 1\n"
+        "grid.dims = 8 8\n"
+        "channels = 1\n"
+        "rates.rule = two_norm\n"
+        "rates.mu = 1.0\n"
+        "rates.levels = 5\n"
+        "rates.seeds = 0\n"
+        "regularizer.kind = quadratic\n"
+    )
+    code, _, err = run(capsys, "rates", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "at least one seed" in err
+    assert not (tmp_path / "rates.csv").exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("schema = 1\ngrid.dims = 8 8\n")  # missing `channels`
@@ -206,6 +224,7 @@ def test_config_error_exit_code(tmp_path, capsys):
         ("regularizer.alpha0 = nan", "positive and finite"),
         ("grid.spacing = inf 1", "positive and finite"),
         ("solver.tol = nan", "tol must be finite"),
+        ("channel.1.background = 3", "KL channels only"),
     ],
 )
 def test_bad_setting_exits_as_configuration_error(tmp_path, capsys, line, message):

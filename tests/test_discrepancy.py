@@ -9,11 +9,9 @@ from coupledrec.discrepancy import (
     eval_kl,
     eval_l2sq,
     poisson_scale_for_delta,
-    project_nonneg,
     prox_kl_dual,
     prox_l2_dual,
 )
-from coupledrec.grids import Grid, MultiImage
 
 
 def golden_min(fun, lo, hi, tol=1e-12, iters=200):
@@ -215,24 +213,7 @@ def test_prox_firmly_nonexpansive(which):
         assert (pa - pb) * (a - b) >= (pa - pb) ** 2 - 1e-10
 
 
-# --- projection and noise -----------------------------------------------------
-
-
-def test_project_nonneg_only_kl_channels():
-    g = Grid((2, 2))
-    vals = np.stack([np.full((2, 2), -1.0), np.full((2, 2), -2.0)], axis=-1)
-    u = MultiImage(g, vals)
-    out = project_nonneg(u, [1])
-    assert np.all(out.channel(0) == -1.0)
-    assert np.all(out.channel(1) == 0.0)
-    again = project_nonneg(out, [1])
-    np.testing.assert_array_equal(again.values, out.values)
-
-
-def test_project_nonneg_no_kl_is_identity():
-    g = Grid((3,))
-    u = MultiImage(g, np.array([-1.0, 0.0, 2.0]).reshape(3, 1))
-    np.testing.assert_array_equal(project_nonneg(u, []).values, u.values)
+# --- noise --------------------------------------------------------------------
 
 
 def test_gaussian_noise_exact_delta():

@@ -81,6 +81,13 @@ def test_l2_channel_keeps_background_none():
     assert _chan(g, kind="l2").background is None
 
 
+@pytest.mark.parametrize("background", [np.zeros(4), 3.0, "junk"], ids=["zeros", "scalar", "junk"])
+def test_l2_channel_rejects_a_background(background):
+    g = Grid((2, 2))
+    with pytest.raises(ValueError, match="KL channels only"):
+        ChannelSpec(op=identity_op(g), data=np.ones(4), lam=1.0, kind="l2", background=background)
+
+
 def test_problem_spec_channel_index_sets():
     g = Grid((2, 2))
     spec = ProblemSpec(

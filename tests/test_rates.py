@@ -247,6 +247,14 @@ def test_rate_experiment_validation():
             rule=RateRule(kind="two_norm", mu=(1.0, 2.0)),  # channel count mismatch
             deltas=geometric_deltas(levels=5),
         )
+    with pytest.raises(ValueError, match="at least one seed"):
+        RateExperiment(
+            grid=g, u_true=truth,
+            channels=[RateChannel(op=identity_op(g), kind="l2")],
+            rule=RateRule(kind="two_norm", mu=(1.0,)),
+            deltas=geometric_deltas(levels=5),
+            seeds=(),
+        )
 
 
 def test_rate_experiment_table_structure():
@@ -287,7 +295,7 @@ def _small_sweep(regularizer):
         deltas=geometric_deltas(levels=5),
         seeds=(0, 1),
         regularizer=regularizer,
-        solve_cfg=SolveConfig(max_iters=100, tol=1e-10, seed=4, diag_every=2),
+        solve_cfg=SolveConfig(max_iters=100, tol=1e-10, diag_every=2),
     )
 
 

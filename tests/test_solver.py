@@ -10,10 +10,10 @@ from coupledrec.solver import (
     SolveConfig,
     SolverError,
     SolverState,
+    _init_state,
     _saddle_operator,
     check_affine_injectivity,
     estimate_saddle_norm,
-    dual_feasibility_gap,
     load_checkpoint,
     pd_step,
     prepare,
@@ -96,6 +96,31 @@ def test_pd_step_fixed_point_quadratic():
     assert np.abs(new.u - u).max() < 1e-10
 
 
+def test_only_kl_channels_are_clamped_at_zero():
+    # channel 0 is L2, channel 1 is KL; both start negative
+    g = Grid((4, 4))
+    negated = ForwardOp(
+        kind="identity", grid=g, codomain_dim=16,
+        _apply=lambda u: -u.reshape(-1), _adjoint=lambda y: -y.reshape(g.dims),
+    )
+    spec = ProblemSpec(
+        grid=g,
+        channels=(
+            ChannelSpec(op=negated, data=np.ones(16), lam=1.0, kind="l2"),
+            ChannelSpec(op=negated, data=np.ones(16), lam=1.0, kind="kl"),
+        ),
+        regularizer=Quadratic(1.0),
+    )
+    warm = _init_state(spec, SolveConfig(warm_start=True), knorm=2.0)
+    np.testing.assert_array_equal(warm.u[..., 0], np.full(g.dims, -0.5))
+    np.testing.assert_array_equal(warm.u[..., 1], np.zeros(g.dims))
+
+    u0 = np.full(g.dims + (2,), -1.0)
+    new = pd_step(spec, SolverState(u=u0, ubar=u0, r=[np.zeros(16)] * 2, sigma=0.1, tau=0.1))
+    assert np.all(new.u[..., 0] < 0.0)
+    np.testing.assert_array_equal(new.u[..., 1], np.zeros(g.dims))
+
+
 def test_pd_step_extrapolation_identity():
     g = Grid((8, 8))
     spec = _quad_problem(g, _smooth(g, 4)[..., 0])
@@ -134,8 +159,7 @@ def test_dual_feasibility_and_kl_nonnegativity():
     )
     res = solve(spec, SolveConfig(max_iters=60, tol=0.0))
     state = res.state
-    assert dual_feasibility_gap(spec, state) <= 1e-12
-    assert pointwise_norms(VectorField(g, state.p), "frobenius").max() <= 2.0 * 1.0 + 1e-12
+    assert pointwise_norms(VectorField(g, state.p), "frobenius").max() <= 1.0 + 1e-12
     assert pointwise_norms(SymTensorField(g, state.q), "frobenius").max() <= 2.0 + 1e-12
     assert res.u.values.min() >= 0.0
     # KL dual iterates stay strictly below lambda on the data support
@@ -143,7 +167,7 @@ def test_dual_feasibility_and_kl_nonnegativity():
     assert np.all(state.r[0][support] < 3.0)
 
 
-def test_nuclear_dual_feasibility_gap_uses_spectral_norm():
+def test_nuclear_dual_stays_in_the_spectral_ball():
     # two channels give rank-2 site blocks, whose nuclear norm exceeds their
     # spectral norm; the dual ball of nuclear coupling is the spectral ball
     g = Grid((12, 12))
@@ -160,7 +184,6 @@ def test_nuclear_dual_feasibility_gap_uses_spectral_norm():
     spectral = np.linalg.svd(state.p, compute_uv=False)[..., 0]
     assert spectral.max() <= 1.0 + 1e-12
     assert np.sum(spectral > 1.0 - 1e-9) > 0  # the constraint is active somewhere
-    assert dual_feasibility_gap(spec, state) <= 1e-12
 
 
 def test_wavelet_mode_runs_and_shrinks():
@@ -196,7 +219,7 @@ def test_determinism_bitwise():
         channels=(ChannelSpec(op=identity_op(g), data=f, lam=1.0, kind="l2"),),
         regularizer=TGV2(2.0, 1.0),
     )
-    cfg = SolveConfig(max_iters=50, tol=0.0, seed=5)
+    cfg = SolveConfig(max_iters=50, tol=0.0)
     a = solve(spec, cfg)
     b = solve(spec, cfg)
     np.testing.assert_array_equal(a.u.values, b.u.values)
@@ -459,8 +482,8 @@ def _state_arrays(state):
 @pytest.mark.parametrize("warm_start", [False, True])
 def test_solve_with_prepared_setup_is_bitwise_equal(reg, warm_start):
     spec = _identity_pair(Grid((8, 8)), reg)
-    cfg = SolveConfig(max_iters=40, tol=0.0, seed=3, diag_every=7, warm_start=warm_start)
-    setup = prepare(spec, cfg.seed)
+    cfg = SolveConfig(max_iters=40, tol=0.0, diag_every=7, warm_start=warm_start)
+    setup = prepare(spec)
     plain, shared = solve(spec, cfg), solve(spec, cfg, setup=setup)
     assert shared.knorm == plain.knorm == setup.knorm
     a, b = _state_arrays(plain.state), _state_arrays(shared.state)
@@ -477,8 +500,8 @@ def test_solve_with_prepared_setup_is_bitwise_equal(reg, warm_start):
 def test_solve_rejects_a_setup_prepared_for_another_problem():
     g = Grid((6, 6))
     spec = _identity_pair(g, TGV2(2.0, 1.0, "nuclear"))
-    setup = prepare(spec, seed=1)
-    cfg = SolveConfig(max_iters=2, seed=1)
+    setup = prepare(spec)
+    cfg = SolveConfig(max_iters=2)
     others = {
         "operators": _identity_pair(g, spec.regularizer),  # equal, but new op objects
         "grid": _identity_pair(Grid((6, 7)), spec.regularizer),
@@ -489,8 +512,6 @@ def test_solve_rejects_a_setup_prepared_for_another_problem():
     for what, other in others.items():
         with pytest.raises(ValueError, match=what):
             solve(other, cfg, setup=setup)
-    with pytest.raises(ValueError, match="seed"):
-        solve(spec, SolveConfig(max_iters=2, seed=2), setup=setup)
     # data and weights are not part of the match
     moved = ProblemSpec(
         grid=g,

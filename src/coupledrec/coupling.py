@@ -11,16 +11,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import MultiImage, SymTensorField, VectorField, pointwise_norms_array
+from .grids import (
+    MultiImage,
+    SymTensorField,
+    VectorField,
+    block_sum_squares,
+    pointwise_norms_array,
+)
 
 
 def _gram_2x2(values: np.ndarray):
     """Rows x, y of the 2 x N site blocks B of (..., N, 2) values, and h, b, r,
-    mid of B B^T = [[a, b], [b, c]]: its eigenvalues are mid +- r = hypot(h, b)."""
+    mid of B B^T = [[a, b], [b, c]]: its eigenvalues are mid +- r = hypot(h, b).
+
+    The entries are summed one channel at a time, as :func:`block_sum_squares`
+    does, and bitwise equal to NumPy's reductions over N for N <= 7."""
     x, y = values[..., 0], values[..., 1]
-    a = np.einsum("...n,...n->...", x, x)
-    b = np.einsum("...n,...n->...", x, y)
-    c = np.einsum("...n,...n->...", y, y)
+    a, c = block_sum_squares(x[..., None]), block_sum_squares(y[..., None])
+    b = x[..., 0] * y[..., 0]
+    for n in range(1, x.shape[-1]):
+        b += x[..., n] * y[..., n]
     h = 0.5 * (a - c)
     return x, y, h, b, np.hypot(h, b), 0.5 * (a + c)
 
@@ -141,17 +151,9 @@ def haar_inverse(coeffs: MultiImage, levels: int) -> MultiImage:
 
 
 def group_norms(values: np.ndarray) -> np.ndarray:
-    """Cross-channel 2-norm of each coefficient of ``(*dims, N)`` values.
-
-    The squares are summed one channel at a time, in channel order: for
-    N <= 7 that is bitwise what ``np.sum(values**2, axis=-1)`` gives, but
-    without NumPy's reduction loop over a short last axis, which runs once
-    per coefficient and was several times slower.
-    """
-    total = values[..., 0] ** 2
-    for i in range(1, values.shape[-1]):
-        total += values[..., i] ** 2
-    return np.sqrt(total)
+    """Cross-channel 2-norm of each coefficient of ``(*dims, N)`` values,
+    summed one channel at a time by :func:`block_sum_squares`."""
+    return np.sqrt(block_sum_squares(values[..., None]))
 
 
 def project_group_l2ball_array(values: np.ndarray, alpha: float) -> np.ndarray:

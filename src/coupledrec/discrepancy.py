@@ -48,21 +48,20 @@ def eval_kl(v: np.ndarray, f: np.ndarray, weights: np.ndarray | None = None) -> 
     f = np.asarray(f, dtype=np.float64).reshape(-1)
     if v.size != f.size:
         raise ValueError("length mismatch")
-    if weights is None:
-        w = np.ones_like(v)
-    else:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if w.size != v.size or np.any(w <= 0):
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+        if weights.size != v.size or np.any(weights <= 0):
             raise ValueError("weights must be positive and match the data length")
     if np.any(v < 0) or np.any(f < 0):
         return np.inf
     if np.any((v == 0) & (f > 0)):
         return np.inf
     pos = f > 0
-    total = float(np.sum(w[~pos] * v[~pos]))
-    vp, fp, wp = v[pos], f[pos], w[pos]
-    total += float(np.sum(wp * (vp - fp - fp * np.log(vp / fp))))
-    return max(total, 0.0)
+    v0, vp, fp = v[~pos], v[pos], f[pos]
+    terms = vp - fp - fp * np.log(vp / fp)
+    if weights is not None:
+        v0, terms = weights[~pos] * v0, weights[pos] * terms
+    return max(float(np.sum(v0)) + float(np.sum(terms)), 0.0)
 
 
 def prox_l2_dual(fhat: np.ndarray, sigma: float, lam: float) -> np.ndarray:

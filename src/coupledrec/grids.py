@@ -176,6 +176,30 @@ def inner_product(a: Field, b: Field) -> float:
     return float(np.sum(a.values * b.values * w))
 
 
+def block_sum_squares(values: np.ndarray, weights=None) -> np.ndarray:
+    """Sum of the squared entries of each (N, k) site block of (..., N, k)
+    values; ``weights``, if given, scale the squares along the last axis.
+
+    The squares are added one component at a time, in channel order: for
+    N * k <= 7 that is bitwise what ``np.sum(values**2 * weights, axis=(-2, -1))``
+    gives, and within a few ulps beyond, but without NumPy's reduction loop
+    over the short trailing axes, which runs once per site and was 2.5-3x
+    slower.
+    """
+    n, k = values.shape[-2:]
+    total = None
+    for i in range(n):
+        for j in range(k):
+            sq = values[..., i, j] ** 2
+            if weights is not None:
+                sq *= weights[j]
+            if total is None:
+                total = sq
+            else:
+                total += sq
+    return total
+
+
 def _nuclear_norms_2d(values: np.ndarray) -> np.ndarray:
     """Nuclear norms of the 2 x N site blocks of ``(*dims, N, 2)`` values.
 
@@ -190,16 +214,14 @@ def _nuclear_norms_2d(values: np.ndarray) -> np.ndarray:
     for i in range(n):
         for j in range(i + 1, n):
             det += (x[..., i] * y[..., j] - x[..., j] * y[..., i]) ** 2
-    sq = np.sum(values**2, axis=(-2, -1))
-    return np.sqrt(sq + 2.0 * np.sqrt(det)).reshape(-1)
+    return np.sqrt(block_sum_squares(values) + 2.0 * np.sqrt(det)).reshape(-1)
 
 
 def pointwise_norms_array(values: np.ndarray, coupling: str = "frobenius", weights=None):
     """Coupling norm of each (N, k) site block of (*dims, N, k) values, flat per
     site; Frobenius ``weights`` scale the squared entries of the last axis."""
     if coupling == "frobenius":
-        sq = values**2 if weights is None else values**2 * weights
-        return np.sqrt(np.sum(sq, axis=(-2, -1))).reshape(-1)
+        return np.sqrt(block_sum_squares(values, weights)).reshape(-1)
     if coupling == "nuclear" and values.shape[-1] == 2:
         return _nuclear_norms_2d(values)
     if coupling == "nuclear":

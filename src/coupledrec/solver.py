@@ -102,10 +102,10 @@ class SolveConfig:
             )
         if not 0 <= self.tol < np.inf:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
-        if self.diag_every < 1:
-            raise ValueError(f"diag_every must be >= 1, got {self.diag_every!r}")
+        for name in ("max_iters", "diag_every"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
 
 
 @dataclass
@@ -299,8 +299,8 @@ def _saddle_operator(problem: ProblemSpec) -> LinearOp:
 
 
 def estimate_saddle_norm(problem: ProblemSpec) -> float:
-    """Power-iteration estimate of ||K|| (100 iterations from a fixed seed of 0),
-    inflated by 1% for safety."""
+    """Power-iteration estimate of ||K|| (at most 100 iterations, stopping once
+    the estimate settles, from a fixed seed of 0), inflated by 1% for safety."""
     return 1.01 * op_norm_estimate(_saddle_operator(problem), iters=100, seed=0)
 
 

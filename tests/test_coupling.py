@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupledrec.coupling import (
+    _gram_2x2,
     group_l21_norm,
     group_norms,
     haar_forward,
@@ -360,6 +361,23 @@ def test_group_l21_norm_value():
     vals[0, 0] = [3.0, 4.0]
     vals[1, 0] = [0.0, 2.0]
     assert group_l21_norm(vals) == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("channels", range(1, 8))
+def test_gram_sums_match_einsum_bitwise(channels):
+    # the einsums the per-channel Gram sums replaced, verbatim
+    rng = np.random.default_rng(channels)
+    values = rng.standard_normal((9, 7, channels, 2)) * 10.0 ** rng.integers(-5, 6, (9, 7, 1, 1))
+    x, y = values[..., 0], values[..., 1]
+    a = np.einsum("...n,...n->...", x, x)
+    b = np.einsum("...n,...n->...", x, y)
+    c = np.einsum("...n,...n->...", y, y)
+    h = 0.5 * (a - c)
+    _, _, h_new, b_new, r_new, mid_new = _gram_2x2(values)
+    np.testing.assert_array_equal(h_new, h)
+    np.testing.assert_array_equal(b_new, b)
+    np.testing.assert_array_equal(r_new, np.hypot(h, b))
+    np.testing.assert_array_equal(mid_new, 0.5 * (a + c))
 
 
 @pytest.mark.parametrize("channels", range(1, 8))

@@ -71,6 +71,15 @@ def test_kl_weights():
     assert eval_kl([2.0], [1.0], weights=[3.0]) == pytest.approx(3.0 * (1.0 - np.log(2.0)))
 
 
+def test_unweighted_kl_equals_ones_weighted_bitwise():
+    rng = np.random.default_rng(21)
+    v = rng.random(500) * 10.0 ** rng.integers(-3, 4, 500)
+    f = rng.poisson(1.0, 500).astype(np.float64)
+    assert np.any(f == 0) and np.any(f > 0)
+    assert eval_kl(v, f) == eval_kl(v, f, weights=np.ones(500))
+    assert eval_kl(v, np.zeros(500)) == eval_kl(v, np.zeros(500), weights=np.ones(500))
+
+
 @given(
     st.lists(st.floats(0.01, 50.0), min_size=1, max_size=20),
     st.lists(st.floats(0.01, 50.0), min_size=1, max_size=20),

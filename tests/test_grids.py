@@ -6,8 +6,10 @@ from coupledrec.grids import (
     MultiImage,
     SymTensorField,
     VectorField,
+    block_sum_squares,
     inner_product,
     pointwise_norms,
+    pointwise_norms_array,
     sym_index_pairs,
     sym_size,
     sym_weights,
@@ -120,3 +122,50 @@ def test_coupled_l1_norm_single_site():
     vals[0, 0, 0] = [3.0, 4.0]
     v = VectorField(g, vals)
     assert pointwise_norms(v, "frobenius").sum() == pytest.approx(5.0)
+
+
+# The NumPy reductions over the short (N, k) trailing axes that
+# block_sum_squares replaced, kept verbatim as references: the squares are
+# added in the same order up to N * k = 7 entries, so the sums must be
+# bitwise equal there, and agree to roundoff beyond.
+
+
+def _ref_frobenius_norms(values, weights=None):
+    sq = values**2 if weights is None else values**2 * weights
+    return np.sqrt(np.sum(sq, axis=(-2, -1))).reshape(-1)
+
+
+def _ref_nuclear_norms_2d(values):
+    x, y = values[..., 0], values[..., 1]
+    det = np.zeros(values.shape[:-2])
+    n = values.shape[-2]
+    for i in range(n):
+        for j in range(i + 1, n):
+            det += (x[..., i] * y[..., j] - x[..., j] * y[..., i]) ** 2
+    sq = np.sum(values**2, axis=(-2, -1))
+    return np.sqrt(sq + 2.0 * np.sqrt(det)).reshape(-1)
+
+
+def _assert_matches_reduction(new, ref, entries):
+    if entries <= 7:
+        np.testing.assert_array_equal(new, ref)
+    else:
+        np.testing.assert_allclose(new, ref, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_block_sums_match_the_reductions(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    values = rng.standard_normal((9, 7, n, k))
+    weights = rng.random(k) + 0.5
+    for w in (None, weights):
+        ref = np.sum(values**2 if w is None else values**2 * w, axis=(-2, -1))
+        _assert_matches_reduction(block_sum_squares(values, w), ref, n * k)
+        _assert_matches_reduction(
+            pointwise_norms_array(values, weights=w), _ref_frobenius_norms(values, w), n * k
+        )
+    if k == 2:
+        _assert_matches_reduction(
+            pointwise_norms_array(values, "nuclear"), _ref_nuclear_norms_2d(values), n * k
+        )

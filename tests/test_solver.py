@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from coupledrec.cli import random_fourier_mask
-from coupledrec.diffops import adjoint_check
-from coupledrec.forward import ForwardOp, identity_op, masked_fourier_op
+from coupledrec.diffops import LinearOp, adjoint_check, op_norm_estimate
+from coupledrec.forward import (
+    ForwardOp,
+    default_n_bins,
+    identity_op,
+    masked_fourier_op,
+    radon_op,
+)
 from coupledrec.grids import Grid, MultiImage, SymTensorField, VectorField, pointwise_norms
 from coupledrec.problem import ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
 from coupledrec.solver import (
@@ -352,12 +358,21 @@ def test_unknown_step_policy_rejected():
         ({"max_iters": 0}, "max_iters"),
         ({"max_iters": -3}, "max_iters"),
         ({"diag_every": 0}, "diag_every"),
+        ({"max_iters": 2.5}, "max_iters"),
+        ({"max_iters": 20.0}, "max_iters"),
+        ({"max_iters": True}, "max_iters"),
+        ({"max_iters": "20"}, "max_iters"),
+        ({"diag_every": 2.5}, "diag_every"),
+        ({"diag_every": np.nan}, "diag_every"),
+        ({"diag_every": np.inf}, "diag_every"),
+        ({"diag_every": True}, "diag_every"),
     ],
 )
 def test_solve_config_rejects_bad_numbers(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SolveConfig(**kwargs)
     assert SolveConfig(tol=0.0, max_iters=1, diag_every=1).tol == 0.0
+    assert SolveConfig(max_iters=np.int64(3), diag_every=np.int32(2)).max_iters == 3
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -462,10 +477,79 @@ def test_saddle_operator_adjoint_and_norm(mode):
     assert adjoint_check(op) < 1e-12
     dense = np.stack([op.apply(e) for e in np.eye(op.domain_dim)], axis=1)
     top = np.linalg.svd(dense, compute_uv=False)[0]
-    # the solver's 100 power iterations; on the 3-D grid the two largest
-    # singular values lie too close together for them to reach 1e-8
+    # the solver's power iteration (at most 100 iterations, stopping once the
+    # estimate settles); on the 3-D grid the two largest singular values lie
+    # too close together for it to reach 1e-8
     if grid.ndim == 2:
         assert estimate_saddle_norm(spec) / 1.01 == pytest.approx(top, abs=1e-8)
+
+
+def _reference_norm_estimate(op, iters, seed):
+    """The power iteration before its stop rule: always ``iters`` iterations."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(op.domain_dim)
+    nx = np.linalg.norm(x)
+    if nx == 0:
+        return 0.0
+    x /= nx
+    est = 0.0
+    for _ in range(iters):
+        y = op.apply(x)
+        ny = np.linalg.norm(y)
+        if ny == 0:
+            return 0.0
+        est = ny
+        x = op.adjoint(y)
+        nx = np.linalg.norm(x)
+        if nx == 0:
+            return float(est)
+        x /= nx
+    return float(est)
+
+
+def _counted(op):
+    """``op`` with a list that records each of its applies."""
+    calls = []
+
+    def apply(x):
+        calls.append(1)
+        return op.apply(x)
+
+    return LinearOp(apply, op.adjoint, op.domain_dim, op.codomain_dim), calls
+
+
+def test_norm_estimate_stops_at_once_when_k_is_an_isometry():
+    # a rate sweep's K: identity channels under a quadratic penalty, K^T K = I
+    op = _saddle_operator(_identity_pair(Grid((8, 8)), Quadratic(1.0)))
+    counted, calls = _counted(op)
+    est = op_norm_estimate(counted, iters=100, seed=0)
+    assert len(calls) <= 3
+    assert est == _reference_norm_estimate(op, iters=100, seed=0) == 1.0
+
+
+def test_norm_estimate_settles_on_the_top_singular_value_of_tgv_radon():
+    g = Grid((6, 6))
+    rng = np.random.default_rng(15)
+    radon = radon_op(g, np.arange(6) * np.pi / 6, default_n_bins(g))
+    spec = ProblemSpec(
+        grid=g,
+        channels=(
+            ChannelSpec(op=identity_op(g), data=rng.random(g.sites), lam=1.0, kind="l2"),
+            ChannelSpec(op=radon, data=rng.random(radon.codomain_dim) + 0.1, lam=2.0, kind="kl"),
+        ),
+        regularizer=TGV2(2.0, 1.0, "nuclear"),
+    )
+    op = _saddle_operator(spec)
+    counted, calls = _counted(op)
+    est = op_norm_estimate(counted, iters=100, seed=0)
+    dense = np.stack([op.apply(e) for e in np.eye(op.domain_dim)], axis=1)
+    top = np.linalg.svd(dense, compute_uv=False)[0]
+    assert len(calls) < 100
+    assert est == pytest.approx(top, abs=1e-10)
+    assert est <= top + 1e-12
+    # stopping early returns what a cap at the stopping iteration returns
+    assert est == _reference_norm_estimate(op, iters=len(calls), seed=0)
+    assert estimate_saddle_norm(spec) == 1.01 * est
 
 
 # --- prepare / setup= ----------------------------------------------------------

@@ -36,7 +36,7 @@ from .rates import (
     phantom,
     run_rate_experiment,
 )
-from .solver import SolveConfig, SolverError, solve
+from .solver import SolveConfig, SolverError, block_names, solve
 
 
 def _gaussian_kernel(sigma: float, ndim: int) -> np.ndarray:
@@ -117,11 +117,17 @@ def _build_regularizer(cfg: RunConfig):
 
 
 def _build_solver_config(cfg: RunConfig) -> SolveConfig:
+    if cfg.has("solver.step_policy"):
+        raise ConfigError(
+            "solver.step_policy was removed: the steps are set per block of K from its "
+            "block norms",
+            cfg.lines.get("solver.step_policy"),
+        )
     return SolveConfig(
         max_iters=cfg.get_int("solver.max_iters", 2000),
         tol=cfg.get_float("solver.tol", 1e-10),
-        step_policy=cfg.get_str("solver.step_policy", "constant"),
         warm_start=cfg.get_bool("solver.warm_start", False),
+        diag_every=cfg.get_int("solver.diag_every", 1),
     )
 
 
@@ -197,9 +203,10 @@ def cmd_phantom(args) -> int:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
+    solve_cfg = _build_solver_config(cfg)
     spec, truth = _build_problem(cfg, seed)
     _echo(cfg, seed, sys.stdout)
-    result = solve(spec, _build_solver_config(cfg))
+    result = solve(spec, solve_cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_mfi(out / "recon.mfi", result.u)
@@ -211,9 +218,13 @@ def cmd_solve(args) -> int:
         for it, en in zip(diag.iterations, diag.energy):
             fh.write(f"{it},{en:.12g},{diag.rel_change[it - 1]:.12g}\n")
     energy = f", energy = {diag.energy[-1]:.12g}" if diag.energy else ""
+    steps = [
+        " ".join(f"{name}:{step:.6g}" for name, step in zip(names, values))
+        for names, values in zip(block_names(spec), (result.sigma, result.tau))
+    ]
     print(
         f"iterations = {result.state.iteration}{energy}, "
-        f"converged = {result.converged}, ||K|| = {result.knorm:.6g}"
+        f"converged = {result.converged}, sigma = {steps[0]}, tau = {steps[1]}"
     )
     closed = _closed_form(spec)
     if closed is not None:

@@ -121,6 +121,29 @@ def sym_div_array(values: np.ndarray, spacing) -> np.ndarray:
     return out
 
 
+def grad_norm(dims, spacing) -> float:
+    """||grad_array||, exact: grad^T grad is a sum over axes of Neumann path
+    Laplacians, the largest eigenvalue of which is 4 sin^2(pi (n-1) / (2n)) / h^2."""
+    terms = [4 * np.sin(np.pi * (n - 1) / (2 * n)) ** 2 / h**2 for n, h in zip(dims, spacing)]
+    return float(np.sqrt(sum(terms)))
+
+
+def sym_grad_norm_bound(dims, spacing) -> float:
+    """An upper bound of ||sym_grad_array|| in the weighted inner product.
+
+    Along an axis of n sites the interior backward difference B is a path
+    graph's incidence on n - 1 sites, so ||B||^2 = 4 sin^2(pi (n-2) / (2(n-1)))
+    / h^2 (0 when n <= 2); each weighted off-diagonal entry obeys
+    2 ||(x + y) / 2||^2 <= ||x||^2 + ||y||^2, which gives ||E||^2 <= sum ||B_a||^2.
+    """
+    terms = [
+        4 * np.sin(np.pi * (n - 2) / (2 * (n - 1))) ** 2 / h**2
+        for n, h in zip(dims, spacing)
+        if n > 2
+    ]
+    return float(np.sqrt(sum(terms)))
+
+
 def grad(u: MultiImage) -> VectorField:
     """Channel-wise forward-difference gradient."""
     return VectorField(u.grid, grad_array(u.values, u.grid.spacing))

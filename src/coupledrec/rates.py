@@ -241,9 +241,9 @@ def _channel_seed(master_seed: int, level: int, channel: int) -> int:
 def run_rate_experiment(exp: RateExperiment) -> RateTable:
     """Sweep noise levels, solve each instance, and fit log-log slopes.
 
-    Every instance has the same operators, grid and regularizer, so ||K||
-    (and the affine-injectivity check) is prepared once, on the first
-    instance, and shared by all solves.  The rows are computed from each
+    Every instance has the same operators, grid and regularizer, so K's
+    block norms (and the affine-injectivity check) are prepared once, on the
+    first instance, and shared by all solves.  The rows are computed from each
     solve's result after it returns, never from its diagnostics, so the
     solves evaluate no per-iteration energies (``diag_every = max_iters``).
     """

@@ -2,12 +2,16 @@
 
 One iteration over K = [K_reg; T_1; ...; T_N]: dual prox steps (the
 regularizer's dual-ball projections and the discrepancy conjugate proxes), a
-primal gradient-prox step, and 2x - x over-relaxation.  The default
-stepsizes are sigma = tau = 0.99 / ||K|| with ||K|| estimated by power
-iteration and inflated by 1%.  Each regularizer is described once, in
-``_BLOCKS``; inside the loop all iterates are plain float64 arrays.
+primal gradient-prox step, and 2x - x over-relaxation.  Every block of K has
+its own step: each dual block (the regularizer's duals, and r_i of each
+channel) and each primal block (each channel u_i of u, and the regularizer's
+primal iterates) is stepped by 0.99 over the sum of the norms of K's blocks
+in its row or column (:func:`block_steps`).  The regularizer's block norms
+are closed forms; each ||T_i|| is estimated by power iteration and inflated
+by 1%.  Each regularizer is described once, in ``_BLOCKS``; inside the loop
+all iterates are plain float64 arrays.
 
-The work a solve does on K alone (the estimate of ||K||, and the
+The work a solve does on K alone (the block norms, and the
 affine-injectivity check under TGV) is done by :func:`prepare`; solves of
 problems that differ only in their data and weights can share its result.
 """
@@ -25,12 +29,13 @@ import numpy as np
 
 from . import coupling as cpl
 from .diffops import (
-    LinearOp,
     div_array,
     grad_array,
+    grad_norm,
     op_norm_estimate,
     sym_div_array,
     sym_grad_array,
+    sym_grad_norm_bound,
 )
 from .discrepancy import eval_kl, eval_l2sq, prox_kl_dual, prox_l2_dual
 from .forward import ForwardOp
@@ -48,17 +53,19 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverState:
-    """All primal/dual iterates as float64 arrays, plus the active stepsizes.
+    """All primal/dual iterates as float64 arrays, plus the stepsizes.
 
     ``v``, ``vbar``, ``p``, ``q`` (TGV) and ``s`` (wavelets) are ``None``
     unless the regularizer uses them; shapes as in ``_iterate_shapes``.
+    ``sigma`` has one step per dual block and ``tau`` one per primal block,
+    in the order of :func:`block_names`.
     """
 
     u: np.ndarray
     ubar: np.ndarray
     r: list[np.ndarray]
-    sigma: float
-    tau: float
+    sigma: tuple[float, ...]
+    tau: tuple[float, ...]
     v: np.ndarray | None = None
     vbar: np.ndarray | None = None
     p: np.ndarray | None = None
@@ -84,22 +91,14 @@ class Diagnostics:
     wall_time: float = 0.0
 
 
-STEP_POLICIES = ("constant", "adaptive")
-
-
 @dataclass
 class SolveConfig:
     max_iters: int = 2000
     tol: float = 1e-8
-    step_policy: str = "constant"  # one of STEP_POLICIES
     warm_start: bool = False
     diag_every: int = 1  # record energy/data/reg every k-th iteration
 
     def __post_init__(self):
-        if self.step_policy not in STEP_POLICIES:
-            raise ValueError(
-                f"unknown step policy {self.step_policy!r}; expected one of {STEP_POLICIES}"
-            )
         if not 0 <= self.tol < np.inf:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
         for name in ("max_iters", "diag_every"):
@@ -115,7 +114,8 @@ class SolveResult:
     diagnostics: Diagnostics
     state: SolverState
     converged: bool
-    knorm: float  # the estimate of ||K|| the stepsizes were set from
+    sigma: tuple[float, ...]  # the steps of the dual blocks, ordered as block_names
+    tau: tuple[float, ...]  # the steps of the primal blocks, ordered as block_names
 
 
 # --- the regularizer table ---------------------------------------------------
@@ -135,6 +135,10 @@ class _Block:
     spacing h, then arrays: ``value`` and ``apply`` (K_reg, one array per
     dual) take (u, *primal); ``adjoint`` (the u part, None if K_reg ignores
     u, then one per primal) and ``project`` (the dual prox) take the duals.
+    ``norms`` takes the regularizer and the grid and gives, for each dual,
+    the norm of K_reg's block from one channel of u, then from each primal,
+    in the weighted inner products (an upper bound where no closed form is
+    exact).
     """
 
     value: Callable
@@ -143,7 +147,8 @@ class _Block:
     apply: Callable = lambda reg, h, u: ()
     adjoint: Callable = lambda reg, h: (None,)
     project: Callable = lambda reg, h: ()
-    prox: Callable | None = None  # (reg, u, tau) -> primal prox of u
+    norms: Callable = lambda reg, grid: ()
+    prox: Callable | None = None  # (reg, u, tau per channel) -> primal prox of u, in place
     affine_injective: bool = False  # every T_i must be injective on affine images
 
 
@@ -151,6 +156,23 @@ def _tgv_value(reg, h, u, v):
     first = pointwise_norms_array(grad_array(u, h) - v, reg.coupling)
     second = pointwise_norms_array(sym_grad_array(v, h), weights=SymTensorField.weights(len(h)))
     return reg.alpha1 * float(first.sum()) + reg.alpha0 * float(second.sum())
+
+
+def _per_channel(ufunc, x: np.ndarray, values) -> np.ndarray:
+    """``x[..., i] = ufunc(x[..., i], values[i])`` for every channel i, in place.
+
+    Equal values take one call over the whole array: a strided call per
+    channel costs about twice as much per element on small images.
+    """
+    if len(set(values)) == 1:
+        return ufunc(x, values[0], out=x)
+    for i, value in enumerate(values):
+        ufunc(x[..., i], value, out=x[..., i])
+    return x
+
+
+def _quadratic_prox(reg, u, tau):
+    return _per_channel(np.divide, u, [1.0 + t * reg.weight for t in tau])
 
 
 _BLOCKS = {
@@ -163,6 +185,10 @@ _BLOCKS = {
             cpl.project_dual_ball_array(p, reg.alpha1, reg.coupling),
             cpl.project_dual_ball_array(q, reg.alpha0, weights=SymTensorField.weights(len(h))),
         ),
+        norms=lambda reg, grid: (
+            (grad_norm(grid.dims, grid.spacing), 1.0),  # p = grad u - v
+            (0.0, sym_grad_norm_bound(grid.dims, grid.spacing)),  # q = E v
+        ),
         value=_tgv_value,
         affine_injective=True,
     ),
@@ -171,11 +197,12 @@ _BLOCKS = {
         apply=lambda reg, h, u: (cpl.haar_forward_array(u, reg.levels),),
         adjoint=lambda reg, h, s: (cpl.haar_inverse_array(s, reg.levels),),
         project=lambda reg, h, s: (cpl.project_group_l2ball_array(s, 1.0),),
+        norms=lambda reg, grid: ((1.0,),),  # the Haar transform is orthonormal
         value=lambda reg, h, u: cpl.group_l21_norm(cpl.haar_forward_array(u, reg.levels)),
     ),
     Quadratic: _Block(
         value=lambda reg, h, u: 0.5 * reg.weight * float(np.sum(u * u)),
-        prox=lambda reg, u, tau: u / (1.0 + tau * reg.weight),
+        prox=_quadratic_prox,
     ),
 }
 
@@ -186,6 +213,19 @@ def _block(reg) -> _Block:
         return _BLOCKS[type(reg)]
     except KeyError:
         raise ValueError(f"unsupported regularizer {type(reg).__name__}") from None
+
+
+def block_names(problem: ProblemSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Names of K's dual blocks (its rows) and primal blocks (its columns).
+
+    The rows are the regularizer's duals, then ``r1`` .. ``rN`` of the
+    channels; the columns are ``u1`` .. ``uN``, the channels of u, then the
+    regularizer's primal iterates.  The steps follow this order.
+    """
+    block = _block(problem.regularizer)
+    numbers = range(1, problem.n_channels + 1)
+    dual = block.dual + tuple(f"r{i}" for i in numbers)
+    return dual, tuple(f"u{i}" for i in numbers) + block.primal
 
 
 def _iterates(state: SolverState, names, suffix: str = "") -> list[np.ndarray]:
@@ -246,14 +286,6 @@ def primal_energy(problem: ProblemSpec, u: MultiImage, v: VectorField | None = N
     return _energy(problem, u.values, regularizer_value(problem, u, v), data_terms)
 
 
-def _splitter(shapes) -> tuple[Callable, int]:
-    """A function cutting a flat vector into consecutive pieces of ``shapes``,
-    and the length of that vector."""
-    ends = np.cumsum([int(np.prod(s)) for s in shapes]).tolist()
-    starts = [0] + ends[:-1]
-    return lambda flat: [flat[a:b].reshape(s) for a, b, s in zip(starts, ends, shapes)], ends[-1]
-
-
 def _data_adjoint(problem: ProblemSpec, r: list[np.ndarray]) -> np.ndarray:
     """T_i^* r_i for every channel i, stacked into a ``(*dims, N)`` array."""
     tstar = np.empty(problem.grid.dims + (problem.n_channels,))
@@ -262,46 +294,45 @@ def _data_adjoint(problem: ProblemSpec, r: list[np.ndarray]) -> np.ndarray:
     return tstar
 
 
-def _saddle_operator(problem: ProblemSpec) -> LinearOp:
-    """K as a flat LinearOp over the stacked primal variables, for ||K||.
+def estimate_saddle_norm(problem: ProblemSpec) -> np.ndarray:
+    """The norms of K's blocks, shaped ``(N, duals + 1, 1 + primals)``.
 
-    A dual variable with inner-product weights w is stored as sqrt(w) times
-    its entries, so that the Euclidean dot product is the weighted one.
+    K is block diagonal over the channels: K_reg acts on each channel alone,
+    and T_i on u_i alone.  ``norms[i]`` holds the block norms of channel i's
+    part: its rows are the channel's slices of the regularizer's duals, then
+    r_i; its columns u_i, then the channel's slices of the regularizer's
+    primal iterates.  The regularizer's blocks come in closed form from its
+    table entry.  ||T_i|| is a power-iteration estimate (at most 100
+    iterations, stopping once the estimate settles, from a fixed seed of 0),
+    inflated by 1% for safety.  Blocks that K does not have are 0.
     """
-    reg, h = problem.regularizer, problem.grid.spacing
-    block = _block(reg)
-    shapes = _iterate_shapes(problem)
-    ops = [c.op for c in problem.channels]
-    split_x, domain = _splitter([shapes[name] for name in ("u",) + block.primal])
-    data_dims = [op.codomain_dim for op in ops]
-    split_y, codomain = _splitter([shapes[name] for name in block.dual] + data_dims)
-    weights = [_KINDS[name].weights(len(h)) for name in block.dual]
-    roots = [None if w is None else np.sqrt(w) for w in weights]
-
-    def apply(x):
-        u, *xs = split_x(x)
-        rows = zip(block.apply(reg, h, u, *xs), roots)
-        parts = [(k if w is None else k * w).reshape(-1) for k, w in rows]
-        return np.concatenate(parts + [op.apply(u[..., i]) for i, op in enumerate(ops)])
-
-    def adjoint(y):
-        pieces = split_y(y)
-        duals = [k if w is None else k / w for k, w in zip(pieces, roots)]
-        u_part, *x_parts = block.adjoint(reg, h, *duals)
-        tstar = _data_adjoint(problem, pieces[len(duals) :])
-        if u_part is not None:
-            tstar += u_part
-        if not x_parts:
-            return tstar.reshape(-1)
-        return np.concatenate([tstar.reshape(-1)] + [g.reshape(-1) for g in x_parts])
-
-    return LinearOp(apply, adjoint, domain, codomain)
+    block = _block(problem.regularizer)
+    reg_rows = list(block.norms(problem.regularizer, problem.grid))
+    norms = []
+    for c in problem.channels:
+        t_norm = 1.01 * op_norm_estimate(c.op.as_linear_op(), iters=100, seed=0)
+        norms.append(reg_rows + [[t_norm] + [0.0] * len(block.primal)])
+    return np.array(norms)
 
 
-def estimate_saddle_norm(problem: ProblemSpec) -> float:
-    """Power-iteration estimate of ||K|| (at most 100 iterations, stopping once
-    the estimate settles, from a fixed seed of 0), inflated by 1% for safety."""
-    return 1.01 * op_norm_estimate(_saddle_operator(problem), iters=100, seed=0)
+def block_steps(norms: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Block-diagonal PDHG steps from the block norms of :func:`estimate_saddle_norm`,
+    ordered as :func:`block_names`.
+
+    The rule of Pock & Chambolle (ICCV 2011) with alpha = 1, at block level:
+    a dual block's sigma is 0.99 over the sum of the norms in its row, a
+    primal block's tau 0.99 over the sum in its column.  By Cauchy-Schwarz
+    and 2ab <= a^2 + b^2, <y, S^(1/2) K T^(1/2) x> is then at most
+    sum_ij n_ij (sigma_i |y_i|^2 + tau_j |x_j|^2) / 2 <= 0.99 (|y|^2 + |x|^2) / 2,
+    so ||S^(1/2) K T^(1/2)|| <= 0.99.  The test runs on each channel's part
+    of K; a regularizer iterate keeps one step for all channels (its dual
+    projection couples them), the smallest any channel allows.  Where every
+    block has the same norm, these are the scalar steps 0.99 / ||K||.
+    """
+    rows, cols = norms.sum(axis=2), norms.sum(axis=1)
+    sigma = 0.99 / rows.max(axis=0)[:-1], 0.99 / rows[:, -1]
+    tau = 0.99 / cols[:, 0], 0.99 / cols.max(axis=0)[1:]
+    return tuple(np.concatenate(sigma).tolist()), tuple(np.concatenate(tau).tolist())
 
 
 def check_affine_injectivity(problem: ProblemSpec, tol: float = 1e-8) -> None:
@@ -329,14 +360,16 @@ def _clamp_kl(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _init_state(problem: ProblemSpec, cfg: SolveConfig, knorm: float) -> SolverState:
+def _init_state(problem: ProblemSpec, cfg: SolveConfig, norms: np.ndarray) -> SolverState:
+    """Zero iterates, or with ``warm_start`` u_i = T_i^* f_i / ||T_i||, and the
+    steps of the block norms ``norms``."""
     iterates = {name: np.zeros(shape) for name, shape in _iterate_shapes(problem).items()}
     if cfg.warm_start:
-        u = np.stack([c.op.adjoint(c.data) for c in problem.channels], axis=-1) / max(knorm, 1e-30)
-        iterates["u"] = iterates["ubar"] = _clamp_kl(problem, u)
-    step = 0.99 / max(knorm, 1e-30)
+        columns = [c.op.adjoint(c.data) / norms[i, -1, 0] for i, c in enumerate(problem.channels)]
+        iterates["u"] = iterates["ubar"] = _clamp_kl(problem, np.stack(columns, axis=-1))
+    sigma, tau = block_steps(norms)
     r = [np.zeros(c.op.codomain_dim) for c in problem.channels]
-    return SolverState(r=r, sigma=step, tau=step, **iterates)
+    return SolverState(r=r, sigma=sigma, tau=tau, **iterates)
 
 
 def _require_finite(iteration: int, **arrays: np.ndarray) -> None:
@@ -346,86 +379,52 @@ def _require_finite(iteration: int, **arrays: np.ndarray) -> None:
 
 
 def pd_step(problem: ProblemSpec, state: SolverState) -> SolverState:
-    """One full primal-dual iteration; raises SolverError on non-finite state."""
+    """One full primal-dual iteration with the state's per-block steps;
+    raises SolverError on non-finite state."""
     reg, h = problem.regularizer, problem.grid.spacing
     block = _block(reg)
+    n_reg, n = len(block.dual), problem.n_channels
     sigma, tau = state.sigma, state.tau
 
     r_new = []
-    for i, c in enumerate(problem.channels):
+    for i, (c, sigma_r) in enumerate(zip(problem.channels, sigma[n_reg:])):
         pred = c.op.apply(state.ubar[..., i])
         if c.kind == "l2":
-            r_new.append(prox_l2_dual(state.r[i] + sigma * (pred - c.data), sigma, c.lam))
+            r_new.append(prox_l2_dual(state.r[i] + sigma_r * (pred - c.data), sigma_r, c.lam))
         else:
             r_new.append(
-                prox_kl_dual(state.r[i] + sigma * (pred + c.background), c.data, sigma, c.lam)
+                prox_kl_dual(state.r[i] + sigma_r * (pred + c.background), c.data, sigma_r, c.lam)
             )
     tstar = _data_adjoint(problem, r_new)
 
     iteration = state.iteration + 1
     # k_bar and dual_hat are as large as the duals: dropped once used, for peak heap
     k_bar = block.apply(reg, h, state.ubar, *_iterates(state, block.primal, "bar"))
-    dual_hat = [y + sigma * k for y, k in zip(_iterates(state, block.dual), k_bar)]
+    dual_hat = [y + s * k for y, k, s in zip(_iterates(state, block.dual), k_bar, sigma)]
     del k_bar
     duals = dict(zip(block.dual, block.project(reg, h, *dual_hat)))
     del dual_hat
     u_part, *x_parts = block.adjoint(reg, h, *duals.values())
     primal = {}
-    for name, x, g in zip(block.primal, _iterates(state, block.primal), x_parts):
-        x_new = x - tau * g
+    for name, x, g, t in zip(block.primal, _iterates(state, block.primal), x_parts, tau[n:]):
+        x_new = x - t * g
         primal[name], primal[name + "bar"] = x_new, 2.0 * x_new - x
     _require_finite(iteration, **primal)
 
     if u_part is not None:
         tstar += u_part
-    u_new = state.u - tau * tstar
+    # each channel's step in place: no full-size array of steps
+    u_new = state.u - _per_channel(np.multiply, tstar, tau[:n])
     if block.prox is not None:
-        u_new = block.prox(reg, u_new, tau)
+        u_new = block.prox(reg, u_new, tau[:n])
     _clamp_kl(problem, u_new)
     ubar_new = 2.0 * u_new - state.u
     _require_finite(iteration, u=u_new, ubar=ubar_new)
     return replace(state, u=u_new, ubar=ubar_new, r=r_new, iteration=iteration, **duals, **primal)
 
 
-def step_policy(
-    kind: str, state: SolverState, primal_res: float, dual_res: float, step_cap: float
-) -> tuple[float, float]:
-    """Stepsize update S. Constant keeps (sigma, tau); adaptive balances residuals.
-
-    The adaptive rule nudges sigma up (tau down) when the dual residual
-    dominates by 10x and conversely; the product sigma*tau never exceeds
-    step_cap**2.
-    """
-    if kind == "constant":
-        return state.sigma, state.tau
-    if kind != "adaptive":
-        raise ValueError(f"unknown step policy {kind!r}")
-    sigma, tau = state.sigma, state.tau
-    if dual_res > 10.0 * primal_res:
-        sigma, tau = sigma * 1.05, tau / 1.05
-    elif primal_res > 10.0 * dual_res:
-        sigma, tau = sigma / 1.05, tau * 1.05
-    scale = np.sqrt(sigma * tau) / step_cap
-    if scale > 1.0:
-        sigma, tau = sigma / scale, tau / scale
-    return sigma, tau
-
-
-def _norm(x: np.ndarray, weights: np.ndarray | None = None) -> float:
-    return float(np.sqrt(np.sum(x * x if weights is None else x * x * weights)))
-
-
-def _residuals(problem: ProblemSpec, old: SolverState, new: SolverState) -> tuple[float, float]:
-    """Primal and dual residuals: iterate changes over tau and over sigma."""
-    block = _block(problem.regularizer)
-    d = problem.grid.ndim
-
-    def dist(names):
-        return sum(_norm(getattr(new, n) - getattr(old, n), _KINDS[n].weights(d)) for n in names)
-
-    primal = (_norm(new.u - old.u) + dist(block.primal)) / max(new.tau, 1e-30)
-    dual = sum(float(np.linalg.norm(a - b)) for a, b in zip(new.r, old.r))
-    return primal, (dual + dist(block.dual)) / max(new.sigma, 1e-30)
+def _norm(x: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(x * x)))
 
 
 @dataclass(frozen=True)
@@ -434,14 +433,14 @@ class Setup:
 
     K depends on the channel operators, the grid and the regularizer, not on
     the data or the weights, so one setup serves every problem that shares
-    those three; the operators are compared by identity.  ``knorm`` is the
-    power-iteration estimate of ||K||.
+    those three; the operators are compared by identity.  ``norms`` holds
+    the norms of K's blocks (:func:`estimate_saddle_norm`), read-only.
     """
 
     ops: tuple[ForwardOp, ...]
     grid: Grid
     regularizer: Regularizer
-    knorm: float
+    norms: np.ndarray
 
     def require_fits(self, problem: ProblemSpec) -> None:
         """Raise ValueError unless this setup was prepared for ``problem``'s K."""
@@ -460,16 +459,22 @@ def prepare(problem: ProblemSpec) -> Setup:
     """Check and measure the saddle operator K of ``problem`` once.
 
     Runs the affine-injectivity check when the regularizer needs it, then
-    estimates ||K|| by power iteration.  Raises SolverError when either
-    fails.
+    computes the norms of K's blocks.  Raises SolverError when the check
+    fails, or when a block's row or column of K is zero, which would leave
+    its step unbounded.
     """
     if _block(problem.regularizer).affine_injective:
         check_affine_injectivity(problem)
-    knorm = estimate_saddle_norm(problem)
-    if knorm <= 0:
-        raise SolverError("saddle operator has zero norm")
+    norms = estimate_saddle_norm(problem)
+    with np.errstate(divide="ignore"):
+        steps = block_steps(norms)
+    for names, values in zip(block_names(problem), steps):
+        for name, step in zip(names, values):
+            if not step < np.inf:
+                raise SolverError(f"saddle operator block {name} has zero norm")
+    norms.flags.writeable = False
     ops = tuple(c.op for c in problem.channels)
-    return Setup(ops, problem.grid, problem.regularizer, knorm)
+    return Setup(ops, problem.grid, problem.regularizer, norms)
 
 
 def solve(
@@ -487,9 +492,7 @@ def solve(
     setup.require_fits(problem)
     reg, grid = problem.regularizer, problem.grid
     block = _block(reg)
-    knorm = setup.knorm
-    state = _init_state(problem, cfg, knorm)
-    step_cap = 0.99 / knorm
+    state = _init_state(problem, cfg, setup.norms)
     diag = Diagnostics()
     t0 = time.perf_counter()
     quiet_streak = 0
@@ -497,9 +500,6 @@ def solve(
     tiny = 1e-30
     for _ in range(cfg.max_iters):
         new = pd_step(problem, state)
-        if cfg.step_policy == "adaptive":
-            pres, dres = _residuals(problem, state, new)
-            new.sigma, new.tau = step_policy("adaptive", new, pres, dres, step_cap)
         rel = _norm(new.u - state.u) / max(_norm(state.u), tiny)
         if new.iteration % cfg.diag_every == 0:
             data_terms = [_data_term(problem, new.u, i) for i in range(problem.n_channels)]
@@ -519,7 +519,10 @@ def solve(
             quiet_streak = 0
     diag.wall_time = time.perf_counter() - t0
     u, v = MultiImage(grid, state.u), None if state.v is None else VectorField(grid, state.v)
-    return SolveResult(u=u, v=v, diagnostics=diag, state=state, converged=converged, knorm=knorm)
+    return SolveResult(
+        u=u, v=v, diagnostics=diag, state=state, converged=converged,
+        sigma=state.sigma, tau=state.tau,
+    )
 
 
 # --- checkpointing -----------------------------------------------------------
@@ -591,7 +594,22 @@ def load_checkpoint(path: str | Path, problem: ProblemSpec) -> SolverState:
                 f"{path}: r[{i}] must be finite with length {c.op.codomain_dim}, got {arr.size}"
             )
         r.append(arr.reshape(-1))
-    sigma, tau, iteration = manifest["sigma"], manifest["tau"], manifest["iteration"]
-    if not (0 < sigma < np.inf and 0 < tau < np.inf):
-        raise ValueError(f"{path}: sigma = {sigma} and tau = {tau} must be positive and finite")
-    return SolverState(r=r, sigma=sigma, tau=tau, iteration=iteration, **iterates)
+    steps = {
+        what: _manifest_steps(path, what, manifest[what], names)
+        for what, names in zip(("sigma", "tau"), block_names(problem))
+    }
+    return SolverState(r=r, iteration=manifest["iteration"], **steps, **iterates)
+
+
+def _manifest_steps(path, what: str, value, names) -> tuple[float, ...]:
+    """A checkpoint's steps for the blocks ``names``: one per block, or one
+    number for all of them (the format of checkpoints from scalar steps)."""
+    steps = value if isinstance(value, list) else [value] * len(names)
+    if len(steps) != len(names) or not all(
+        type(s) in (int, float) and 0 < s < np.inf for s in steps
+    ):
+        raise ValueError(
+            f"{path}: {what} = {value} must be one positive finite step, or one for each "
+            f"of {', '.join(names)}"
+        )
+    return tuple(float(s) for s in steps)

@@ -130,8 +130,9 @@ def test_solve_diagnostics_csv_counts_iterations_from_one(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
     assert code == 0
     assert "iterations = 5, energy = " in out
-    # one identity channel: ||K|| = 1, inflated by 1%
-    summary = r"^iterations = 5, energy = \S+, converged = False, \|\|K\|\| = 1\.01$"
+    # one identity channel under a quadratic penalty: ||T|| = 1, inflated by 1%
+    steps = r"sigma = r1:0\.980198, tau = u1:0\.980198"
+    summary = r"^iterations = 5, energy = \S+, converged = False, " + steps + "$"
     assert re.search(summary, out, re.M)
     rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
     assert [int(r.split(",")[0]) for r in rows] == [1, 2, 3, 4, 5]
@@ -220,7 +221,6 @@ def test_config_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("solver.step_policy = adaptve", "unknown step policy"),
         ("regularizer.alpha0 = nan", "positive and finite"),
         ("grid.spacing = inf 1", "positive and finite"),
         ("solver.tol = nan", "tol must be finite"),
@@ -236,6 +236,59 @@ def test_bad_setting_exits_as_configuration_error(tmp_path, capsys, line, messag
         "regularizer.kind = tgv2\n"
         "solver.max_iters = 5\n" + line + "\n"
     )
+    code, _, err = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert message in err
+
+
+def test_removed_step_policy_key_exits_as_configuration_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "schema = 1\n"
+        "grid.dims = 8 8\n"
+        "channels = 1\n"
+        "solver.max_iters = 5\n"
+        "solver.step_policy = constant\n"
+    )
+    code, _, err = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "line 5: solver.step_policy was removed" in err
+    assert not (tmp_path / "recon.mfi").exists()
+
+
+def _diag_every_config(tmp_path, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "schema = 1\n"
+        "grid.dims = 8 8\n"
+        "channels = 2\n"
+        "channel.1.op = fourier\n"
+        "channel.1.mask_fraction = 0.5\n"
+        "channel.2.op = radon\n"
+        "channel.2.angles = 4\n"
+        "channel.2.kind = kl\n"
+        "regularizer.kind = tgv2\n"
+        "solver.max_iters = 23\n"
+        "solver.tol = 0\n"
+        f"solver.diag_every = {value}\n"
+    )
+    return cfg
+
+
+def test_solve_records_every_diag_every_th_iteration(tmp_path, capsys):
+    cfg = _diag_every_config(tmp_path, 5)
+    code, out, _ = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 0
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == [5, 10, 15, 20]
+    # the summary names each block's step: TGV duals p, q, then r1, r2; u1, u2, then v
+    line = next(l for l in out.splitlines() if l.startswith("iterations = 23"))
+    assert re.search(r"sigma = p:\S+ q:\S+ r1:\S+ r2:\S+, tau = u1:\S+ u2:\S+ v:\S+$", line)
+
+
+@pytest.mark.parametrize("value, message", [("0", "diag_every"), ("2.5", "not an integer")])
+def test_bad_diag_every_exits_as_configuration_error(tmp_path, capsys, value, message):
+    cfg = _diag_every_config(tmp_path, value)
     code, _, err = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
     assert code == 1
     assert message in err

@@ -6,10 +6,12 @@ from coupledrec.diffops import (
     div,
     grad,
     grad_linear_op,
+    grad_norm,
     op_norm_estimate,
     sym_div,
     sym_grad,
     sym_grad_linear_op,
+    sym_grad_norm_bound,
 )
 from coupledrec.grids import Grid, MultiImage, SymTensorField, VectorField
 
@@ -99,6 +101,35 @@ def test_grad_norm_matches_dense_svd(n):
     assert est == pytest.approx(dense, abs=1e-8)
     assert dense == pytest.approx(2.0 * np.sin(np.pi * (n - 1) / (2 * n)), abs=1e-12)
     assert est <= dense + 1e-6
+
+
+CLOSED_FORM_GRIDS = [
+    Grid((64,)),
+    Grid((7,), (0.3,)),
+    Grid((6, 6)),
+    Grid((7, 5), (1.0, 0.5)),
+    Grid((2, 5), (0.8, 1.7)),
+    Grid((1, 6)),
+    Grid((5, 4, 3)),
+    Grid((3, 3, 2), (1.0, 0.5, 2.0)),
+    Grid((5, 4, 3), (0.7, 1.3, 2.0)),
+]
+
+
+@pytest.mark.parametrize("grid", CLOSED_FORM_GRIDS, ids=lambda g: f"{g.dims}-{g.spacing}")
+def test_closed_form_norms_against_dense_svd(grid):
+    # the solver's TGV steps rest on these: ||grad|| exact, ||E|| an upper
+    # bound, both in the inner products of the flat wrappers (weighted for E)
+    def top(op):
+        cols = np.stack([op.apply(e) for e in np.eye(op.domain_dim)], axis=1)
+        return np.linalg.svd(cols, compute_uv=False)[0]
+
+    assert grad_norm(grid.dims, grid.spacing) == pytest.approx(
+        top(grad_linear_op(grid, 1)), rel=1e-12
+    )
+    assert sym_grad_norm_bound(grid.dims, grid.spacing) >= top(sym_grad_linear_op(grid, 1)) * (
+        1 - 1e-12
+    )
 
 
 def test_op_norm_nondecreasing_in_iters():

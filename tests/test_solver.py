@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from coupledrec.cli import random_fourier_mask
+from coupledrec.cli import _gaussian_kernel, random_fourier_mask
 from coupledrec.diffops import LinearOp, adjoint_check, op_norm_estimate
+from coupledrec.discrepancy import prox_kl_dual, prox_l2_dual
 from coupledrec.forward import (
     ForwardOp,
+    convolution_op,
     default_n_bins,
     identity_op,
     masked_fourier_op,
@@ -13,11 +17,19 @@ from coupledrec.forward import (
 from coupledrec.grids import Grid, MultiImage, SymTensorField, VectorField, pointwise_norms
 from coupledrec.problem import ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
 from coupledrec.solver import (
+    _KINDS,
     SolveConfig,
     SolverError,
     SolverState,
+    _block,
+    _clamp_kl,
+    _data_adjoint,
     _init_state,
-    _saddle_operator,
+    _iterate_shapes,
+    _iterates,
+    _require_finite,
+    block_names,
+    block_steps,
     check_affine_injectivity,
     estimate_saddle_norm,
     load_checkpoint,
@@ -27,7 +39,6 @@ from coupledrec.solver import (
     regularizer_value,
     save_checkpoint,
     solve,
-    step_policy,
 )
 
 
@@ -97,7 +108,7 @@ def test_pd_step_fixed_point_quadratic():
     u_star = (2.0 * lam / (2.0 * lam + w)) * f
     r_star = 2.0 * lam * (u_star - f)
     u = u_star[..., None]
-    state = SolverState(u=u, ubar=u, r=[r_star.reshape(-1)], sigma=0.3, tau=0.3)
+    state = SolverState(u=u, ubar=u, r=[r_star.reshape(-1)], sigma=(0.3,), tau=(0.3,))
     new = pd_step(spec, state)
     assert np.abs(new.u - u).max() < 1e-10
 
@@ -117,12 +128,13 @@ def test_only_kl_channels_are_clamped_at_zero():
         ),
         regularizer=Quadratic(1.0),
     )
-    warm = _init_state(spec, SolveConfig(warm_start=True), knorm=2.0)
+    warm = _init_state(spec, SolveConfig(warm_start=True), norms=np.full((2, 1, 1), 2.0))
     np.testing.assert_array_equal(warm.u[..., 0], np.full(g.dims, -0.5))
     np.testing.assert_array_equal(warm.u[..., 1], np.zeros(g.dims))
 
     u0 = np.full(g.dims + (2,), -1.0)
-    new = pd_step(spec, SolverState(u=u0, ubar=u0, r=[np.zeros(16)] * 2, sigma=0.1, tau=0.1))
+    steps = {"sigma": (0.1, 0.1), "tau": (0.1, 0.1)}
+    new = pd_step(spec, SolverState(u=u0, ubar=u0, r=[np.zeros(16)] * 2, **steps))
     assert np.all(new.u[..., 0] < 0.0)
     np.testing.assert_array_equal(new.u[..., 1], np.zeros(g.dims))
 
@@ -131,7 +143,7 @@ def test_pd_step_extrapolation_identity():
     g = Grid((8, 8))
     spec = _quad_problem(g, _smooth(g, 4)[..., 0])
     u0 = _smooth(g, 5)
-    state = SolverState(u=u0, ubar=u0, r=[np.zeros(64)], sigma=0.4, tau=0.4)
+    state = SolverState(u=u0, ubar=u0, r=[np.zeros(64)], sigma=(0.4,), tau=(0.4,))
     new = pd_step(spec, state)
     np.testing.assert_array_equal(new.ubar, 2.0 * new.u - u0)
 
@@ -255,27 +267,6 @@ def test_affine_injectivity_guard():
         solve(spec, SolveConfig(max_iters=5))
 
 
-def test_step_policy_constant_and_dead_zone():
-    state = SolverState(u=np.zeros((2, 2, 1)), ubar=np.zeros((2, 2, 1)), r=[], sigma=0.2, tau=0.3)
-    assert step_policy("constant", state, 1.0, 100.0, 0.5) == (0.2, 0.3)
-    # balanced residuals: adaptive leaves steps alone
-    assert step_policy("adaptive", state, 1.0, 5.0, 0.5) == (0.2, 0.3)
-    with pytest.raises(ValueError):
-        step_policy("bogus", state, 1.0, 1.0, 0.5)
-
-
-def test_step_policy_adaptive_cap_invariant():
-    rng = np.random.default_rng(10)
-    cap = 0.1
-    state = SolverState(u=np.zeros((2, 2, 1)), ubar=np.zeros((2, 2, 1)), r=[], sigma=cap, tau=cap)
-    for _ in range(1000):
-        pres, dres = rng.uniform(1e-8, 1e3, 2)
-        sigma, tau = step_policy("adaptive", state, pres, dres, cap)
-        assert sigma * tau <= cap**2 * (1.0 + 1e-12)
-        assert sigma > 0 and tau > 0
-        state.sigma, state.tau = sigma, tau
-
-
 def test_checkpoint_roundtrip_and_bitwise_resume(tmp_path):
     g = Grid((12, 12))
     rng = np.random.default_rng(11)
@@ -292,7 +283,7 @@ def test_checkpoint_roundtrip_and_bitwise_resume(tmp_path):
     np.testing.assert_array_equal(loaded.p, res.state.p)
     np.testing.assert_array_equal(loaded.q, res.state.q)
     np.testing.assert_array_equal(loaded.r[0], res.state.r[0])
-    assert loaded.sigma == res.state.sigma
+    assert (loaded.sigma, loaded.tau) == (res.state.sigma, res.state.tau)
     assert loaded.iteration == res.state.iteration
     # stepping the restored state reproduces the original continuation bitwise
     cont_orig = pd_step(spec, res.state)
@@ -341,12 +332,10 @@ def test_checkpoint_validates_residual_duals(tmp_path):
     save_checkpoint(path, state)
     with pytest.raises(ValueError, match="sigma"):
         load_checkpoint(path, spec)
-
-
-def test_unknown_step_policy_rejected():
-    with pytest.raises(ValueError, match="step policy"):
-        SolveConfig(step_policy="adaptve")
-    assert SolveConfig(step_policy="adaptive").step_policy == "adaptive"
+    for bad in ((0.5, 0.5), (-1.0,), ("0.5",)):  # one positive step per primal block
+        save_checkpoint(path, replace(state, sigma=(0.5,), tau=bad))
+        with pytest.raises(ValueError, match="tau"):
+            load_checkpoint(path, spec)
 
 
 @pytest.mark.parametrize(
@@ -469,19 +458,196 @@ SADDLE_MODES = {
 }
 
 
+def _channel_op(grid, kind):
+    if kind == "identity":
+        return identity_op(grid)
+    if kind == "blur":
+        return convolution_op(grid, _gaussian_kernel(1.0, grid.ndim))
+    if kind == "fourier":
+        return masked_fourier_op(grid, random_fourier_mask(grid.dims, 0.5, seed=4))
+    return radon_op(grid, np.arange(6) * np.pi / 6, default_n_bins(grid))
+
+
+# channel 2 is KL, the others L2; on the 3-D grid a blur stands in for the
+# Radon transform, which is 2-D only
+CHANNEL_MIXES = {
+    "identity_identity": ("identity", "identity"),
+    "blur_radon": ("blur", "radon"),
+    "fourier_identity": ("fourier", "identity"),
+    "radon_fourier_blur": ("radon", "fourier", "blur"),
+}
+
+
+def _mixed_problem(mode, mix):
+    grid, reg = SADDLE_MODES[mode]
+    kinds = [k if grid.ndim == 2 or k != "radon" else "blur" for k in CHANNEL_MIXES[mix]]
+    rng = np.random.default_rng(16)
+    channels = []
+    for i, kind in enumerate(kinds):
+        op = _channel_op(grid, kind)
+        data = rng.random(op.codomain_dim) + 0.1
+        channels.append(ChannelSpec(op=op, data=data, lam=1.0, kind="kl" if i == 1 else "l2"))
+    return ProblemSpec(grid=grid, channels=tuple(channels), regularizer=reg)
+
+
+def _saddle_operator(problem):
+    """K as a flat LinearOp from (u, *primal) to (*duals, r_1, ..., r_N), built
+    from the regularizer's table entry and the channel operators.
+
+    A dual variable with inner-product weights w is stored as sqrt(w) times
+    its entries, so that the Euclidean dot product is the weighted one.
+    """
+    reg, h = problem.regularizer, problem.grid.spacing
+    block = _block(reg)
+    shapes = _iterate_shapes(problem)
+    ops = [c.op for c in problem.channels]
+    x_shapes = [shapes[name] for name in ("u",) + block.primal]
+    y_shapes = [shapes[name] for name in block.dual] + [(op.codomain_dim,) for op in ops]
+    roots = [_KINDS[name].weights(len(h)) for name in block.dual]
+    roots = [None if w is None else np.sqrt(w) for w in roots]
+
+    def split(flat, shapes):
+        ends = np.cumsum([int(np.prod(s)) for s in shapes])
+        return [piece.reshape(s) for piece, s in zip(np.split(flat, ends[:-1]), shapes)]
+
+    def apply(x):
+        u, *xs = split(x, x_shapes)
+        rows = zip(block.apply(reg, h, u, *xs), roots)
+        parts = [(k if w is None else k * w).reshape(-1) for k, w in rows]
+        return np.concatenate(parts + [op.apply(u[..., i]) for i, op in enumerate(ops)])
+
+    def adjoint(y):
+        pieces = split(y, y_shapes)
+        duals = [k if w is None else k / w for k, w in zip(pieces, roots)]
+        u_part, *x_parts = block.adjoint(reg, h, *duals)
+        tstar = _data_adjoint(problem, pieces[len(duals) :])
+        if u_part is not None:
+            tstar += u_part
+        return np.concatenate([tstar.reshape(-1)] + [g.reshape(-1) for g in x_parts])
+
+    domain = sum(int(np.prod(s)) for s in x_shapes)
+    return LinearOp(apply, adjoint, domain, sum(int(np.prod(s)) for s in y_shapes))
+
+
+def _channel_slices(problem):
+    """Row and column indices, in the flat layout of ``_saddle_operator``, of
+    each channel's slice of each block of K: ``rows[c]`` holds the slices of the
+    duals, then r_c; ``cols[c]`` the slice of u, then those of the primals."""
+    block = _block(problem.regularizer)
+    shapes = _iterate_shapes(problem)
+    axis, n = problem.grid.ndim, problem.n_channels
+
+    def layout(names, sizes):
+        start, out = 0, []
+        for name in names:
+            shape = shapes[name]
+            idx = np.arange(start, start + int(np.prod(shape))).reshape(shape)
+            out.append([idx.take(c, axis=axis).reshape(-1) for c in range(n)])
+            start += idx.size
+        for size in sizes:
+            out.append(np.arange(start, start + size))
+            start += size
+        return out
+
+    row_blocks = layout(block.dual, [c.op.codomain_dim for c in problem.channels])
+    col_blocks = layout(("u",) + block.primal, [])
+    n_reg = len(block.dual)
+    rows = [[b[c] for b in row_blocks[:n_reg]] + [row_blocks[n_reg + c]] for c in range(n)]
+    cols = [[b[c] for b in col_blocks] for c in range(n)]
+    return rows, cols
+
+
+def _top(matrix):
+    return np.linalg.svd(matrix, compute_uv=False)[0] if matrix.size else 0.0
+
+
 @pytest.mark.parametrize("mode", sorted(SADDLE_MODES))
 def test_saddle_operator_adjoint_and_norm(mode):
-    grid, reg = SADDLE_MODES[mode]
-    spec = _identity_pair(grid, reg)
+    # K's blocks against the block norms the steps are set from
+    spec = _identity_pair(*SADDLE_MODES[mode])
     op = _saddle_operator(spec)
     assert adjoint_check(op) < 1e-12
     dense = np.stack([op.apply(e) for e in np.eye(op.domain_dim)], axis=1)
-    top = np.linalg.svd(dense, compute_uv=False)[0]
-    # the solver's power iteration (at most 100 iterations, stopping once the
-    # estimate settles); on the 3-D grid the two largest singular values lie
-    # too close together for it to reach 1e-8
-    if grid.ndim == 2:
-        assert estimate_saddle_norm(spec) / 1.01 == pytest.approx(top, abs=1e-8)
+    norms = estimate_saddle_norm(spec)
+    rows, cols = _channel_slices(spec)
+    n_reg = len(_block(spec.regularizer).dual)
+    for c in range(spec.n_channels):
+        for i, row in enumerate(rows[c]):
+            for j, col in enumerate(cols[c]):
+                top = _top(dense[np.ix_(row, col)])
+                if i == n_reg:
+                    # the solver's power iteration of T_c (at most 100 iterations,
+                    # stopping once the estimate settles)
+                    assert norms[c, i, j] / 1.01 == pytest.approx(top, abs=1e-8)
+                elif (i, j) == (1, 1) and isinstance(spec.regularizer, TGV2):
+                    assert norms[c, i, j] >= top * (1 - 1e-12)  # ||E||: a bound
+                else:
+                    assert norms[c, i, j] == pytest.approx(top, rel=1e-12, abs=1e-300)
+        # K is block diagonal over the channels
+        for other in range(spec.n_channels):
+            if other != c:
+                assert not dense[np.ix_(np.concatenate(rows[c]), np.concatenate(cols[other]))].any()
+
+
+@pytest.mark.parametrize("mix", sorted(CHANNEL_MIXES))
+@pytest.mark.parametrize("mode", sorted(SADDLE_MODES))
+def test_block_steps_bound_the_scaled_operator(mode, mix):
+    spec = _mixed_problem(mode, mix)
+    op = _saddle_operator(spec)
+    dense = np.stack([op.apply(e) for e in np.eye(op.domain_dim)], axis=1)
+    sigma, tau = block_steps(estimate_saddle_norm(spec))
+    rows, cols = _channel_slices(spec)
+    n, n_reg = spec.n_channels, len(_block(spec.regularizer).dual)
+    row_steps, col_steps = np.empty(op.codomain_dim), np.empty(op.domain_dim)
+    for c in range(n):
+        for i, row in enumerate(rows[c]):
+            row_steps[row] = sigma[i] if i < n_reg else sigma[n_reg + c]
+        for j, col in enumerate(cols[c]):
+            col_steps[col] = tau[c] if j == 0 else tau[n + j - 1]
+    scaled = np.sqrt(row_steps)[:, None] * dense * np.sqrt(col_steps)[None, :]
+    assert _top(scaled) <= 0.99
+    assert len(sigma) == len(block_names(spec)[0]) and len(tau) == len(block_names(spec)[1])
+
+
+@pytest.mark.parametrize(
+    "reg", [TGV2(2.0, 1.0, "nuclear"), WaveletL21(levels=2), Quadratic(0.5)], ids=str
+)
+def test_pd_step_gives_each_block_its_own_step(reg):
+    spec = _identity_pair(Grid((8, 8)), reg)
+    block, h = _block(reg), spec.grid.spacing
+    dual_names, primal_names = block_names(spec)
+    sigma = tuple(0.1 + 0.03 * k for k in range(len(dual_names)))
+    tau = tuple(0.2 + 0.05 * k for k in range(len(primal_names)))
+    rng = np.random.default_rng(18)
+    iterates = {name: rng.random(shape) for name, shape in _iterate_shapes(spec).items()}
+    r = [rng.random(c.op.codomain_dim) for c in spec.channels]
+    state = SolverState(r=r, sigma=sigma, tau=tau, **iterates)
+    new = pd_step(spec, state)
+
+    n_reg, n = len(block.dual), spec.n_channels
+    for i, (c, s) in enumerate(zip(spec.channels, sigma[n_reg:])):
+        pred = c.op.apply(state.ubar[..., i])
+        if c.kind == "l2":
+            expected = prox_l2_dual(state.r[i] + s * (pred - c.data), s, c.lam)
+        else:
+            expected = prox_kl_dual(state.r[i] + s * (pred + c.background), c.data, s, c.lam)
+        np.testing.assert_allclose(new.r[i], expected, rtol=1e-14, atol=0)
+    k_bar = block.apply(reg, h, state.ubar, *_iterates(state, block.primal, "bar"))
+    hats = [y + s * k for y, k, s in zip(_iterates(state, block.dual), k_bar, sigma)]
+    duals = block.project(reg, h, *hats)
+    for name, expected in zip(block.dual, duals):
+        np.testing.assert_allclose(getattr(new, name), expected, rtol=1e-14, atol=0)
+    u_part, *x_parts = block.adjoint(reg, h, *duals)
+    for name, g, t in zip(block.primal, x_parts, tau[n:]):
+        np.testing.assert_allclose(getattr(new, name), getattr(state, name) - t * g, rtol=1e-14)
+    for i, (c, t) in enumerate(zip(spec.channels, tau[:n])):
+        grad = c.op.adjoint(new.r[i]) + (0.0 if u_part is None else u_part[..., i])
+        expected = state.u[..., i] - t * grad
+        if isinstance(reg, Quadratic):
+            expected = expected / (1.0 + t * reg.weight)
+        if c.kind == "kl":
+            expected = np.maximum(expected, 0.0)
+        np.testing.assert_allclose(new.u[..., i], expected, rtol=1e-14, atol=1e-15)
 
 
 def _reference_norm_estimate(op, iters, seed):
@@ -519,8 +685,8 @@ def _counted(op):
 
 
 def test_norm_estimate_stops_at_once_when_k_is_an_isometry():
-    # a rate sweep's K: identity channels under a quadratic penalty, K^T K = I
-    op = _saddle_operator(_identity_pair(Grid((8, 8)), Quadratic(1.0)))
+    # a rate sweep's channel operator: the identity, T^T T = I
+    op = identity_op(Grid((8, 8))).as_linear_op()
     counted, calls = _counted(op)
     est = op_norm_estimate(counted, iters=100, seed=0)
     assert len(calls) <= 3
@@ -539,7 +705,7 @@ def test_norm_estimate_settles_on_the_top_singular_value_of_tgv_radon():
         ),
         regularizer=TGV2(2.0, 1.0, "nuclear"),
     )
-    op = _saddle_operator(spec)
+    op = radon.as_linear_op()
     counted, calls = _counted(op)
     est = op_norm_estimate(counted, iters=100, seed=0)
     dense = np.stack([op.apply(e) for e in np.eye(op.domain_dim)], axis=1)
@@ -549,7 +715,112 @@ def test_norm_estimate_settles_on_the_top_singular_value_of_tgv_radon():
     assert est <= top + 1e-12
     # stopping early returns what a cap at the stopping iteration returns
     assert est == _reference_norm_estimate(op, iters=len(calls), seed=0)
-    assert estimate_saddle_norm(spec) == 1.01 * est
+    assert estimate_saddle_norm(spec)[1, -1, 0] == 1.01 * est
+
+
+# --- the uniform case against the scalar-step iteration ------------------------
+
+
+def _scalar_step_pd_step(problem, state):
+    """``pd_step`` as it was with one sigma and one tau for all of K, verbatim
+    but for the Quadratic prox, which took a scalar tau."""
+    reg, h = problem.regularizer, problem.grid.spacing
+    block = _block(reg)
+    sigma, tau = state.sigma, state.tau
+
+    r_new = []
+    for i, c in enumerate(problem.channels):
+        pred = c.op.apply(state.ubar[..., i])
+        if c.kind == "l2":
+            r_new.append(prox_l2_dual(state.r[i] + sigma * (pred - c.data), sigma, c.lam))
+        else:
+            r_new.append(
+                prox_kl_dual(state.r[i] + sigma * (pred + c.background), c.data, sigma, c.lam)
+            )
+    tstar = _data_adjoint(problem, r_new)
+
+    iteration = state.iteration + 1
+    # k_bar and dual_hat are as large as the duals: dropped once used, for peak heap
+    k_bar = block.apply(reg, h, state.ubar, *_iterates(state, block.primal, "bar"))
+    dual_hat = [y + sigma * k for y, k in zip(_iterates(state, block.dual), k_bar)]
+    del k_bar
+    duals = dict(zip(block.dual, block.project(reg, h, *dual_hat)))
+    del dual_hat
+    u_part, *x_parts = block.adjoint(reg, h, *duals.values())
+    primal = {}
+    for name, x, g in zip(block.primal, _iterates(state, block.primal), x_parts):
+        x_new = x - tau * g
+        primal[name], primal[name + "bar"] = x_new, 2.0 * x_new - x
+    _require_finite(iteration, **primal)
+
+    if u_part is not None:
+        tstar += u_part
+    u_new = state.u - tau * tstar
+    if block.prox is not None:
+        u_new = u_new / (1.0 + tau * reg.weight)
+    _clamp_kl(problem, u_new)
+    ubar_new = 2.0 * u_new - state.u
+    _require_finite(iteration, u=u_new, ubar=ubar_new)
+    return replace(state, u=u_new, ubar=ubar_new, r=r_new, iteration=iteration, **duals, **primal)
+
+
+def _assert_states_equal(a, b):
+    for name, x in _state_arrays(a).items():
+        y = _state_arrays(b)[name]
+        assert (x is None) == (y is None), name
+        assert x is None or x.tobytes() == y.tobytes(), name
+
+
+def test_uniform_steps_match_the_scalar_step_iteration():
+    # the rate sweep's shape: identity channels, L2 and KL, under a quadratic penalty
+    spec = _identity_pair(Grid((8, 8)), Quadratic(0.05))
+    setup = prepare(spec)
+    np.testing.assert_array_equal(setup.norms, np.full((2, 1, 1), 1.01))
+    state = _init_state(spec, SolveConfig(), setup.norms)
+    step = 0.99 / 1.01
+    assert (state.sigma, state.tau) == ((step, step), (step, step))
+    scalar = replace(state, sigma=step, tau=step)
+    for _ in range(150):
+        state, scalar = pd_step(spec, state), _scalar_step_pd_step(spec, scalar)
+    _assert_states_equal(state, scalar)
+    assert state.iteration == 150
+
+
+def test_scalar_step_checkpoint_loads_as_uniform_steps(tmp_path):
+    # a checkpoint of the scalar-step format: one sigma and one tau in its manifest
+    spec = _identity_pair(Grid((8, 8)), TGV2(2.0, 1.0, "nuclear"))
+    state = solve(spec, SolveConfig(max_iters=20, tol=0.0)).state
+    scalar = replace(state, sigma=0.3, tau=0.2)
+    path = tmp_path / "scalar.crck"
+    save_checkpoint(path, scalar)
+    assert b'"sigma": 0.3' in path.read_bytes()
+    loaded = load_checkpoint(path, spec)
+    assert loaded.sigma == (0.3,) * 4  # p, q, r1, r2
+    assert loaded.tau == (0.2,) * 3  # u1, u2, v
+    a, b = loaded, scalar
+    for _ in range(5):
+        a, b = pd_step(spec, a), _scalar_step_pd_step(spec, b)
+    _assert_states_equal(a, b)
+
+
+def test_warm_start_divides_each_channel_by_its_own_norm():
+    g = Grid((8, 8))
+    rng = np.random.default_rng(17)
+    radon = radon_op(g, np.arange(6) * np.pi / 6, default_n_bins(g))
+    spec = ProblemSpec(
+        grid=g,
+        channels=(
+            ChannelSpec(op=identity_op(g), data=rng.random(g.sites), lam=1.0, kind="l2"),
+            ChannelSpec(op=radon, data=rng.random(radon.codomain_dim), lam=1.0, kind="kl"),
+        ),
+        regularizer=TGV2(2.0, 1.0),
+    )
+    norms = prepare(spec).norms
+    warm = _init_state(spec, SolveConfig(warm_start=True), norms)
+    for i, c in enumerate(spec.channels):
+        expected = c.op.adjoint(c.data) / norms[i, -1, 0]
+        np.testing.assert_array_equal(warm.u[..., i], expected)
+    assert norms[0, -1, 0] == 1.01  # an identity channel: the scalar-step ||K|| of a sweep
 
 
 # --- prepare / setup= ----------------------------------------------------------
@@ -569,13 +840,8 @@ def test_solve_with_prepared_setup_is_bitwise_equal(reg, warm_start):
     cfg = SolveConfig(max_iters=40, tol=0.0, diag_every=7, warm_start=warm_start)
     setup = prepare(spec)
     plain, shared = solve(spec, cfg), solve(spec, cfg, setup=setup)
-    assert shared.knorm == plain.knorm == setup.knorm
-    a, b = _state_arrays(plain.state), _state_arrays(shared.state)
-    for name in a:
-        if a[name] is None:
-            assert b[name] is None, name
-        else:
-            assert a[name].tobytes() == b[name].tobytes(), name
+    assert (shared.sigma, shared.tau) == (plain.sigma, plain.tau) == block_steps(setup.norms)
+    _assert_states_equal(plain.state, shared.state)
     assert (plain.state.sigma, plain.state.tau) == (shared.state.sigma, shared.state.tau)
     assert plain.diagnostics.energy == shared.diagnostics.energy
     assert plain.diagnostics.rel_change == shared.diagnostics.rel_change
@@ -605,7 +871,7 @@ def test_solve_rejects_a_setup_prepared_for_another_problem():
         ),
         regularizer=spec.regularizer,
     )
-    assert solve(moved, cfg, setup=setup).knorm == setup.knorm
+    assert solve(moved, cfg, setup=setup).sigma == block_steps(setup.norms)[0]
 
 
 def test_prepare_rejects_a_zero_saddle_operator():

@@ -85,7 +85,10 @@ def _build_op(cfg: RunConfig, grid: Grid, i: int, seed: int) -> ForwardOp:
     if kind == "identity":
         return identity_op(grid)
     if kind == "conv":
-        sigma = cfg.get_float(f"channel.{i}.kernel_sigma", 1.0)
+        key = f"channel.{i}.kernel_sigma"
+        sigma = cfg.get_float(key, 1.0)
+        if not 0 < sigma < np.inf:
+            raise ConfigError(f"{key} = {sigma} must be positive and finite", cfg.lines.get(key))
         return convolution_op(grid, _gaussian_kernel(sigma, grid.ndim))
     if kind == "fourier":
         if cfg.has(f"channel.{i}.mask"):
@@ -220,7 +223,7 @@ def cmd_solve(args) -> int:
     energy = f", energy = {diag.energy[-1]:.12g}" if diag.energy else ""
     steps = [
         " ".join(f"{name}:{step:.6g}" for name, step in zip(names, values))
-        for names, values in zip(block_names(spec), (result.sigma, result.tau))
+        for names, values in zip(block_names(spec), (result.state.sigma, result.state.tau))
     ]
     print(
         f"iterations = {result.state.iteration}{energy}, "

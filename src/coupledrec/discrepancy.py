@@ -27,7 +27,6 @@ class NoiseRealization:
 
     data: np.ndarray
     delta: float
-    seed: int
 
     def __post_init__(self):
         if not (np.isfinite(self.delta) and self.delta >= 0):
@@ -102,11 +101,11 @@ def add_gaussian_noise(f_true: np.ndarray, target_delta: float, seed: int) -> No
     if target_delta < 0:
         raise ValueError("target_delta must be >= 0")
     if target_delta == 0:
-        return NoiseRealization(f_true.copy(), 0.0, seed)
+        return NoiseRealization(f_true.copy(), 0.0)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(f_true.size)
     noise *= target_delta / np.linalg.norm(noise)
-    return NoiseRealization(f_true + noise, float(target_delta), seed)
+    return NoiseRealization(f_true + noise, float(target_delta))
 
 
 def add_poisson_noise(f_true: np.ndarray, count_scale: float, seed: int) -> NoiseRealization:
@@ -125,7 +124,7 @@ def add_poisson_noise(f_true: np.ndarray, count_scale: float, seed: int) -> Nois
     rng = np.random.default_rng(seed)
     data = rng.poisson(lam).astype(np.float64) / count_scale
     delta = eval_kl(f_true, data)
-    return NoiseRealization(data, delta, seed)
+    return NoiseRealization(data, delta)
 
 
 def poisson_scale_for_delta(f_true: np.ndarray, target_delta: float) -> float:

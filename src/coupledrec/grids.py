@@ -41,11 +41,12 @@ class Grid:
     spacing: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(self.dims)
         if not 1 <= len(dims) <= MAX_NDIM:
             raise ValueError(f"grid dimension must be in 1..{MAX_NDIM}, got {len(dims)}")
-        if any(n <= 0 for n in dims):
-            raise ValueError(f"grid dims must be positive, got {dims}")
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n <= 0 for n in dims):
+            raise ValueError(f"grid dims must be positive integers, got {dims!r}")
+        dims = tuple(int(n) for n in dims)
         spacing = self.spacing
         if spacing is None:
             spacing = (1.0,) * len(dims)

@@ -152,7 +152,6 @@ class RateChannel:
 
     op: ForwardOp
     kind: str  # "l2" (Gaussian noise) | "kl" (Poisson noise)
-    noise_scale: float | None = None  # absolute delta at master level 1; default auto
 
 
 @dataclass
@@ -200,8 +199,6 @@ class RateTable:
     rows: list[RateRow]
     data_slopes: list[float]  # seed-median fitted slope per channel
     bregman_slope: float | None
-    per_seed_data_slopes: dict
-    per_seed_bregman_slopes: dict
     lambda_premise: list[list[float]]  # per level: lambda_i * delta_i^{p_i}
 
     def to_csv(self) -> str:
@@ -251,9 +248,7 @@ def run_rate_experiment(exp: RateExperiment) -> RateTable:
     clean = [ch.op.apply(exp.u_true.channel(i)) for i, ch in enumerate(exp.channels)]
     scales = []
     for ch, f in zip(exp.channels, clean):
-        if ch.noise_scale is not None:
-            scales.append(ch.noise_scale)
-        elif ch.kind == "l2":
+        if ch.kind == "l2":
             scales.append(float(np.linalg.norm(f)))
         else:
             scales.append(float(np.sum(np.abs(f))))
@@ -315,33 +310,24 @@ def run_rate_experiment(exp: RateExperiment) -> RateTable:
                 ]
         premise.append(premise_row)
 
-    per_seed_data: dict[int, list[float]] = {}
-    per_seed_breg: dict[int, float] = {}
+    # one fit per seed; the table keeps their medians
+    data_fits: list[list[float]] = []
+    breg_fits: list[float] = []
     eps = 1e-300
     for seed in exp.seeds:
         srows = sorted((r for r in rows if r.seed == seed), key=lambda r: r.level)
         xs = [r.delta for r in srows]
-        slopes = []
-        for i in range(n):
-            ys = [max(r.data_terms[i], eps) for r in srows]
-            slopes.append(fit_loglog_slope(xs, ys)[0])
-        per_seed_data[seed] = slopes
+        data_fits.append(
+            [fit_loglog_slope(xs, [max(r.data_terms[i], eps) for r in srows])[0] for i in range(n)]
+        )
         if srows[0].bregman is not None:
-            per_seed_breg[seed] = fit_loglog_slope(
-                xs, [max(r.bregman, eps) for r in srows]
-            )[0]
-    data_slopes = [
-        float(np.median([per_seed_data[s][i] for s in exp.seeds])) for i in range(n)
-    ]
-    breg_slope = (
-        float(np.median([per_seed_breg[s] for s in exp.seeds])) if per_seed_breg else None
-    )
+            breg_fits.append(fit_loglog_slope(xs, [max(r.bregman, eps) for r in srows])[0])
+    data_slopes = [float(np.median([fits[i] for fits in data_fits])) for i in range(n)]
+    breg_slope = float(np.median(breg_fits)) if breg_fits else None
     return RateTable(
         n_channels=n,
         rows=rows,
         data_slopes=data_slopes,
         bregman_slope=breg_slope,
-        per_seed_data_slopes=per_seed_data,
-        per_seed_bregman_slopes=per_seed_breg,
         lambda_premise=premise,
     )

@@ -18,11 +18,8 @@ problems that differ only in their data and weights can share its result.
 
 from __future__ import annotations
 
-import json
-import struct
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -114,8 +111,6 @@ class SolveResult:
     diagnostics: Diagnostics
     state: SolverState
     converged: bool
-    sigma: tuple[float, ...]  # the steps of the dual blocks, ordered as block_names
-    tau: tuple[float, ...]  # the steps of the primal blocks, ordered as block_names
 
 
 # --- the regularizer table ---------------------------------------------------
@@ -233,7 +228,7 @@ def _iterates(state: SolverState, names, suffix: str = "") -> list[np.ndarray]:
 
 
 def _iterate_shapes(problem: ProblemSpec) -> dict[str, tuple[int, ...]]:
-    """Shape of every iterate the problem's regularizer uses, in checkpoint order."""
+    """Shape of every iterate the problem's regularizer uses."""
     grid = problem.grid
     block = _block(problem.regularizer)
     base = grid.dims + (problem.n_channels,)
@@ -519,97 +514,4 @@ def solve(
             quiet_streak = 0
     diag.wall_time = time.perf_counter() - t0
     u, v = MultiImage(grid, state.u), None if state.v is None else VectorField(grid, state.v)
-    return SolveResult(
-        u=u, v=v, diagnostics=diag, state=state, converged=converged,
-        sigma=state.sigma, tau=state.tau,
-    )
-
-
-# --- checkpointing -----------------------------------------------------------
-
-_CHK_MAGIC = b"CRCK"
-
-
-def _write_block(fh, values: np.ndarray) -> None:
-    arr = np.ascontiguousarray(values, dtype="<f8")
-    fh.write(struct.pack("<I", arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(arr.tobytes())
-
-
-def _read_block(buf: bytes, off: int) -> tuple[np.ndarray, int]:
-    (nd,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    shape = struct.unpack_from(f"<{nd}I", buf, off)
-    off += 4 * nd
-    count = int(np.prod(shape))
-    arr = np.frombuffer(buf, dtype="<f8", count=count, offset=off).reshape(shape)
-    return arr.astype(np.float64), off + 8 * count
-
-
-def save_checkpoint(path: str | Path, state: SolverState) -> None:
-    """Serialize the full solver state (bitwise-reproducible continuation)."""
-    names = [n for n in ("u", "ubar", "v", "vbar", "p", "q", "s") if getattr(state, n) is not None]
-    manifest = {
-        "sigma": state.sigma,
-        "tau": state.tau,
-        "iteration": state.iteration,
-        "fields": names,
-        "n_r": len(state.r),
-    }
-    blocks = [getattr(state, n) for n in names] + state.r
-    mjson = json.dumps(manifest, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_CHK_MAGIC)
-        fh.write(struct.pack("<I", len(mjson)))
-        fh.write(mjson)
-        for b in blocks:
-            _write_block(fh, b)
-
-
-def load_checkpoint(path: str | Path, problem: ProblemSpec) -> SolverState:
-    """Read a state written by :func:`save_checkpoint` for ``problem``."""
-    buf = Path(path).read_bytes()
-    if buf[:4] != _CHK_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    (mlen,) = struct.unpack_from("<I", buf, 4)
-    manifest = json.loads(buf[8 : 8 + mlen].decode())
-    off = 8 + mlen
-    shapes = _iterate_shapes(problem)
-    if manifest["fields"] != list(shapes):
-        raise ValueError(f"{path}: fields {manifest['fields']} do not match {list(shapes)}")
-    iterates = {}
-    for name, shape in shapes.items():
-        arr, off = _read_block(buf, off)
-        if arr.shape != shape or not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: {name} must be finite with shape {shape}, got {arr.shape}")
-        iterates[name] = arr
-    if manifest["n_r"] != problem.n_channels:
-        raise ValueError(f"{path}: {manifest['n_r']} r blocks for {problem.n_channels} channels")
-    r = []
-    for i, c in enumerate(problem.channels):
-        arr, off = _read_block(buf, off)
-        if arr.size != c.op.codomain_dim or not np.all(np.isfinite(arr)):
-            raise ValueError(
-                f"{path}: r[{i}] must be finite with length {c.op.codomain_dim}, got {arr.size}"
-            )
-        r.append(arr.reshape(-1))
-    steps = {
-        what: _manifest_steps(path, what, manifest[what], names)
-        for what, names in zip(("sigma", "tau"), block_names(problem))
-    }
-    return SolverState(r=r, iteration=manifest["iteration"], **steps, **iterates)
-
-
-def _manifest_steps(path, what: str, value, names) -> tuple[float, ...]:
-    """A checkpoint's steps for the blocks ``names``: one per block, or one
-    number for all of them (the format of checkpoints from scalar steps)."""
-    steps = value if isinstance(value, list) else [value] * len(names)
-    if len(steps) != len(names) or not all(
-        type(s) in (int, float) and 0 < s < np.inf for s in steps
-    ):
-        raise ValueError(
-            f"{path}: {what} = {value} must be one positive finite step, or one for each "
-            f"of {', '.join(names)}"
-        )
-    return tuple(float(s) for s in steps)
+    return SolveResult(u=u, v=v, diagnostics=diag, state=state, converged=converged)

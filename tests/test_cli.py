@@ -225,6 +225,9 @@ def test_config_error_exit_code(tmp_path, capsys):
         ("grid.spacing = inf 1", "positive and finite"),
         ("solver.tol = nan", "tol must be finite"),
         ("channel.1.background = 3", "KL channels only"),
+        ("channel.1.op = conv\nchannel.1.kernel_sigma = -1.5", "line 7: channel.1.kernel_sigma"),
+        ("channel.1.op = conv\nchannel.1.kernel_sigma = 0", "line 7: channel.1.kernel_sigma"),
+        ("channel.1.op = conv\nchannel.1.kernel_sigma = nan", "line 7: channel.1.kernel_sigma"),
     ],
 )
 def test_bad_setting_exits_as_configuration_error(tmp_path, capsys, line, message):

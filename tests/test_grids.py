@@ -20,8 +20,10 @@ def test_grid_validation():
     g = Grid((4, 5))
     assert g.ndim == 2
     assert g.sites == 20
-    with pytest.raises(ValueError):
-        Grid((4, 0))
+    for dims in [(4, 0), (64.7, 3), (4.0, 3), (True, 3), (4, np.bool_(True)), ("4", 3)]:
+        with pytest.raises(ValueError, match="grid dims must be positive"):
+            Grid(dims)
+    assert [type(n) for n in Grid((np.int64(4), np.int32(5))).dims] == [int, int]
     with pytest.raises(ValueError):
         Grid((2, 2, 2, 2))
     with pytest.raises(ValueError):

@@ -32,12 +32,10 @@ from coupledrec.solver import (
     block_steps,
     check_affine_injectivity,
     estimate_saddle_norm,
-    load_checkpoint,
     pd_step,
     prepare,
     primal_energy,
     regularizer_value,
-    save_checkpoint,
     solve,
 )
 
@@ -267,77 +265,6 @@ def test_affine_injectivity_guard():
         solve(spec, SolveConfig(max_iters=5))
 
 
-def test_checkpoint_roundtrip_and_bitwise_resume(tmp_path):
-    g = Grid((12, 12))
-    rng = np.random.default_rng(11)
-    spec = ProblemSpec(
-        grid=g,
-        channels=(ChannelSpec(op=identity_op(g), data=rng.random(144), lam=1.0, kind="l2"),),
-        regularizer=TGV2(2.0, 1.0),
-    )
-    res = solve(spec, SolveConfig(max_iters=30, tol=0.0))
-    path = tmp_path / "state.crck"
-    save_checkpoint(path, res.state)
-    loaded = load_checkpoint(path, spec)
-    np.testing.assert_array_equal(loaded.u, res.state.u)
-    np.testing.assert_array_equal(loaded.p, res.state.p)
-    np.testing.assert_array_equal(loaded.q, res.state.q)
-    np.testing.assert_array_equal(loaded.r[0], res.state.r[0])
-    assert (loaded.sigma, loaded.tau) == (res.state.sigma, res.state.tau)
-    assert loaded.iteration == res.state.iteration
-    # stepping the restored state reproduces the original continuation bitwise
-    cont_orig = pd_step(spec, res.state)
-    cont_load = pd_step(spec, loaded)
-    np.testing.assert_array_equal(cont_orig.u, cont_load.u)
-    np.testing.assert_array_equal(cont_orig.r[0], cont_load.r[0])
-
-
-def test_checkpoint_fields_follow_the_regularizer(tmp_path):
-    g = Grid((8, 8))
-    f = _smooth(g, 13).reshape(-1)
-    channels = (ChannelSpec(op=identity_op(g), data=f, lam=5.0, kind="l2"),)
-    spec = ProblemSpec(grid=g, channels=channels, regularizer=WaveletL21(levels=2))
-    res = solve(spec, SolveConfig(max_iters=20, tol=0.0))
-    path = tmp_path / "wavelet.crck"
-    save_checkpoint(path, res.state)
-    loaded = load_checkpoint(path, spec)
-    np.testing.assert_array_equal(pd_step(spec, loaded).s, pd_step(spec, res.state).s)
-    with pytest.raises(ValueError, match="do not match"):
-        load_checkpoint(path, ProblemSpec(grid=g, channels=channels, regularizer=TGV2(2.0, 1.0)))
-
-
-def _fourier_problem(grid, fraction):
-    op = masked_fourier_op(grid, random_fourier_mask(grid.dims, fraction, seed=4))
-    channel = ChannelSpec(op=op, data=op.apply(_smooth(grid, 5)[..., 0]), lam=1.0)
-    return ProblemSpec(grid=grid, channels=(channel,), regularizer=Quadratic(0.5))
-
-
-def test_checkpoint_validates_residual_duals(tmp_path):
-    g = Grid((8, 8))
-    spec = _fourier_problem(g, 0.5)
-    state = solve(spec, SolveConfig(max_iters=5, tol=0.0)).state
-    path = tmp_path / "fourier.crck"
-    save_checkpoint(path, state)
-    assert load_checkpoint(path, spec).r[0].size == spec.channels[0].op.codomain_dim
-    other = _fourier_problem(g, 0.25)
-    assert other.channels[0].op.codomain_dim != spec.channels[0].op.codomain_dim
-    with pytest.raises(ValueError, match=r"r\[0\]"):
-        load_checkpoint(path, other)
-    state.r[0][3] = np.nan
-    save_checkpoint(path, state)
-    with pytest.raises(ValueError, match=r"r\[0\]"):
-        load_checkpoint(path, spec)
-    state.r[0][3] = 0.0
-    state.sigma = np.inf
-    save_checkpoint(path, state)
-    with pytest.raises(ValueError, match="sigma"):
-        load_checkpoint(path, spec)
-    for bad in ((0.5, 0.5), (-1.0,), ("0.5",)):  # one positive step per primal block
-        save_checkpoint(path, replace(state, sigma=(0.5,), tau=bad))
-        with pytest.raises(ValueError, match="tau"):
-            load_checkpoint(path, spec)
-
-
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -362,15 +289,6 @@ def test_solve_config_rejects_bad_numbers(kwargs, message):
         SolveConfig(**kwargs)
     assert SolveConfig(tol=0.0, max_iters=1, diag_every=1).tol == 0.0
     assert SolveConfig(max_iters=np.int64(3), diag_every=np.int32(2)).max_iters == 3
-
-
-def test_checkpoint_rejects_garbage(tmp_path):
-    p = tmp_path / "x.crck"
-    p.write_bytes(b"JUNKJUNKJUNK")
-    g = Grid((4, 4))
-    spec = _quad_problem(g, np.ones(16))
-    with pytest.raises(ValueError):
-        load_checkpoint(p, spec)
 
 
 def test_regularizer_value_quadratic():
@@ -786,23 +704,6 @@ def test_uniform_steps_match_the_scalar_step_iteration():
     assert state.iteration == 150
 
 
-def test_scalar_step_checkpoint_loads_as_uniform_steps(tmp_path):
-    # a checkpoint of the scalar-step format: one sigma and one tau in its manifest
-    spec = _identity_pair(Grid((8, 8)), TGV2(2.0, 1.0, "nuclear"))
-    state = solve(spec, SolveConfig(max_iters=20, tol=0.0)).state
-    scalar = replace(state, sigma=0.3, tau=0.2)
-    path = tmp_path / "scalar.crck"
-    save_checkpoint(path, scalar)
-    assert b'"sigma": 0.3' in path.read_bytes()
-    loaded = load_checkpoint(path, spec)
-    assert loaded.sigma == (0.3,) * 4  # p, q, r1, r2
-    assert loaded.tau == (0.2,) * 3  # u1, u2, v
-    a, b = loaded, scalar
-    for _ in range(5):
-        a, b = pd_step(spec, a), _scalar_step_pd_step(spec, b)
-    _assert_states_equal(a, b)
-
-
 def test_warm_start_divides_each_channel_by_its_own_norm():
     g = Grid((8, 8))
     rng = np.random.default_rng(17)
@@ -840,9 +741,9 @@ def test_solve_with_prepared_setup_is_bitwise_equal(reg, warm_start):
     cfg = SolveConfig(max_iters=40, tol=0.0, diag_every=7, warm_start=warm_start)
     setup = prepare(spec)
     plain, shared = solve(spec, cfg), solve(spec, cfg, setup=setup)
-    assert (shared.sigma, shared.tau) == (plain.sigma, plain.tau) == block_steps(setup.norms)
+    assert (shared.state.sigma, shared.state.tau) == (plain.state.sigma, plain.state.tau)
+    assert (plain.state.sigma, plain.state.tau) == block_steps(setup.norms)
     _assert_states_equal(plain.state, shared.state)
-    assert (plain.state.sigma, plain.state.tau) == (shared.state.sigma, shared.state.tau)
     assert plain.diagnostics.energy == shared.diagnostics.energy
     assert plain.diagnostics.rel_change == shared.diagnostics.rel_change
 
@@ -871,7 +772,7 @@ def test_solve_rejects_a_setup_prepared_for_another_problem():
         ),
         regularizer=spec.regularizer,
     )
-    assert solve(moved, cfg, setup=setup).sigma == block_steps(setup.norms)[0]
+    assert solve(moved, cfg, setup=setup).state.sigma == block_steps(setup.norms)[0]
 
 
 def test_prepare_rejects_a_zero_saddle_operator():

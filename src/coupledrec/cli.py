@@ -26,7 +26,7 @@ from .forward import (
     masked_fourier_op,
     radon_op,
 )
-from .grids import Grid, MultiImage
+from .grids import Grid
 from .problem import ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
 from .rates import (
     RateChannel,

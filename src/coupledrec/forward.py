@@ -10,20 +10,24 @@ is the exact transpose, so the dot-product test passes to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable
 
 import numpy as np
 import scipy.ndimage as ndi
 import scipy.sparse as sp
 
+from . import diffops
 from .diffops import LinearOp
 from .grids import Grid
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForwardOp:
-    """One channel's forward model T_i, mapping a grid image to a flat data vector."""
+    """One channel's forward model T_i, mapping a grid image to a flat data vector.
+
+    Frozen, so that :attr:`norm`, computed on first use, cannot go stale.
+    """
 
     kind: str
     grid: Grid
@@ -50,6 +54,13 @@ class ForwardOp:
             domain_dim=self.grid.sites,
             codomain_dim=self.codomain_dim,
         )
+
+    @cached_property
+    def norm(self) -> float:
+        """||T||, a power-iteration lower bound (at most 100 iterations, stopping
+        once the estimate settles, from a fixed seed of 0), computed once per
+        operator: every problem that shares the operator shares its norm."""
+        return diffops.op_norm_estimate(self.as_linear_op(), iters=100, seed=0)
 
 
 def identity_op(grid: Grid) -> ForwardOp:

@@ -21,7 +21,7 @@ from .discrepancy import (
 from .forward import ForwardOp
 from .grids import Grid, MultiImage, inner_product
 from .problem import ChannelSpec, ProblemSpec, Quadratic, Regularizer
-from .solver import SolveConfig, channel_data_term, prepare, regularizer_value, solve
+from .solver import SolveConfig, channel_data_term, regularizer_value, solve
 
 LAMBDA_SENTINEL = 1e8  # stands in for lambda = infinity on exact-data channels
 
@@ -75,8 +75,8 @@ class RateRule:
     def __post_init__(self):
         if self.kind not in ("two_norm", "mixed_nkl", "general"):
             raise ValueError(f"unknown rule kind {self.kind!r}")
-        if any(m < 1 for m in self.mu):
-            raise ValueError("exponents mu must be >= 1")
+        if any(not 1 <= m < np.inf for m in self.mu):
+            raise ValueError(f"exponents mu must be finite and >= 1, got {self.mu!r}")
         if self.kind == "two_norm" and min(self.mu) != 1:
             raise ValueError("two_norm rule needs min(mu) == 1")
         if self.kind == "general":
@@ -238,11 +238,11 @@ def _channel_seed(master_seed: int, level: int, channel: int) -> int:
 def run_rate_experiment(exp: RateExperiment) -> RateTable:
     """Sweep noise levels, solve each instance, and fit log-log slopes.
 
-    Every instance has the same operators, grid and regularizer, so K's
-    block norms (and the affine-injectivity check) are prepared once, on the
-    first instance, and shared by all solves.  The rows are computed from each
-    solve's result after it returns, never from its diagnostics, so the
-    solves evaluate no per-iteration energies (``diag_every = max_iters``).
+    Every instance has the same operators, so each operator's norm is
+    estimated once, by the first solve, and shared by all solves.  The rows
+    are computed from each solve's result after it returns, never from its
+    diagnostics, so the solves evaluate no per-iteration energies
+    (``diag_every = max_iters``).
     """
     n = len(exp.channels)
     clean = [ch.op.apply(exp.u_true.channel(i)) for i, ch in enumerate(exp.channels)]
@@ -256,7 +256,6 @@ def run_rate_experiment(exp: RateExperiment) -> RateTable:
     premise: list[list[float]] = []
     p_pow = discrepancy_exponents([c.kind for c in exp.channels])
     cfg = replace(exp.solve_cfg, diag_every=exp.solve_cfg.max_iters)
-    setup = None
     for lv, delta in enumerate(exp.deltas):
         premise_row = None
         for seed in exp.seeds:
@@ -281,9 +280,7 @@ def run_rate_experiment(exp: RateExperiment) -> RateTable:
                 ),
                 regularizer=exp.regularizer,
             )
-            if setup is None:
-                setup = prepare(spec)
-            result = solve(spec, cfg, setup=setup)
+            result = solve(spec, cfg)
             data_terms = [channel_data_term(spec, result.u, i) for i in range(n)]
             breg = (
                 bregman_quadratic(result.u, exp.u_true, exp.regularizer.weight)

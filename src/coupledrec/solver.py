@@ -7,18 +7,17 @@ its own step: each dual block (the regularizer's duals, and r_i of each
 channel) and each primal block (each channel u_i of u, and the regularizer's
 primal iterates) is stepped by 0.99 over the sum of the norms of K's blocks
 in its row or column (:func:`block_steps`).  The regularizer's block norms
-are closed forms; each ||T_i|| is estimated by power iteration and inflated
-by 1%.  Each regularizer is described once, in ``_BLOCKS``; inside the loop
-all iterates are plain float64 arrays.
+are closed forms; each ||T_i|| is its operator's :attr:`ForwardOp.norm`,
+inflated by 1%.  Each regularizer is described once, in ``_BLOCKS``; inside
+the loop all iterates are plain float64 arrays.
 
-The work a solve does on K alone (the block norms, and the
-affine-injectivity check under TGV) is done by :func:`prepare`; solves of
-problems that differ only in their data and weights can share its result.
+``ForwardOp.norm`` is computed once per operator, so solves of problems that
+share their operators and differ only in data and weights power-iterate each
+operator once between them.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -29,18 +28,16 @@ from .diffops import (
     div_array,
     grad_array,
     grad_norm,
-    op_norm_estimate,
     sym_div_array,
     sym_grad_array,
     sym_grad_norm_bound,
 )
 from .discrepancy import eval_kl, eval_l2sq, prox_kl_dual, prox_l2_dual
-from .forward import ForwardOp
-from .grids import Grid, MultiImage, SymTensorField, VectorField, pointwise_norms_array
-from .problem import ProblemSpec, Quadratic, Regularizer, TGV2, WaveletL21
+from .grids import MultiImage, SymTensorField, VectorField, pointwise_norms_array
+from .problem import ProblemSpec, Quadratic, TGV2, WaveletL21
 
 # Unused here, but bench/tracing.py rebinds these names on this module.
-from .diffops import div, grad, sym_div, sym_grad  # noqa: F401
+from .diffops import div, grad, op_norm_estimate, sym_div, sym_grad  # noqa: F401
 from .grids import inner_product, pointwise_norms  # noqa: F401
 
 
@@ -85,7 +82,6 @@ class Diagnostics:
     data_terms: list[list[float]] = field(default_factory=list)
     reg_value: list[float] = field(default_factory=list)
     rel_change: list[float] = field(default_factory=list)
-    wall_time: float = 0.0
 
 
 @dataclass
@@ -297,17 +293,13 @@ def estimate_saddle_norm(problem: ProblemSpec) -> np.ndarray:
     part: its rows are the channel's slices of the regularizer's duals, then
     r_i; its columns u_i, then the channel's slices of the regularizer's
     primal iterates.  The regularizer's blocks come in closed form from its
-    table entry.  ||T_i|| is a power-iteration estimate (at most 100
-    iterations, stopping once the estimate settles, from a fixed seed of 0),
+    table entry.  ||T_i|| is the operator's own :attr:`ForwardOp.norm`,
     inflated by 1% for safety.  Blocks that K does not have are 0.
     """
     block = _block(problem.regularizer)
     reg_rows = list(block.norms(problem.regularizer, problem.grid))
-    norms = []
-    for c in problem.channels:
-        t_norm = 1.01 * op_norm_estimate(c.op.as_linear_op(), iters=100, seed=0)
-        norms.append(reg_rows + [[t_norm] + [0.0] * len(block.primal)])
-    return np.array(norms)
+    zeros = [0.0] * len(block.primal)
+    return np.array([reg_rows + [[1.01 * c.op.norm] + zeros] for c in problem.channels])
 
 
 def block_steps(norms: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -357,12 +349,21 @@ def _clamp_kl(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
 
 def _init_state(problem: ProblemSpec, cfg: SolveConfig, norms: np.ndarray) -> SolverState:
     """Zero iterates, or with ``warm_start`` u_i = T_i^* f_i / ||T_i||, and the
-    steps of the block norms ``norms``."""
+    steps of the block norms ``norms``.
+
+    Raises SolverError when a block's row or column of K is zero, which would
+    leave its step unbounded.
+    """
+    with np.errstate(divide="ignore"):
+        sigma, tau = block_steps(norms)
+    for names, values in zip(block_names(problem), (sigma, tau)):
+        for name, step in zip(names, values):
+            if not step < np.inf:
+                raise SolverError(f"saddle operator block {name} has zero norm")
     iterates = {name: np.zeros(shape) for name, shape in _iterate_shapes(problem).items()}
     if cfg.warm_start:
         columns = [c.op.adjoint(c.data) / norms[i, -1, 0] for i, c in enumerate(problem.channels)]
         iterates["u"] = iterates["ubar"] = _clamp_kl(problem, np.stack(columns, axis=-1))
-    sigma, tau = block_steps(norms)
     r = [np.zeros(c.op.codomain_dim) for c in problem.channels]
     return SolverState(r=r, sigma=sigma, tau=tau, **iterates)
 
@@ -422,74 +423,19 @@ def _norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.sum(x * x)))
 
 
-@dataclass(frozen=True)
-class Setup:
-    """What :func:`prepare` computed for the saddle operator K of a problem.
-
-    K depends on the channel operators, the grid and the regularizer, not on
-    the data or the weights, so one setup serves every problem that shares
-    those three; the operators are compared by identity.  ``norms`` holds
-    the norms of K's blocks (:func:`estimate_saddle_norm`), read-only.
-    """
-
-    ops: tuple[ForwardOp, ...]
-    grid: Grid
-    regularizer: Regularizer
-    norms: np.ndarray
-
-    def require_fits(self, problem: ProblemSpec) -> None:
-        """Raise ValueError unless this setup was prepared for ``problem``'s K."""
-        if problem.grid != self.grid:
-            raise ValueError(f"setup was prepared for grid {self.grid}, not {problem.grid}")
-        ops = [c.op for c in problem.channels]
-        if len(ops) != len(self.ops) or any(a is not b for a, b in zip(ops, self.ops)):
-            raise ValueError("setup was prepared for other channel operators")
-        if problem.regularizer != self.regularizer:
-            raise ValueError(
-                f"setup was prepared for regularizer {self.regularizer}, not {problem.regularizer}"
-            )
-
-
-def prepare(problem: ProblemSpec) -> Setup:
-    """Check and measure the saddle operator K of ``problem`` once.
-
-    Runs the affine-injectivity check when the regularizer needs it, then
-    computes the norms of K's blocks.  Raises SolverError when the check
-    fails, or when a block's row or column of K is zero, which would leave
-    its step unbounded.
-    """
-    if _block(problem.regularizer).affine_injective:
-        check_affine_injectivity(problem)
-    norms = estimate_saddle_norm(problem)
-    with np.errstate(divide="ignore"):
-        steps = block_steps(norms)
-    for names, values in zip(block_names(problem), steps):
-        for name, step in zip(names, values):
-            if not step < np.inf:
-                raise SolverError(f"saddle operator block {name} has zero norm")
-    norms.flags.writeable = False
-    ops = tuple(c.op for c in problem.channels)
-    return Setup(ops, problem.grid, problem.regularizer, norms)
-
-
-def solve(
-    problem: ProblemSpec, cfg: SolveConfig | None = None, setup: Setup | None = None
-) -> SolveResult:
+def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
     """Run the primal-dual iteration to the relative-change stopping rule.
 
-    ``setup`` is ``prepare(problem)`` unless given; a given setup must fit
-    the problem (ValueError otherwise), and the result is then the same, bit
-    for bit.
+    Under TGV, first requires every T_i to be injective on affine images
+    (:func:`check_affine_injectivity`).
     """
     cfg = cfg or SolveConfig()
-    if setup is None:
-        setup = prepare(problem)
-    setup.require_fits(problem)
     reg, grid = problem.regularizer, problem.grid
     block = _block(reg)
-    state = _init_state(problem, cfg, setup.norms)
+    if block.affine_injective:
+        check_affine_injectivity(problem)
+    state = _init_state(problem, cfg, estimate_saddle_norm(problem))
     diag = Diagnostics()
-    t0 = time.perf_counter()
     quiet_streak = 0
     converged = False
     tiny = 1e-30
@@ -512,6 +458,5 @@ def solve(
                 break
         else:
             quiet_streak = 0
-    diag.wall_time = time.perf_counter() - t0
     u, v = MultiImage(grid, state.u), None if state.v is None else VectorField(grid, state.v)
     return SolveResult(u=u, v=v, diagnostics=diag, state=state, converged=converged)

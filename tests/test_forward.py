@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from functools import reduce
 
 import numpy as np
@@ -26,6 +27,16 @@ def test_identity_roundtrip():
     u = _rand_image(g, 0)
     np.testing.assert_array_equal(op.apply(u), u.reshape(-1))
     np.testing.assert_array_equal(op.adjoint(op.apply(u)), u)
+
+
+def test_forward_op_is_frozen():
+    # its cached norm must not outlive a change to the operator
+    op = identity_op(Grid((4, 4)))
+    assert op.norm == 1.0
+    with pytest.raises(FrozenInstanceError):
+        op.codomain_dim = 8
+    with pytest.raises(FrozenInstanceError):
+        op._apply = lambda u: 2.0 * u.reshape(-1)
 
 
 def test_identity_shape_check():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import coupledrec.diffops as diffops
 import coupledrec.rates as rates
 import coupledrec.solver as solver
 from coupledrec.diffops import grad, sym_grad
@@ -84,6 +85,14 @@ def test_rule_validation():
         RateRule(kind="two_norm", mu=(0.5, 1.0))
     with pytest.raises(ValueError):
         RateRule(kind="median", mu=(1.0,))
+    for kind, mu in [
+        ("mixed_nkl", (1.0, np.nan)),
+        ("mixed_nkl", (1.0, np.inf)),
+        ("two_norm", (np.nan, 1.0)),
+        ("two_norm", (1.0, np.inf)),
+    ]:
+        with pytest.raises(ValueError, match="finite"):
+            RateRule(kind=kind, mu=mu)
 
 
 def test_two_norm_rule_example():
@@ -306,28 +315,34 @@ SWEEP_REGULARIZERS = {"tgv": TGV2(2.0, 1.0, "nuclear"), "quadratic": Quadratic(0
 def test_sweep_prepares_k_once_and_matches_unshared_solves(name, monkeypatch):
     exp = _small_sweep(SWEEP_REGULARIZERS[name])
     calls = Counter()
-    for fn in ("estimate_saddle_norm", "check_affine_injectivity"):
-        original = getattr(solver, fn)
+    for owner, fn in ((diffops, "op_norm_estimate"), (solver, "check_affine_injectivity")):
+        original = getattr(owner, fn)
 
         def counted(*args, _fn=fn, _original=original, **kwargs):
             calls[_fn] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(solver, fn, counted)
+        monkeypatch.setattr(owner, fn, counted)
     table = run_rate_experiment(exp)
-    assert calls["estimate_saddle_norm"] == 1
-    assert calls["check_affine_injectivity"] == (1 if name == "tgv" else 0)
+    n_ops = len(exp.channels)
+    assert calls["op_norm_estimate"] == n_ops  # one power iteration per operator
+    assert calls["check_affine_injectivity"] == (len(table.rows) if name == "tgv" else 0)
 
-    # reference: each solve prepares its own K and records diagnostics at the caller's stride
+    # reference: each solve gets fresh operators, so it estimates their norms
+    # anew, and records diagnostics at the caller's stride
     seen = []
 
-    def unshared(spec, cfg, setup=None):
-        seen.append((cfg.diag_every, setup is not None))
-        return solve(spec, replace(cfg, diag_every=exp.solve_cfg.diag_every))
+    def unshared(spec, cfg):
+        seen.append(cfg.diag_every)
+        fresh = tuple(replace(c, op=replace(c.op)) for c in spec.channels)
+        return solve(
+            replace(spec, channels=fresh), replace(cfg, diag_every=exp.solve_cfg.diag_every)
+        )
 
     monkeypatch.setattr(rates, "solve", unshared)
     reference = run_rate_experiment(exp)
-    assert seen == [(exp.solve_cfg.max_iters, True)] * len(table.rows)
+    assert seen == [exp.solve_cfg.max_iters] * len(table.rows)
+    assert calls["op_norm_estimate"] == n_ops * (1 + len(table.rows))
     assert reference == table
     assert reference.to_csv() == table.to_csv()
 

@@ -1,8 +1,10 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import coupledrec.diffops as diffops
 from coupledrec.cli import _gaussian_kernel, random_fourier_mask
 from coupledrec.diffops import LinearOp, adjoint_check, op_norm_estimate
 from coupledrec.discrepancy import prox_kl_dual, prox_l2_dual
@@ -33,7 +35,6 @@ from coupledrec.solver import (
     check_affine_injectivity,
     estimate_saddle_norm,
     pd_step,
-    prepare,
     primal_energy,
     regularizer_value,
     solve,
@@ -259,9 +260,7 @@ def test_affine_injectivity_guard():
     )
     with pytest.raises(SolverError):
         check_affine_injectivity(spec)
-    with pytest.raises(SolverError):
-        prepare(spec)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="affine injectivity"):
         solve(spec, SolveConfig(max_iters=5))
 
 
@@ -692,9 +691,9 @@ def _assert_states_equal(a, b):
 def test_uniform_steps_match_the_scalar_step_iteration():
     # the rate sweep's shape: identity channels, L2 and KL, under a quadratic penalty
     spec = _identity_pair(Grid((8, 8)), Quadratic(0.05))
-    setup = prepare(spec)
-    np.testing.assert_array_equal(setup.norms, np.full((2, 1, 1), 1.01))
-    state = _init_state(spec, SolveConfig(), setup.norms)
+    norms = estimate_saddle_norm(spec)
+    np.testing.assert_array_equal(norms, np.full((2, 1, 1), 1.01))
+    state = _init_state(spec, SolveConfig(), norms)
     step = 0.99 / 1.01
     assert (state.sigma, state.tau) == ((step, step), (step, step))
     scalar = replace(state, sigma=step, tau=step)
@@ -716,7 +715,7 @@ def test_warm_start_divides_each_channel_by_its_own_norm():
         ),
         regularizer=TGV2(2.0, 1.0),
     )
-    norms = prepare(spec).norms
+    norms = estimate_saddle_norm(spec)
     warm = _init_state(spec, SolveConfig(warm_start=True), norms)
     for i, c in enumerate(spec.channels):
         expected = c.op.adjoint(c.data) / norms[i, -1, 0]
@@ -724,7 +723,7 @@ def test_warm_start_divides_each_channel_by_its_own_norm():
     assert norms[0, -1, 0] == 1.01  # an identity channel: the scalar-step ||K|| of a sweep
 
 
-# --- prepare / setup= ----------------------------------------------------------
+# --- norms shared through the operators ---------------------------------------
 
 
 def _state_arrays(state):
@@ -732,50 +731,47 @@ def _state_arrays(state):
     return {n: getattr(state, n) for n in names} | {f"r{i}": r for i, r in enumerate(state.r)}
 
 
+def _count_power_iterations(monkeypatch) -> Counter:
+    """Count ``diffops.op_norm_estimate`` calls by the operator they measure."""
+    calls = Counter()
+    original = diffops.op_norm_estimate
+
+    def counted(op, *args, **kwargs):
+        calls[op.domain_dim, op.codomain_dim] += 1
+        return original(op, *args, **kwargs)
+
+    monkeypatch.setattr(diffops, "op_norm_estimate", counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "reg", [TGV2(2.0, 1.0, "nuclear"), WaveletL21(levels=2), Quadratic(1.0)], ids=str
 )
 @pytest.mark.parametrize("warm_start", [False, True])
-def test_solve_with_prepared_setup_is_bitwise_equal(reg, warm_start):
-    spec = _identity_pair(Grid((8, 8)), reg)
-    cfg = SolveConfig(max_iters=40, tol=0.0, diag_every=7, warm_start=warm_start)
-    setup = prepare(spec)
-    plain, shared = solve(spec, cfg), solve(spec, cfg, setup=setup)
-    assert (shared.state.sigma, shared.state.tau) == (plain.state.sigma, plain.state.tau)
-    assert (plain.state.sigma, plain.state.tau) == block_steps(setup.norms)
-    _assert_states_equal(plain.state, shared.state)
-    assert plain.diagnostics.energy == shared.diagnostics.energy
-    assert plain.diagnostics.rel_change == shared.diagnostics.rel_change
-
-
-def test_solve_rejects_a_setup_prepared_for_another_problem():
-    g = Grid((6, 6))
-    spec = _identity_pair(g, TGV2(2.0, 1.0, "nuclear"))
-    setup = prepare(spec)
-    cfg = SolveConfig(max_iters=2)
-    others = {
-        "operators": _identity_pair(g, spec.regularizer),  # equal, but new op objects
-        "grid": _identity_pair(Grid((6, 7)), spec.regularizer),
-        "regularizer": ProblemSpec(
-            grid=g, channels=spec.channels, regularizer=TGV2(2.0, 1.0, "frobenius")
-        ),
-    }
-    for what, other in others.items():
-        with pytest.raises(ValueError, match=what):
-            solve(other, cfg, setup=setup)
-    # data and weights are not part of the match
-    moved = ProblemSpec(
+def test_solve_with_prepared_setup_is_bitwise_equal(reg, warm_start, monkeypatch):
+    # the second solve reuses each operator's norm from the first
+    calls = _count_power_iterations(monkeypatch)
+    g = Grid((8, 8))
+    radon = radon_op(g, np.arange(6) * np.pi / 6, default_n_bins(g))
+    rng = np.random.default_rng(19)
+    spec = ProblemSpec(
         grid=g,
-        channels=tuple(
-            ChannelSpec(op=c.op, data=2.0 * c.data, lam=3.0 * c.lam, kind=c.kind)
-            for c in spec.channels
+        channels=(
+            ChannelSpec(op=identity_op(g), data=rng.random(g.sites), lam=1.0, kind="l2"),
+            ChannelSpec(op=radon, data=rng.random(radon.codomain_dim), lam=2.0, kind="kl"),
         ),
-        regularizer=spec.regularizer,
+        regularizer=reg,
     )
-    assert solve(moved, cfg, setup=setup).state.sigma == block_steps(setup.norms)[0]
+    cfg = SolveConfig(max_iters=40, tol=0.0, diag_every=7, warm_start=warm_start)
+    first, second = solve(spec, cfg), solve(spec, cfg)
+    assert calls == {(g.sites, g.sites): 1, (g.sites, radon.codomain_dim): 1}
+    assert (first.state.sigma, first.state.tau) == (second.state.sigma, second.state.tau)
+    assert (first.state.sigma, first.state.tau) == block_steps(estimate_saddle_norm(spec))
+    _assert_states_equal(first.state, second.state)
+    assert first.diagnostics == second.diagnostics
 
 
-def test_prepare_rejects_a_zero_saddle_operator():
+def test_solve_rejects_a_zero_saddle_operator():
     g = Grid((4, 4))
     zero_op = ForwardOp(
         kind="identity", grid=g, codomain_dim=16,
@@ -786,5 +782,6 @@ def test_prepare_rejects_a_zero_saddle_operator():
         channels=(ChannelSpec(op=zero_op, data=np.zeros(16), lam=1.0, kind="l2"),),
         regularizer=Quadratic(1.0),
     )
-    with pytest.raises(SolverError, match="zero norm"):
-        prepare(spec)
+    for warm_start in (False, True):  # before the warm start divides by the norm
+        with pytest.raises(SolverError, match="zero norm"):
+            solve(spec, SolveConfig(max_iters=2, warm_start=warm_start))

@@ -1,10 +1,10 @@
 """Pointwise coupling machinery: dual-ball projections (closed-form
-singular-value clips on 2-D grids), the orthonormal Haar transform, and the
-group-l2 ball projection.
+singular-value clips on 2-D grids) and the orthonormal Haar transform.
 
 The dual prox of the coupled l1 terms is a pointwise projection onto the
 dual-norm ball: plain rescaling for Frobenius coupling, a singular-value
-clip (spectral-ball projection) for nuclear coupling.
+clip (spectral-ball projection) for nuclear coupling.  The group-l2 ball of
+wavelet coefficients is the Frobenius ball of one-component site blocks.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ def _clip_singular_values(values: np.ndarray, alpha: float) -> np.ndarray:
 
 def project_dual_ball_array(values: np.ndarray, alpha: float, coupling="frobenius", weights=None):
     """Project each (N, k) site block of (..., N, k) values onto the dual ball."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if coupling == "frobenius":
         norms = pointwise_norms_array(values, weights=weights)
         return values / np.maximum(1.0, norms.reshape(values.shape[:-2] + (1, 1)) / alpha)
@@ -150,24 +150,7 @@ def haar_inverse(coeffs: MultiImage, levels: int) -> MultiImage:
     return coeffs.with_values(haar_inverse_array(coeffs.values, levels))
 
 
-def group_norms(values: np.ndarray) -> np.ndarray:
-    """Cross-channel 2-norm of each coefficient of ``(*dims, N)`` values,
-    summed one channel at a time by :func:`block_sum_squares`."""
-    return np.sqrt(block_sum_squares(values[..., None]))
-
-
-def project_group_l2ball_array(values: np.ndarray, alpha: float) -> np.ndarray:
-    """Per coefficient index, scale the cross-channel vector to norm <= alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return values / np.maximum(1.0, group_norms(values)[..., None] / alpha)
-
-
 def project_group_l2ball(shat: MultiImage, alpha: float) -> MultiImage:
     """Per coefficient index, scale the cross-channel vector to norm <= alpha."""
-    return shat.with_values(project_group_l2ball_array(shat.values, alpha))
-
-
-def group_l21_norm(coeffs: np.ndarray) -> float:
-    """Sum over coefficient indices of the cross-channel 2-norm, ``(*dims, N)`` values."""
-    return float(np.sum(group_norms(coeffs)))
+    values = shat.values
+    return shat.with_values(project_dual_ball_array(values[..., None], alpha).reshape(values.shape))

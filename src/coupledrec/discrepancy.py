@@ -1,9 +1,9 @@
 """Data discrepancies, their dual proximal maps, and calibrated noise.
 
 The two discrepancy functionals are the squared 2-norm, lam * ||v - f||_2^2,
-and the weighted Kullback-Leibler divergence
+and the Kullback-Leibler divergence
 
-    KL(v, f) = sum_k mu_k * (v_k - f_k - f_k log(v_k / f_k))
+    KL(v, f) = sum_k (v_k - f_k - f_k log(v_k / f_k))
 
 with the conventions 0 log(a/0) = 0 and -b log(0/b) = +inf for b > 0.
 The dual proxes are the resolvents of the conjugates used inside the
@@ -41,16 +41,12 @@ def eval_l2sq(v: np.ndarray, f: np.ndarray) -> float:
     return float(np.sum((v - f) ** 2))
 
 
-def eval_kl(v: np.ndarray, f: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """Weighted KL divergence; returns +inf outside its domain."""
+def eval_kl(v: np.ndarray, f: np.ndarray) -> float:
+    """KL divergence; returns +inf outside its domain."""
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     f = np.asarray(f, dtype=np.float64).reshape(-1)
     if v.size != f.size:
         raise ValueError("length mismatch")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if weights.size != v.size or np.any(weights <= 0):
-            raise ValueError("weights must be positive and match the data length")
     if np.any(v < 0) or np.any(f < 0):
         return np.inf
     if np.any((v == 0) & (f > 0)):
@@ -58,8 +54,6 @@ def eval_kl(v: np.ndarray, f: np.ndarray, weights: np.ndarray | None = None) -> 
     pos = f > 0
     v0, vp, fp = v[~pos], v[pos], f[pos]
     terms = vp - fp - fp * np.log(vp / fp)
-    if weights is not None:
-        v0, terms = weights[~pos] * v0, weights[pos] * terms
     return max(float(np.sum(v0)) + float(np.sum(terms)), 0.0)
 
 
@@ -72,8 +66,8 @@ def prox_l2_dual(fhat: np.ndarray, sigma: float, lam: float) -> np.ndarray:
     the oft-seen 1) keeps the solved data term exactly lam*||.-f||^2 with no
     implicit 1/2.
     """
-    if sigma <= 0 or lam <= 0:
-        raise ValueError("sigma and lam must be positive")
+    if not (0 < sigma < np.inf and 0 < lam < np.inf):
+        raise ValueError(f"sigma and lam must be positive and finite, got {sigma!r}, {lam!r}")
     return np.asarray(fhat, dtype=np.float64) / (1.0 + sigma / (2.0 * lam))
 
 
@@ -85,8 +79,8 @@ def prox_kl_dual(rhat: np.ndarray, f: np.ndarray, sigma: float, lam: float) -> n
     Where f > 0 the output is strictly below lam; where f = 0 it equals
     min(rhat, lam).
     """
-    if sigma < 0 or lam <= 0:
-        raise ValueError("need sigma >= 0 and lam > 0")
+    if not (0 <= sigma < np.inf and 0 < lam < np.inf):
+        raise ValueError(f"need finite sigma >= 0 and lam > 0, got {sigma!r}, {lam!r}")
     rhat = np.asarray(rhat, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     if np.any(f < 0):
@@ -134,7 +128,7 @@ def poisson_scale_for_delta(f_true: np.ndarray, target_delta: float) -> float:
     bins, from the second-order expansion of KL around f_true.
     """
     f_true = np.asarray(f_true, dtype=np.float64).reshape(-1)
-    if target_delta <= 0:
-        raise ValueError("target_delta must be positive")
+    if not 0 < target_delta < np.inf:
+        raise ValueError(f"target_delta must be positive and finite, got {target_delta!r}")
     m = max(int(np.sum(f_true > 0)), 1)
     return m / (2.0 * target_delta)

@@ -200,10 +200,10 @@ def radon_op(grid: Grid, angles, n_bins: int) -> ForwardOp:
     angles = np.asarray(angles, dtype=np.float64).reshape(-1)
     if angles.size == 0:
         raise ValueError("need at least one angle")
-    if np.any((angles < 0) | (angles >= np.pi)):
-        raise ValueError("angles must lie in [0, pi)")
-    if n_bins < 1:
-        raise ValueError("n_bins must be positive")
+    if not np.all((angles >= 0) & (angles < np.pi)):
+        raise ValueError(f"angles must be finite and lie in [0, pi), got {angles.tolist()}")
+    if isinstance(n_bins, bool) or not isinstance(n_bins, (int, np.integer)) or n_bins < 1:
+        raise ValueError(f"n_bins must be a positive integer, got {n_bins!r}")
     mat = _radon_matrix(grid, angles, n_bins)
     mat_t = mat.T.tocsr()
     return ForwardOp(

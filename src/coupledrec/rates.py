@@ -135,8 +135,10 @@ def fit_loglog_slope(xs, ys) -> tuple[float, float, float]:
     ys = np.asarray(ys, dtype=np.float64)
     if xs.size != ys.size or xs.size < 3:
         raise ValueError("need at least 3 paired points")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("log-log fit needs positive values")
+    if not (np.all((xs > 0) & (xs < np.inf)) and np.all((ys > 0) & (ys < np.inf))):
+        raise ValueError(
+            f"log-log fit needs positive finite values, got xs={xs.tolist()}, ys={ys.tolist()}"
+        )
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     pred = slope * lx + intercept

@@ -8,8 +8,11 @@ channel) and each primal block (each channel u_i of u, and the regularizer's
 primal iterates) is stepped by 0.99 over the sum of the norms of K's blocks
 in its row or column (:func:`block_steps`).  The regularizer's block norms
 are closed forms; each ||T_i|| is its operator's :attr:`ForwardOp.norm`,
-inflated by 1%.  Each regularizer is described once, in ``_BLOCKS``; inside
-the loop all iterates are plain float64 arrays.
+inflated by 1%.  Each regularizer is described once, in ``_BLOCKS``, with
+one ball per dual: R sums each radius alpha_j times the pointwise coupling
+norms of the dual's part of K_reg x, and the dual's prox projects onto the
+alpha_j-ball of the dual norm.  Inside the loop all iterates are plain
+float64 arrays.
 
 ``ForwardOp.norm`` is computed once per operator, so solves of problems that
 share their operators and differ only in data and weights power-iterate each
@@ -123,30 +126,27 @@ class _Block:
 
     ``primal`` names its iterates besides u, ``dual`` its dual iterates (both
     keys of ``_KINDS``).  The functions take the regularizer, the grid
-    spacing h, then arrays: ``value`` and ``apply`` (K_reg, one array per
-    dual) take (u, *primal); ``adjoint`` (the u part, None if K_reg ignores
-    u, then one per primal) and ``project`` (the dual prox) take the duals.
-    ``norms`` takes the regularizer and the grid and gives, for each dual,
-    the norm of K_reg's block from one channel of u, then from each primal,
-    in the weighted inner products (an upper bound where no closed form is
-    exact).
+    spacing h, then arrays: ``apply`` (K_reg, one array per dual) and
+    ``value`` (the part of R outside K_reg) take (u, *primal); ``adjoint``
+    (the u part, None if K_reg ignores u, then one per primal) takes the
+    duals.  ``balls`` takes the regularizer and gives each dual's ball, a
+    (radius, coupling) pair: the dual prox projects onto it, in the weights
+    of the dual's field kind, and R sums radius times the coupling norm of
+    K_reg's output.  ``norms`` takes the regularizer and the grid and gives,
+    for each dual, the norm of K_reg's block from one channel of u, then
+    from each primal, in the weighted inner products (an upper bound where
+    no closed form is exact).
     """
 
-    value: Callable
     primal: tuple[str, ...] = ()
     dual: tuple[str, ...] = ()
     apply: Callable = lambda reg, h, u: ()
     adjoint: Callable = lambda reg, h: (None,)
-    project: Callable = lambda reg, h: ()
+    balls: Callable = lambda reg: ()
     norms: Callable = lambda reg, grid: ()
+    value: Callable = lambda reg, h, u, *primal: 0.0
     prox: Callable | None = None  # (reg, u, tau per channel) -> primal prox of u, in place
     affine_injective: bool = False  # every T_i must be injective on affine images
-
-
-def _tgv_value(reg, h, u, v):
-    first = pointwise_norms_array(grad_array(u, h) - v, reg.coupling)
-    second = pointwise_norms_array(sym_grad_array(v, h), weights=SymTensorField.weights(len(h)))
-    return reg.alpha1 * float(first.sum()) + reg.alpha0 * float(second.sum())
 
 
 def _per_channel(ufunc, x: np.ndarray, values) -> np.ndarray:
@@ -172,24 +172,19 @@ _BLOCKS = {
         dual=("p", "q"),
         apply=lambda reg, h, u, v: (grad_array(u, h) - v, sym_grad_array(v, h)),
         adjoint=lambda reg, h, p, q: (-div_array(p, h), -p - sym_div_array(q, h)),
-        project=lambda reg, h, p, q: (
-            cpl.project_dual_ball_array(p, reg.alpha1, reg.coupling),
-            cpl.project_dual_ball_array(q, reg.alpha0, weights=SymTensorField.weights(len(h))),
-        ),
+        balls=lambda reg: ((reg.alpha1, reg.coupling), (reg.alpha0, "frobenius")),
         norms=lambda reg, grid: (
             (grad_norm(grid.dims, grid.spacing), 1.0),  # p = grad u - v
             (0.0, sym_grad_norm_bound(grid.dims, grid.spacing)),  # q = E v
         ),
-        value=_tgv_value,
         affine_injective=True,
     ),
     WaveletL21: _Block(
         dual=("s",),
         apply=lambda reg, h, u: (cpl.haar_forward_array(u, reg.levels),),
         adjoint=lambda reg, h, s: (cpl.haar_inverse_array(s, reg.levels),),
-        project=lambda reg, h, s: (cpl.project_group_l2ball_array(s, 1.0),),
+        balls=lambda reg: ((1.0, "frobenius"),),
         norms=lambda reg, grid: ((1.0,),),  # the Haar transform is orthonormal
-        value=lambda reg, h, u: cpl.group_l21_norm(cpl.haar_forward_array(u, reg.levels)),
     ),
     Quadratic: _Block(
         value=lambda reg, h, u: 0.5 * reg.weight * float(np.sum(u * u)),
@@ -204,6 +199,24 @@ def _block(reg) -> _Block:
         return _BLOCKS[type(reg)]
     except KeyError:
         raise ValueError(f"unsupported regularizer {type(reg).__name__}") from None
+
+
+def _balls(reg, h, arrays):
+    """Each array, shaped like a dual, as ``(*dims, N, k)`` site blocks (k = 1
+    for a scalar dual), with the dual's radius, coupling and kind's weights."""
+    block, d = _block(reg), len(h)
+    for name, x, (radius, coupling) in zip(block.dual, arrays, block.balls(reg)):
+        yield x.reshape(x.shape[: d + 1] + (-1,)), radius, coupling, _KINDS[name].weights(d)
+
+
+def _reg_value(reg, h, u: np.ndarray, *primal: np.ndarray) -> float:
+    """R(u, *primal): each dual's radius times the summed coupling norms of
+    its part of K_reg (u, *primal), plus the block's ``value``."""
+    block = _block(reg)
+    total = 0.0
+    for k, radius, coupling, weights in _balls(reg, h, block.apply(reg, h, u, *primal)):
+        total += radius * float(pointwise_norms_array(k, coupling, weights).sum())
+    return total + block.value(reg, h, u, *primal)
 
 
 def block_names(problem: ProblemSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -255,7 +268,7 @@ def regularizer_value(problem: ProblemSpec, u: MultiImage, v: VectorField | None
     if block.primal and v is None:
         raise ValueError(f"{type(reg).__name__} energy needs the balancing field v")
     primal = (v.values,) if block.primal else ()
-    return block.value(reg, problem.grid.spacing, u.values, *primal)
+    return _reg_value(reg, problem.grid.spacing, u.values, *primal)
 
 
 def _energy(problem: ProblemSpec, u: np.ndarray, reg: float, data_terms: list[float]) -> float:
@@ -398,7 +411,10 @@ def pd_step(problem: ProblemSpec, state: SolverState) -> SolverState:
     k_bar = block.apply(reg, h, state.ubar, *_iterates(state, block.primal, "bar"))
     dual_hat = [y + s * k for y, k, s in zip(_iterates(state, block.dual), k_bar, sigma)]
     del k_bar
-    duals = dict(zip(block.dual, block.project(reg, h, *dual_hat)))
+    duals = {  # the dual prox: each dual projected onto its ball
+        name: cpl.project_dual_ball_array(*ball).reshape(y.shape)
+        for name, y, ball in zip(block.dual, dual_hat, _balls(reg, h, dual_hat))
+    }
     del dual_hat
     u_part, *x_parts = block.adjoint(reg, h, *duals.values())
     primal = {}
@@ -440,17 +456,18 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
     converged = False
     tiny = 1e-30
     for _ in range(cfg.max_iters):
-        new = pd_step(problem, state)
-        rel = _norm(new.u - state.u) / max(_norm(state.u), tiny)
-        if new.iteration % cfg.diag_every == 0:
-            data_terms = [_data_term(problem, new.u, i) for i in range(problem.n_channels)]
-            reg_value = block.value(reg, grid.spacing, new.u, *_iterates(new, block.primal))
-            diag.iterations.append(new.iteration)
-            diag.energy.append(_energy(problem, new.u, reg_value, data_terms))
+        # only u of the old iterates outlives the step, for peak heap
+        previous_u = state.u
+        state = pd_step(problem, state)
+        rel = _norm(state.u - previous_u) / max(_norm(previous_u), tiny)
+        if state.iteration % cfg.diag_every == 0:
+            data_terms = [_data_term(problem, state.u, i) for i in range(problem.n_channels)]
+            reg_value = _reg_value(reg, grid.spacing, state.u, *_iterates(state, block.primal))
+            diag.iterations.append(state.iteration)
+            diag.energy.append(_energy(problem, state.u, reg_value, data_terms))
             diag.data_terms.append(data_terms)
             diag.reg_value.append(reg_value)
         diag.rel_change.append(rel)
-        state = new
         if rel < cfg.tol:
             quiet_streak += 1
             if quiet_streak >= 10:

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from coupledrec.coupling import (
     _gram_2x2,
-    group_l21_norm,
-    group_norms,
     haar_forward,
     haar_forward_array,
     haar_inverse,
@@ -14,6 +12,7 @@ from coupledrec.coupling import (
     project_dual_ball,
     project_group_l2ball,
 )
+from coupledrec.forward import identity_op
 from coupledrec.grids import (
     Grid,
     MultiImage,
@@ -21,6 +20,8 @@ from coupledrec.grids import (
     VectorField,
     pointwise_norms,
 )
+from coupledrec.problem import ChannelSpec, ProblemSpec, WaveletL21
+from coupledrec.solver import regularizer_value
 
 
 def _vf(grid, channels, seed):
@@ -357,10 +358,20 @@ def test_group_ball_projection_scales_cross_channel():
 
 
 def test_group_l21_norm_value():
-    vals = np.zeros((2, 1, 2))
+    # the wavelet regularizer sums the cross-channel norms of u's coefficients
+    g = Grid((2, 2))
+    vals = np.zeros((2, 2, 2))
     vals[0, 0] = [3.0, 4.0]
     vals[1, 0] = [0.0, 2.0]
-    assert group_l21_norm(vals) == pytest.approx(7.0)
+    u = haar_inverse(MultiImage(g, vals), 1)
+    spec = ProblemSpec(
+        grid=g,
+        channels=tuple(
+            ChannelSpec(op=identity_op(g), data=np.zeros(4), lam=1.0, kind="l2") for _ in range(2)
+        ),
+        regularizer=WaveletL21(levels=1),
+    )
+    assert regularizer_value(spec, u, None) == pytest.approx(7.0)
 
 
 @pytest.mark.parametrize("channels", range(1, 8))
@@ -382,6 +393,11 @@ def test_gram_sums_match_einsum_bitwise(channels):
 
 @pytest.mark.parametrize("channels", range(1, 8))
 def test_group_norms_match_reduction_bitwise(channels):
+    # the group ball is the Frobenius ball of one-component site blocks; its
+    # cross-channel norms are bitwise NumPy's reduction over the channels
     rng = np.random.default_rng(channels)
     values = rng.standard_normal((9, 7, channels)) * 10.0 ** rng.integers(-5, 6, (9, 7, channels))
-    np.testing.assert_array_equal(group_norms(values), np.sqrt(np.sum(values**2, axis=-1)))
+    alpha = 10.0 ** rng.integers(-5, 6)
+    norms = np.sqrt(np.sum(values**2, axis=-1))
+    out = project_group_l2ball(MultiImage(Grid((9, 7)), values), alpha)
+    np.testing.assert_array_equal(out.values, values / np.maximum(1.0, norms / alpha)[..., None])

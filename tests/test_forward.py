@@ -220,6 +220,16 @@ def test_radon_rejects_bad_angles():
         radon_op(Grid((4, 4, 4)), [0.0], 7)
 
 
+@pytest.mark.parametrize(
+    "angles, n_bins",
+    [([np.nan], 11), ([0.0, np.inf], 11), ([-np.inf], 11), ([0.0], 2.5), ([0.0], True)],
+    ids=["nan_angle", "inf_angle", "minus_inf_angle", "fractional_bins", "bool_bins"],
+)
+def test_radon_rejects_non_finite_angles_and_non_integer_bins(angles, n_bins):
+    with pytest.raises(ValueError, match="angles|n_bins"):
+        radon_op(Grid((8, 8)), angles, n_bins)
+
+
 def test_default_n_bins_is_odd_and_covers():
     g = Grid((32, 32))
     assert default_n_bins(g) % 2 == 1

@@ -155,7 +155,7 @@ def _assert_matches_reduction(new, ref, entries):
         np.testing.assert_allclose(new, ref, rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("k", [2, 3, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_block_sums_match_the_reductions(n, k):
     rng = np.random.default_rng(10 * n + k)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import coupledrec.coupling as cpl
 import coupledrec.diffops as diffops
 from coupledrec.cli import _gaussian_kernel, random_fourier_mask
 from coupledrec.diffops import LinearOp, adjoint_check, op_norm_estimate
@@ -16,13 +17,21 @@ from coupledrec.forward import (
     masked_fourier_op,
     radon_op,
 )
-from coupledrec.grids import Grid, MultiImage, SymTensorField, VectorField, pointwise_norms
+from coupledrec.grids import (
+    Grid,
+    MultiImage,
+    SymTensorField,
+    VectorField,
+    pointwise_norms,
+    pointwise_norms_array,
+)
 from coupledrec.problem import ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
 from coupledrec.solver import (
     _KINDS,
     SolveConfig,
     SolverError,
     SolverState,
+    _balls,
     _block,
     _clamp_kl,
     _data_adjoint,
@@ -506,6 +515,34 @@ def test_saddle_operator_adjoint_and_norm(mode):
                 assert not dense[np.ix_(np.concatenate(rows[c]), np.concatenate(cols[other]))].any()
 
 
+@pytest.mark.parametrize("mode", sorted(SADDLE_MODES))
+def test_regularizer_value_pairs_with_its_dual_projection(mode):
+    # For k = K_reg x and every site outside its ball, the projection P_j of
+    # c * k_j onto the radius-alpha_j ball of the dual norm is alpha_j times
+    # the dual direction of k_j, so <k_j, P_j(c k_j)>_w = alpha_j sum ||k_j||:
+    # the K_reg part of R is this pairing, summed over the duals.
+    grid, reg = SADDLE_MODES[mode]
+    problem, block, h = _identity_pair(grid, reg), _block(reg), grid.spacing
+    shapes = _iterate_shapes(problem)
+    rng = np.random.default_rng(17)
+    u, *primal = (rng.standard_normal(shapes[name]) for name in ("u",) + block.primal)
+    ks = block.apply(reg, h, u, *primal)
+    c = 1e8
+    pairing = 0.0
+    for name, k, ball in zip(block.dual, ks, _balls(reg, h, [c * k for k in ks])):
+        sites, radius, coupling, weights = ball
+        smallest = nonzero = pointwise_norms_array(sites, weights=weights)
+        if coupling == "nuclear":
+            smallest = np.linalg.svd(np.swapaxes(sites, -1, -2), compute_uv=False)[..., -1]
+        assert np.all(smallest.reshape(-1)[nonzero > 0] > radius)  # nonzero sites lie outside
+        w = _KINDS[name].weights(grid.ndim)
+        projected = cpl.project_dual_ball_array(*ball).reshape(k.shape)
+        pairing += float(np.sum(k * projected * (1.0 if w is None else w)))
+    v = VectorField(grid, primal[0]) if block.primal else None
+    value = regularizer_value(problem, MultiImage(grid, u), v) - block.value(reg, h, u, *primal)
+    assert value == pytest.approx(pairing, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("mix", sorted(CHANNEL_MIXES))
 @pytest.mark.parametrize("mode", sorted(SADDLE_MODES))
 def test_block_steps_bound_the_scaled_operator(mode, mix):
@@ -551,7 +588,10 @@ def test_pd_step_gives_each_block_its_own_step(reg):
         np.testing.assert_allclose(new.r[i], expected, rtol=1e-14, atol=0)
     k_bar = block.apply(reg, h, state.ubar, *_iterates(state, block.primal, "bar"))
     hats = [y + s * k for y, k, s in zip(_iterates(state, block.dual), k_bar, sigma)]
-    duals = block.project(reg, h, *hats)
+    duals = [
+        cpl.project_dual_ball_array(*ball).reshape(y.shape)
+        for y, ball in zip(hats, _balls(reg, h, hats))
+    ]
     for name, expected in zip(block.dual, duals):
         np.testing.assert_allclose(getattr(new, name), expected, rtol=1e-14, atol=0)
     u_part, *x_parts = block.adjoint(reg, h, *duals)
@@ -640,7 +680,8 @@ def test_norm_estimate_settles_on_the_top_singular_value_of_tgv_radon():
 
 def _scalar_step_pd_step(problem, state):
     """``pd_step`` as it was with one sigma and one tau for all of K, verbatim
-    but for the Quadratic prox, which took a scalar tau."""
+    but for the Quadratic prox, which took a scalar tau, and the dual
+    projection, which follows today's one ball per dual."""
     reg, h = problem.regularizer, problem.grid.spacing
     block = _block(reg)
     sigma, tau = state.sigma, state.tau
@@ -661,7 +702,10 @@ def _scalar_step_pd_step(problem, state):
     k_bar = block.apply(reg, h, state.ubar, *_iterates(state, block.primal, "bar"))
     dual_hat = [y + sigma * k for y, k in zip(_iterates(state, block.dual), k_bar)]
     del k_bar
-    duals = dict(zip(block.dual, block.project(reg, h, *dual_hat)))
+    duals = {
+        name: cpl.project_dual_ball_array(*ball).reshape(y.shape)
+        for name, y, ball in zip(block.dual, dual_hat, _balls(reg, h, dual_hat))
+    }
     del dual_hat
     u_part, *x_parts = block.adjoint(reg, h, *duals.values())
     primal = {}

@@ -60,7 +60,7 @@ def eval_kl(v: np.ndarray, f: np.ndarray) -> float:
 def prox_l2_dual(fhat: np.ndarray, sigma: float, lam: float) -> np.ndarray:
     """Dual prox for the lam*||.-f||_2^2 data term.
 
-    `fhat` is the shifted dual argument r + sigma*T(ubar) - sigma*f.  This is
+    `fhat` is the shifted dual argument r + sigma*T(u) - sigma*f.  This is
     the resolvent of sigma * d(conjugate of lam*||.-f||_2^2), which works out
     to elementwise division by 1 + sigma/(2*lam); the factor 2 (rather than
     the oft-seen 1) keeps the solved data term exactly lam*||.-f||^2 with no
@@ -74,7 +74,7 @@ def prox_l2_dual(fhat: np.ndarray, sigma: float, lam: float) -> np.ndarray:
 def prox_kl_dual(rhat: np.ndarray, f: np.ndarray, sigma: float, lam: float) -> np.ndarray:
     """Dual prox for the lam*KL(.+c, f) data term.
 
-    `rhat` is the shifted dual argument r + sigma*T(ubar) + sigma*c.  Closed
+    `rhat` is the shifted dual argument r + sigma*T(u) + sigma*c.  Closed
     form: rhat - (rhat - lam + sqrt((rhat - lam)^2 + 4*sigma*lam*f)) / 2.
     Where f > 0 the output is strictly below lam; where f = 0 it equals
     min(rhat, lam).

@@ -27,6 +27,8 @@ class ForwardOp:
     """One channel's forward model T_i, mapping a grid image to a flat data vector.
 
     Frozen, so that :attr:`norm`, computed on first use, cannot go stale.
+    :meth:`apply` and :meth:`adjoint` return arrays that share no memory with
+    their argument, so a caller may overwrite the result in place.
     """
 
     kind: str
@@ -39,13 +41,13 @@ class ForwardOp:
         u = np.asarray(u, dtype=np.float64)
         if u.shape != self.grid.dims:
             raise ValueError(f"{self.kind}: image shape {u.shape} != grid {self.grid.dims}")
-        return self._apply(u)
+        return _fresh(self._apply(u), u)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64).reshape(-1)
         if y.size != self.codomain_dim:
             raise ValueError(f"{self.kind}: data length {y.size} != {self.codomain_dim}")
-        return self._adjoint(y)
+        return _fresh(self._adjoint(y), y)
 
     def as_linear_op(self) -> LinearOp:
         return LinearOp(
@@ -61,6 +63,11 @@ class ForwardOp:
         once the estimate settles, from a fixed seed of 0), computed once per
         operator: every problem that shares the operator shares its norm."""
         return diffops.op_norm_estimate(self.as_linear_op(), iters=100, seed=0)
+
+
+def _fresh(out: np.ndarray, arg: np.ndarray) -> np.ndarray:
+    """``out``, copied if it may be a view of ``arg``."""
+    return out.copy() if np.may_share_memory(out, arg) else out
 
 
 def identity_op(grid: Grid) -> ForwardOp:

@@ -1,18 +1,35 @@
 """Primal-dual solver for the coupled saddle-point problem.
 
-One iteration over K = [K_reg; T_1; ...; T_N]: dual prox steps (the
-regularizer's dual-ball projections and the discrepancy conjugate proxes), a
-primal gradient-prox step, and 2x - x over-relaxation.  Every block of K has
-its own step: each dual block (the regularizer's duals, and r_i of each
-channel) and each primal block (each channel u_i of u, and the regularizer's
-primal iterates) is stepped by 0.99 over the sum of the norms of K's blocks
-in its row or column (:func:`block_steps`).  The regularizer's block norms
+One iteration over K = [K_reg; T_1; ...; T_N] steps the primal variables
+first and extrapolates the duals (Chambolle & Pock, JMIV 2011, with the
+roles of x and y swapped):
+
+    x+ = prox_G(x - T g),   y+ = prox_F*(y + S K x+),   g+ = K^T (2 y+ - y),
+
+where G holds the regularizer's part outside K_reg (Quadratic's weight) and
+the KL channels' u >= 0, F* the regularizer's dual balls and the
+discrepancy conjugates, and g = K^T ybar is carried from the previous step
+(K^T y = 0 at the start).  K is applied once per iteration, at the iterate
+x+ that a diagnostics row reports, so the row's data terms and regularizer
+value come from that same product.  Every block of K has its own step:
+each dual block (the regularizer's duals, and r_i of each channel) and each
+primal block (each channel u_i of u, and the regularizer's primal iterates)
+is stepped by 0.99 over the sum of the norms of K's blocks in its row or
+column (:func:`block_steps`); the bound ||S^(1/2) K T^(1/2)|| <= 0.99 does
+not depend on which variable steps first.  The regularizer's block norms
 are closed forms; each ||T_i|| is its operator's :attr:`ForwardOp.norm`,
 inflated by 1%.  Each regularizer is described once, in ``_BLOCKS``, with
 one ball per dual: R sums each radius alpha_j times the pointwise coupling
 norms of the dual's part of K_reg x, and the dual's prox projects onto the
 alpha_j-ball of the dual norm.  Inside the loop all iterates are plain
-float64 arrays.
+float64 arrays, advanced in place.
+
+Optimality residuals of one step x, y -> x+, y+ in this order:
+
+* dual: D = S^-1 (y - y+), an element of dF*(y+) - K x+; it costs no
+  product with K.
+* primal: P = T^-1 (x - x+) - g + K^T y+, an element of dG(x+) + K^T y+;
+  it costs one K^T, at y+, on the iterations that check it.
 
 ``ForwardOp.norm`` is computed once per operator, so solves of problems that
 share their operators and differ only in data and weights power-iterate each
@@ -21,7 +38,7 @@ operator once between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -37,7 +54,7 @@ from .diffops import (
 )
 from .discrepancy import eval_kl, eval_l2sq, prox_kl_dual, prox_l2_dual
 from .grids import MultiImage, SymTensorField, VectorField, pointwise_norms_array
-from .problem import ProblemSpec, Quadratic, TGV2, WaveletL21
+from .problem import ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
 
 # Unused here, but bench/tracing.py rebinds these names on this module.
 from .diffops import div, grad, op_norm_estimate, sym_div, sym_grad  # noqa: F401
@@ -52,19 +69,23 @@ class SolverError(RuntimeError):
 class SolverState:
     """All primal/dual iterates as float64 arrays, plus the stepsizes.
 
-    ``v``, ``vbar``, ``p``, ``q`` (TGV) and ``s`` (wavelets) are ``None``
-    unless the regularizer uses them; shapes as in ``_iterate_shapes``.
-    ``sigma`` has one step per dual block and ``tau`` one per primal block,
-    in the order of :func:`block_names`.
+    ``gu`` and ``gv`` are the u and v parts of K^T ybar, K's adjoint at the
+    last step's extrapolated duals ybar = 2 y+ - y (K^T y at the start); the
+    next primal step descends along them.  ``v``, ``gv``, ``p``, ``q`` (TGV)
+    and ``s`` (wavelets) are ``None`` unless the regularizer uses them;
+    shapes as in ``_iterate_shapes``.  ``sigma`` has one step per dual block
+    and ``tau`` one per primal block, in the order of :func:`block_names`.
+    :func:`pd_step` overwrites ``gu`` and ``gv`` with the new primal
+    iterates, so they must not share memory with any other array.
     """
 
     u: np.ndarray
-    ubar: np.ndarray
+    gu: np.ndarray
     r: list[np.ndarray]
     sigma: tuple[float, ...]
     tau: tuple[float, ...]
     v: np.ndarray | None = None
-    vbar: np.ndarray | None = None
+    gv: np.ndarray | None = None
     p: np.ndarray | None = None
     q: np.ndarray | None = None
     s: np.ndarray | None = None  # wavelet-mode dual coefficients
@@ -209,14 +230,13 @@ def _balls(reg, h, arrays):
         yield x.reshape(x.shape[: d + 1] + (-1,)), radius, coupling, _KINDS[name].weights(d)
 
 
-def _reg_value(reg, h, u: np.ndarray, *primal: np.ndarray) -> float:
-    """R(u, *primal): each dual's radius times the summed coupling norms of
-    its part of K_reg (u, *primal), plus the block's ``value``."""
-    block = _block(reg)
+def _reg_value(reg, h, ks, u: np.ndarray, *primal: np.ndarray) -> float:
+    """R(u, *primal) from ks = K_reg (u, *primal): each dual's radius times
+    the summed coupling norms of its part of ks, plus the block's ``value``."""
     total = 0.0
-    for k, radius, coupling, weights in _balls(reg, h, block.apply(reg, h, u, *primal)):
+    for k, radius, coupling, weights in _balls(reg, h, ks):
         total += radius * float(pointwise_norms_array(k, coupling, weights).sum())
-    return total + block.value(reg, h, u, *primal)
+    return total + _block(reg).value(reg, h, u, *primal)
 
 
 def block_names(problem: ProblemSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -232,8 +252,8 @@ def block_names(problem: ProblemSpec) -> tuple[tuple[str, ...], tuple[str, ...]]
     return dual, tuple(f"u{i}" for i in numbers) + block.primal
 
 
-def _iterates(state: SolverState, names, suffix: str = "") -> list[np.ndarray]:
-    return [getattr(state, name + suffix) for name in names]
+def _iterates(state: SolverState, names) -> list[np.ndarray]:
+    return [getattr(state, name) for name in names]
 
 
 def _iterate_shapes(problem: ProblemSpec) -> dict[str, tuple[int, ...]]:
@@ -241,17 +261,16 @@ def _iterate_shapes(problem: ProblemSpec) -> dict[str, tuple[int, ...]]:
     grid = problem.grid
     block = _block(problem.regularizer)
     base = grid.dims + (problem.n_channels,)
-    shapes = {"u": base, "ubar": base}
+    shapes = {"u": base, "gu": base}
     for name in block.primal:
-        shapes[name] = shapes[name + "bar"] = base + _KINDS[name].tail(grid.ndim)
+        shapes[name] = shapes["g" + name] = base + _KINDS[name].tail(grid.ndim)
     for name in block.dual:
         shapes[name] = base + _KINDS[name].tail(grid.ndim)
     return shapes
 
 
-def _data_term(problem: ProblemSpec, u: np.ndarray, i: int) -> float:
-    c = problem.channels[i]
-    pred = c.op.apply(u[..., i])
+def _data_term(c: ChannelSpec, pred: np.ndarray) -> float:
+    """D_i(pred, f_i) without the lambda weight, from pred = T_i u_i."""
     if c.kind == "l2":
         return eval_l2sq(pred, c.data)
     return eval_kl(pred + c.background, c.data)
@@ -259,23 +278,21 @@ def _data_term(problem: ProblemSpec, u: np.ndarray, i: int) -> float:
 
 def channel_data_term(problem: ProblemSpec, u: MultiImage, i: int) -> float:
     """D_i(T_i u_i, f_i) without the lambda weight."""
-    return _data_term(problem, u.values, i)
+    c = problem.channels[i]
+    return _data_term(c, c.op.apply(u.values[..., i]))
 
 
 def regularizer_value(problem: ProblemSpec, u: MultiImage, v: VectorField | None) -> float:
-    reg = problem.regularizer
+    reg, h = problem.regularizer, problem.grid.spacing
     block = _block(reg)
     if block.primal and v is None:
         raise ValueError(f"{type(reg).__name__} energy needs the balancing field v")
-    primal = (v.values,) if block.primal else ()
-    return _reg_value(reg, problem.grid.spacing, u.values, *primal)
+    x = (u.values, v.values) if block.primal else (u.values,)
+    return _reg_value(reg, h, block.apply(reg, h, *x), *x)
 
 
-def _energy(problem: ProblemSpec, u: np.ndarray, reg: float, data_terms: list[float]) -> float:
-    """Objective from its parts: reg, then + lam_i * D_i; +inf when infeasible."""
-    for i in problem.kl_channels:
-        if np.any(u[..., i] < 0):
-            return np.inf
+def _energy(problem: ProblemSpec, reg: float, data_terms: list[float]) -> float:
+    """Objective from its parts: reg, then + lam_i * D_i; +inf once not finite."""
     total = reg
     for c, d in zip(problem.channels, data_terms):
         total += c.lam * d
@@ -286,8 +303,10 @@ def _energy(problem: ProblemSpec, u: np.ndarray, reg: float, data_terms: list[fl
 
 def primal_energy(problem: ProblemSpec, u: MultiImage, v: VectorField | None = None) -> float:
     """Full objective; +inf when a KL channel is infeasible."""
+    if any(np.any(u.values[..., i] < 0) for i in problem.kl_channels):
+        return np.inf
     data_terms = [channel_data_term(problem, u, i) for i in range(problem.n_channels)]
-    return _energy(problem, u.values, regularizer_value(problem, u, v), data_terms)
+    return _energy(problem, regularizer_value(problem, u, v), data_terms)
 
 
 def _data_adjoint(problem: ProblemSpec, r: list[np.ndarray]) -> np.ndarray:
@@ -362,7 +381,8 @@ def _clamp_kl(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
 
 def _init_state(problem: ProblemSpec, cfg: SolveConfig, norms: np.ndarray) -> SolverState:
     """Zero iterates, or with ``warm_start`` u_i = T_i^* f_i / ||T_i||, and the
-    steps of the block norms ``norms``.
+    steps of the block norms ``norms``.  The duals start at zero, so K^T y,
+    the state's ``gu`` and ``gv``, is zero too.
 
     Raises SolverError when a block's row or column of K is zero, which would
     leave its step unbounded.
@@ -376,7 +396,7 @@ def _init_state(problem: ProblemSpec, cfg: SolveConfig, norms: np.ndarray) -> So
     iterates = {name: np.zeros(shape) for name, shape in _iterate_shapes(problem).items()}
     if cfg.warm_start:
         columns = [c.op.adjoint(c.data) / norms[i, -1, 0] for i, c in enumerate(problem.channels)]
-        iterates["u"] = iterates["ubar"] = _clamp_kl(problem, np.stack(columns, axis=-1))
+        iterates["u"] = _clamp_kl(problem, np.stack(columns, axis=-1))
     r = [np.zeros(c.op.codomain_dim) for c in problem.channels]
     return SolverState(r=r, sigma=sigma, tau=tau, **iterates)
 
@@ -384,55 +404,84 @@ def _init_state(problem: ProblemSpec, cfg: SolveConfig, norms: np.ndarray) -> So
 def _require_finite(iteration: int, **arrays: np.ndarray) -> None:
     for name, values in arrays.items():
         if not np.all(np.isfinite(values)):
-            raise SolverError(f"non-finite primal iterate {name} at iteration {iteration}")
+            raise SolverError(f"non-finite iterate {name} at iteration {iteration}")
 
 
-def pd_step(problem: ProblemSpec, state: SolverState) -> SolverState:
-    """One full primal-dual iteration with the state's per-block steps;
-    raises SolverError on non-finite state."""
+def pd_step(problem: ProblemSpec, state: SolverState, diag: Diagnostics | None = None) -> None:
+    """Advance ``state`` in place by one primal-dual iteration with its per-block steps.
+
+    x+ = prox_G(x - T g) is written over g; then z = K x+ is formed once,
+    and each dual's buffer holds z, then y + S z, then 2 y+ - y, whose K^T
+    is the new g.  With ``diag``, a row for the new iterate is appended to
+    it from the same z: each data term from T_i u+_i, R from K_reg x+, so
+    the row applies no operator.  Raises SolverError on a non-finite primal
+    iterate or g; the state is then partly advanced and is not to be reused.
+    """
     reg, h = problem.regularizer, problem.grid.spacing
     block = _block(reg)
     n_reg, n = len(block.dual), problem.n_channels
     sigma, tau = state.sigma, state.tau
+    state.iteration += 1
 
-    r_new = []
-    for i, (c, sigma_r) in enumerate(zip(problem.channels, sigma[n_reg:])):
-        pred = c.op.apply(state.ubar[..., i])
-        if c.kind == "l2":
-            r_new.append(prox_l2_dual(state.r[i] + sigma_r * (pred - c.data), sigma_r, c.lam))
-        else:
-            r_new.append(
-                prox_kl_dual(state.r[i] + sigma_r * (pred + c.background), c.data, sigma_r, c.lam)
-            )
-    tstar = _data_adjoint(problem, r_new)
-
-    iteration = state.iteration + 1
-    # k_bar and dual_hat are as large as the duals: dropped once used, for peak heap
-    k_bar = block.apply(reg, h, state.ubar, *_iterates(state, block.primal, "bar"))
-    dual_hat = [y + s * k for y, k, s in zip(_iterates(state, block.dual), k_bar, sigma)]
-    del k_bar
-    duals = {  # the dual prox: each dual projected onto its ball
-        name: cpl.project_dual_ball_array(*ball).reshape(y.shape)
-        for name, y, ball in zip(block.dual, dual_hat, _balls(reg, h, dual_hat))
-    }
-    del dual_hat
-    u_part, *x_parts = block.adjoint(reg, h, *duals.values())
-    primal = {}
-    for name, x, g, t in zip(block.primal, _iterates(state, block.primal), x_parts, tau[n:]):
-        x_new = x - t * g
-        primal[name], primal[name + "bar"] = x_new, 2.0 * x_new - x
-    _require_finite(iteration, **primal)
-
-    if u_part is not None:
-        tstar += u_part
-    # each channel's step in place: no full-size array of steps
-    u_new = state.u - _per_channel(np.multiply, tstar, tau[:n])
+    # the primal step over g: each channel's step in place, and the old u
+    # stays intact for the caller's stop rule
+    u = np.subtract(state.u, _per_channel(np.multiply, state.gu, tau[:n]), out=state.gu)
     if block.prox is not None:
-        u_new = block.prox(reg, u_new, tau[:n])
-    _clamp_kl(problem, u_new)
-    ubar_new = 2.0 * u_new - state.u
-    _require_finite(iteration, u=u_new, ubar=ubar_new)
-    return replace(state, u=u_new, ubar=ubar_new, r=r_new, iteration=iteration, **duals, **primal)
+        block.prox(reg, u, tau[:n])
+    state.u, state.gu = _clamp_kl(problem, u), None
+    for name, t in zip(block.primal, tau[n:]):
+        g = getattr(state, "g" + name)
+        setattr(state, name, np.subtract(getattr(state, name), np.multiply(g, t, out=g), out=g))
+        setattr(state, "g" + name, None)
+    primal = _iterates(state, block.primal)
+    _require_finite(state.iteration, u=u, **dict(zip(block.primal, primal)))
+
+    # the regularizer's duals: each projected onto its ball
+    ks = list(block.apply(reg, h, u, *primal))
+    if diag is not None:
+        reg_value = _reg_value(reg, h, ks, u, *primal)
+    for k, y, s in zip(ks, _iterates(state, block.dual), sigma):
+        k *= s
+        k += y
+    for name, k, ball in zip(block.dual, ks, _balls(reg, h, ks)):
+        y = getattr(state, name)
+        setattr(state, name, cpl.project_dual_ball_array(*ball).reshape(y.shape))
+        np.subtract(np.multiply(getattr(state, name), 2.0, out=k), y, out=k)
+    u_part, *x_parts = block.adjoint(reg, h, *ks)
+    del ks
+    for name, g in zip(block.primal, x_parts):
+        setattr(state, "g" + name, g)
+
+    # the channels' duals: each discrepancy's conjugate prox
+    data_terms, rbar = [], []
+    for i, (c, s) in enumerate(zip(problem.channels, sigma[n_reg:])):
+        z = c.op.apply(u[..., i])  # a new array (ForwardOp.apply), so the step may overwrite it
+        if diag is not None:
+            data_terms.append(_data_term(c, z))
+        if c.kind == "l2":
+            z -= c.data
+        else:
+            z += c.background
+        z *= s
+        z += state.r[i]
+        if c.kind == "l2":
+            r_new = prox_l2_dual(z, s, c.lam)
+        else:
+            r_new = prox_kl_dual(z, c.data, s, c.lam)
+        rbar.append(np.subtract(np.multiply(r_new, 2.0, out=z), state.r[i], out=z))
+        state.r[i] = r_new
+    state.gu = _data_adjoint(problem, rbar)
+    del rbar
+    if u_part is not None:
+        state.gu += u_part
+    gs = {"g" + name: g for name, g in zip(block.primal, x_parts)}
+    _require_finite(state.iteration, gu=state.gu, **gs)
+
+    if diag is not None:
+        diag.iterations.append(state.iteration)
+        diag.energy.append(_energy(problem, reg_value, data_terms))
+        diag.data_terms.append(data_terms)
+        diag.reg_value.append(reg_value)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -446,9 +495,8 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
     (:func:`check_affine_injectivity`).
     """
     cfg = cfg or SolveConfig()
-    reg, grid = problem.regularizer, problem.grid
-    block = _block(reg)
-    if block.affine_injective:
+    grid = problem.grid
+    if _block(problem.regularizer).affine_injective:
         check_affine_injectivity(problem)
     state = _init_state(problem, cfg, estimate_saddle_norm(problem))
     diag = Diagnostics()
@@ -456,17 +504,11 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
     converged = False
     tiny = 1e-30
     for _ in range(cfg.max_iters):
-        # only u of the old iterates outlives the step, for peak heap
+        # pd_step writes u+ to a new array: the old u stays for the stop rule
         previous_u = state.u
-        state = pd_step(problem, state)
+        record = (state.iteration + 1) % cfg.diag_every == 0
+        pd_step(problem, state, diag if record else None)
         rel = _norm(state.u - previous_u) / max(_norm(previous_u), tiny)
-        if state.iteration % cfg.diag_every == 0:
-            data_terms = [_data_term(problem, state.u, i) for i in range(problem.n_channels)]
-            reg_value = _reg_value(reg, grid.spacing, state.u, *_iterates(state, block.primal))
-            diag.iterations.append(state.iteration)
-            diag.energy.append(_energy(problem, state.u, reg_value, data_terms))
-            diag.data_terms.append(data_terms)
-            diag.reg_value.append(reg_value)
         diag.rel_change.append(rel)
         if rel < cfg.tol:
             quiet_streak += 1

@@ -7,6 +7,7 @@ import scipy.ndimage as ndi
 
 from coupledrec.diffops import adjoint_check
 from coupledrec.forward import (
+    ForwardOp,
     _separable_factors,
     convolution_op,
     default_n_bins,
@@ -234,3 +235,18 @@ def test_default_n_bins_is_odd_and_covers():
     g = Grid((32, 32))
     assert default_n_bins(g) % 2 == 1
     assert default_n_bins(g) >= int(np.hypot(32, 32))
+
+
+def test_apply_and_adjoint_never_return_a_view_of_their_argument():
+    # an op whose callables return views: the step overwrites T(u) in place,
+    # which must not reach u
+    g = Grid((3, 4))
+    op = ForwardOp(
+        kind="identity", grid=g, codomain_dim=12,
+        _apply=lambda u: u.reshape(-1), _adjoint=lambda y: y.reshape(g.dims),
+    )
+    u, y = np.ones(g.dims), np.ones(12)
+    op.apply(u)[:] = 5.0
+    op.adjoint(y)[:] = 5.0
+    np.testing.assert_array_equal(u, np.ones(g.dims))
+    np.testing.assert_array_equal(y, np.ones(12))

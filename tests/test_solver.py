@@ -6,6 +6,7 @@ import pytest
 
 import coupledrec.coupling as cpl
 import coupledrec.diffops as diffops
+import coupledrec.solver as solver_module
 from coupledrec.cli import _gaussian_kernel, random_fourier_mask
 from coupledrec.diffops import LinearOp, adjoint_check, op_norm_estimate
 from coupledrec.discrepancy import prox_kl_dual, prox_l2_dual
@@ -28,6 +29,7 @@ from coupledrec.grids import (
 from coupledrec.problem import ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
 from coupledrec.solver import (
     _KINDS,
+    Diagnostics,
     SolveConfig,
     SolverError,
     SolverState,
@@ -41,6 +43,7 @@ from coupledrec.solver import (
     _require_finite,
     block_names,
     block_steps,
+    channel_data_term,
     check_affine_injectivity,
     estimate_saddle_norm,
     pd_step,
@@ -108,17 +111,22 @@ def test_quadratic_identity_general_lambda(lam):
 
 def test_pd_step_fixed_point_quadratic():
     # optimality system of min (w/2)||u||^2 + lam||u - f||^2 built in closed
-    # form: u* = 2 lam f/(2 lam + w), r* = 2 lam (u* - f)
+    # form: u* = 2 lam f/(2 lam + w), r* = 2 lam (u* - f); at a fixed point
+    # the extrapolated dual is r*, so g = T^* r* = r*
     g = Grid((8, 8))
     lam, w = 1.5, 1.0
     f = _smooth(g, 3)[..., 0]
     spec = _quad_problem(g, f, lam=lam, weight=w)
     u_star = (2.0 * lam / (2.0 * lam + w)) * f
     r_star = 2.0 * lam * (u_star - f)
-    u = u_star[..., None]
-    state = SolverState(u=u, ubar=u, r=[r_star.reshape(-1)], sigma=(0.3,), tau=(0.3,))
-    new = pd_step(spec, state)
-    assert np.abs(new.u - u).max() < 1e-10
+    state = SolverState(
+        u=u_star[..., None].copy(), gu=r_star[..., None].copy(), r=[r_star.reshape(-1)],
+        sigma=(0.3,), tau=(0.3,),
+    )
+    pd_step(spec, state)
+    assert np.abs(state.u[..., 0] - u_star).max() < 1e-10
+    assert np.abs(state.r[0] - r_star.reshape(-1)).max() < 1e-10
+    assert np.abs(state.gu[..., 0] - r_star).max() < 1e-10
 
 
 def test_only_kl_channels_are_clamped_at_zero():
@@ -142,18 +150,20 @@ def test_only_kl_channels_are_clamped_at_zero():
 
     u0 = np.full(g.dims + (2,), -1.0)
     steps = {"sigma": (0.1, 0.1), "tau": (0.1, 0.1)}
-    new = pd_step(spec, SolverState(u=u0, ubar=u0, r=[np.zeros(16)] * 2, **steps))
-    assert np.all(new.u[..., 0] < 0.0)
-    np.testing.assert_array_equal(new.u[..., 1], np.zeros(g.dims))
+    state = SolverState(u=u0, gu=np.zeros(u0.shape), r=[np.zeros(16)] * 2, **steps)
+    pd_step(spec, state)
+    assert np.all(state.u[..., 0] < 0.0)
+    np.testing.assert_array_equal(state.u[..., 1], np.zeros(g.dims))
 
 
 def test_pd_step_extrapolation_identity():
+    # T = I: the new g is T^* of the extrapolated dual 2 r+ - r itself
     g = Grid((8, 8))
     spec = _quad_problem(g, _smooth(g, 4)[..., 0])
-    u0 = _smooth(g, 5)
-    state = SolverState(u=u0, ubar=u0, r=[np.zeros(64)], sigma=(0.4,), tau=(0.4,))
-    new = pd_step(spec, state)
-    np.testing.assert_array_equal(new.ubar, 2.0 * new.u - u0)
+    r0 = _smooth(g, 6).reshape(-1)
+    state = SolverState(u=_smooth(g, 5), gu=_smooth(g, 7), r=[r0.copy()], sigma=(0.4,), tau=(0.4,))
+    pd_step(spec, state)
+    np.testing.assert_array_equal(state.gu[..., 0], (2.0 * state.r[0] - r0).reshape(g.dims))
 
 
 def test_energy_settles_on_random_problem():
@@ -320,7 +330,8 @@ def test_non_finite_iterate_raises_solver_error():
 
 
 def test_overflow_inside_tgv_block_raises_solver_error():
-    # ubar is finite, but its forward differences overflow to +-inf in grad
+    # u+ = u is finite, but its forward differences overflow to +-inf in grad,
+    # and the non-finite duals reach g+
     g = Grid((12, 12))
     rng = np.random.default_rng(11)
     spec = ProblemSpec(
@@ -330,7 +341,8 @@ def test_overflow_inside_tgv_block_raises_solver_error():
     )
     state = solve(spec, SolveConfig(max_iters=5, tol=0.0)).state
     rows = np.where(np.arange(12) % 2 == 0, 1.5e308, -1.5e308)
-    state.ubar = np.broadcast_to(rows[:, None, None], (12, 12, 1)).copy()
+    state.u = np.broadcast_to(rows[:, None, None], (12, 12, 1)).copy()
+    state.gu = np.zeros(state.u.shape)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError, match="non-finite"):
         pd_step(spec, state)
 
@@ -575,36 +587,47 @@ def test_pd_step_gives_each_block_its_own_step(reg):
     rng = np.random.default_rng(18)
     iterates = {name: rng.random(shape) for name, shape in _iterate_shapes(spec).items()}
     r = [rng.random(c.op.codomain_dim) for c in spec.channels]
+    old = {name: x.copy() for name, x in iterates.items()} | {"r": [x.copy() for x in r]}
     state = SolverState(r=r, sigma=sigma, tau=tau, **iterates)
-    new = pd_step(spec, state)
+    pd_step(spec, state)
 
     n_reg, n = len(block.dual), spec.n_channels
-    for i, (c, s) in enumerate(zip(spec.channels, sigma[n_reg:])):
-        pred = c.op.apply(state.ubar[..., i])
-        if c.kind == "l2":
-            expected = prox_l2_dual(state.r[i] + s * (pred - c.data), s, c.lam)
-        else:
-            expected = prox_kl_dual(state.r[i] + s * (pred + c.background), c.data, s, c.lam)
-        np.testing.assert_allclose(new.r[i], expected, rtol=1e-14, atol=0)
-    k_bar = block.apply(reg, h, state.ubar, *_iterates(state, block.primal, "bar"))
-    hats = [y + s * k for y, k, s in zip(_iterates(state, block.dual), k_bar, sigma)]
+    for name, t in zip(block.primal, tau[n:]):
+        expected = old[name] - t * old["g" + name]
+        np.testing.assert_allclose(getattr(state, name), expected, rtol=1e-14)
+    for i, (c, t) in enumerate(zip(spec.channels, tau[:n])):
+        expected = old["u"][..., i] - t * old["gu"][..., i]
+        if isinstance(reg, Quadratic):
+            expected = expected / (1.0 + t * reg.weight)
+        if c.kind == "kl":
+            expected = np.maximum(expected, 0.0)
+        np.testing.assert_allclose(state.u[..., i], expected, rtol=1e-14, atol=1e-15)
+
+    primal = _iterates(state, block.primal)
+    ks = block.apply(reg, h, state.u, *primal)
+    hats = [y + s * k for y, k, s in zip([old[name] for name in block.dual], ks, sigma)]
     duals = [
         cpl.project_dual_ball_array(*ball).reshape(y.shape)
         for y, ball in zip(hats, _balls(reg, h, hats))
     ]
     for name, expected in zip(block.dual, duals):
-        np.testing.assert_allclose(getattr(new, name), expected, rtol=1e-14, atol=0)
-    u_part, *x_parts = block.adjoint(reg, h, *duals)
-    for name, g, t in zip(block.primal, x_parts, tau[n:]):
-        np.testing.assert_allclose(getattr(new, name), getattr(state, name) - t * g, rtol=1e-14)
-    for i, (c, t) in enumerate(zip(spec.channels, tau[:n])):
-        grad = c.op.adjoint(new.r[i]) + (0.0 if u_part is None else u_part[..., i])
-        expected = state.u[..., i] - t * grad
-        if isinstance(reg, Quadratic):
-            expected = expected / (1.0 + t * reg.weight)
-        if c.kind == "kl":
-            expected = np.maximum(expected, 0.0)
-        np.testing.assert_allclose(new.u[..., i], expected, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(getattr(state, name), expected, rtol=1e-14, atol=0)
+    rbar = []
+    for i, (c, s) in enumerate(zip(spec.channels, sigma[n_reg:])):
+        pred = c.op.apply(state.u[..., i])
+        if c.kind == "l2":
+            expected = prox_l2_dual(old["r"][i] + s * (pred - c.data), s, c.lam)
+        else:
+            expected = prox_kl_dual(old["r"][i] + s * (pred + c.background), c.data, s, c.lam)
+        np.testing.assert_allclose(state.r[i], expected, rtol=1e-14, atol=0)
+        rbar.append(2.0 * state.r[i] - old["r"][i])
+    u_part, *x_parts = block.adjoint(
+        reg, h, *[2.0 * y - y0 for y, y0 in zip(duals, [old[name] for name in block.dual])]
+    )
+    gu = _data_adjoint(spec, rbar) + (0.0 if u_part is None else u_part)
+    np.testing.assert_allclose(state.gu, gu, rtol=1e-14, atol=1e-15)
+    for name, g in zip(block.primal, x_parts):
+        np.testing.assert_allclose(getattr(state, "g" + name), g, rtol=1e-14, atol=1e-15)
 
 
 def _reference_norm_estimate(op, iters, seed):
@@ -679,50 +702,47 @@ def test_norm_estimate_settles_on_the_top_singular_value_of_tgv_radon():
 
 
 def _scalar_step_pd_step(problem, state):
-    """``pd_step`` as it was with one sigma and one tau for all of K, verbatim
-    but for the Quadratic prox, which took a scalar tau, and the dual
-    projection, which follows today's one ball per dual."""
+    """``pd_step`` with one sigma and one tau for all of K, written out of
+    place: x+ = prox_G(x - tau g), y+ = prox_F*(y + sigma K x+),
+    g+ = K^T (2 y+ - y)."""
     reg, h = problem.regularizer, problem.grid.spacing
     block = _block(reg)
     sigma, tau = state.sigma, state.tau
 
+    u = state.u - tau * state.gu
+    if block.prox is not None:
+        u = u / (1.0 + tau * reg.weight)
+    _clamp_kl(problem, u)
+    primal = {
+        name: getattr(state, name) - tau * getattr(state, "g" + name) for name in block.primal
+    }
+    _require_finite(state.iteration + 1, u=u, **primal)
+
+    ks = block.apply(reg, h, u, *primal.values())
+    hats = [y + sigma * k for y, k in zip(_iterates(state, block.dual), ks)]
+    duals = {
+        name: cpl.project_dual_ball_array(*ball).reshape(y.shape)
+        for name, y, ball in zip(block.dual, hats, _balls(reg, h, hats))
+    }
     r_new = []
     for i, c in enumerate(problem.channels):
-        pred = c.op.apply(state.ubar[..., i])
+        pred = c.op.apply(u[..., i])
         if c.kind == "l2":
             r_new.append(prox_l2_dual(state.r[i] + sigma * (pred - c.data), sigma, c.lam))
         else:
             r_new.append(
                 prox_kl_dual(state.r[i] + sigma * (pred + c.background), c.data, sigma, c.lam)
             )
-    tstar = _data_adjoint(problem, r_new)
-
-    iteration = state.iteration + 1
-    # k_bar and dual_hat are as large as the duals: dropped once used, for peak heap
-    k_bar = block.apply(reg, h, state.ubar, *_iterates(state, block.primal, "bar"))
-    dual_hat = [y + sigma * k for y, k in zip(_iterates(state, block.dual), k_bar)]
-    del k_bar
-    duals = {
-        name: cpl.project_dual_ball_array(*ball).reshape(y.shape)
-        for name, y, ball in zip(block.dual, dual_hat, _balls(reg, h, dual_hat))
-    }
-    del dual_hat
-    u_part, *x_parts = block.adjoint(reg, h, *duals.values())
-    primal = {}
-    for name, x, g in zip(block.primal, _iterates(state, block.primal), x_parts):
-        x_new = x - tau * g
-        primal[name], primal[name + "bar"] = x_new, 2.0 * x_new - x
-    _require_finite(iteration, **primal)
-
+    bars = [2.0 * y - y0 for y, y0 in zip(duals.values(), _iterates(state, block.dual))]
+    u_part, *x_parts = block.adjoint(reg, h, *bars)
+    gu = _data_adjoint(problem, [2.0 * r - r0 for r, r0 in zip(r_new, state.r)])
     if u_part is not None:
-        tstar += u_part
-    u_new = state.u - tau * tstar
-    if block.prox is not None:
-        u_new = u_new / (1.0 + tau * reg.weight)
-    _clamp_kl(problem, u_new)
-    ubar_new = 2.0 * u_new - state.u
-    _require_finite(iteration, u=u_new, ubar=ubar_new)
-    return replace(state, u=u_new, ubar=ubar_new, r=r_new, iteration=iteration, **duals, **primal)
+        gu += u_part
+    gs = {"g" + name: g for name, g in zip(block.primal, x_parts)}
+    _require_finite(state.iteration + 1, gu=gu, **gs)
+    return replace(
+        state, u=u, gu=gu, r=r_new, iteration=state.iteration + 1, **duals, **primal, **gs
+    )
 
 
 def _assert_states_equal(a, b):
@@ -740,9 +760,11 @@ def test_uniform_steps_match_the_scalar_step_iteration():
     state = _init_state(spec, SolveConfig(), norms)
     step = 0.99 / 1.01
     assert (state.sigma, state.tau) == ((step, step), (step, step))
-    scalar = replace(state, sigma=step, tau=step)
+    # pd_step advances its state in place: the reference gets its own arrays
+    scalar = replace(state, sigma=step, tau=step, gu=state.gu.copy(), r=list(state.r))
     for _ in range(150):
-        state, scalar = pd_step(spec, state), _scalar_step_pd_step(spec, scalar)
+        pd_step(spec, state)
+        scalar = _scalar_step_pd_step(spec, scalar)
     _assert_states_equal(state, scalar)
     assert state.iteration == 150
 
@@ -771,7 +793,7 @@ def test_warm_start_divides_each_channel_by_its_own_norm():
 
 
 def _state_arrays(state):
-    names = ("u", "ubar", "v", "vbar", "p", "q", "s")
+    names = ("u", "gu", "v", "gv", "p", "q", "s")
     return {n: getattr(state, n) for n in names} | {f"r{i}": r for i, r in enumerate(state.r)}
 
 
@@ -829,3 +851,87 @@ def test_solve_rejects_a_zero_saddle_operator():
     for warm_start in (False, True):  # before the warm start divides by the norm
         with pytest.raises(SolverError, match="zero norm"):
             solve(spec, SolveConfig(max_iters=2, warm_start=warm_start))
+
+
+# --- one product with K per iteration ------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["tgv_nuclear", "tgv_frobenius", "wavelet", "quadratic"])
+def test_every_row_measures_the_iterate_it_names(mode):
+    # Fourier/L2 and identity/KL channels: the KL row at the zero start is +inf
+    spec = _mixed_problem(mode, "fourier_identity")
+    grid, iters = spec.grid, 20
+    state = _init_state(spec, SolveConfig(), estimate_saddle_norm(spec))
+    diag = Diagnostics()
+    for k in range(1, iters + 1):
+        pd_step(spec, state, diag)
+        assert diag.iterations[-1] == state.iteration == k
+        u = MultiImage(grid, state.u)
+        v = None if state.v is None else VectorField(grid, state.v)
+        assert diag.energy[-1] == pytest.approx(primal_energy(spec, u, v), rel=1e-12)
+        assert diag.reg_value[-1] == pytest.approx(regularizer_value(spec, u, v), rel=1e-12)
+        data_terms = [channel_data_term(spec, u, i) for i in range(spec.n_channels)]
+        assert diag.data_terms[-1] == pytest.approx(data_terms, rel=1e-12)
+    assert np.isfinite(diag.energy[1:]).all()
+
+    # solve records these same rows, and recording a row never perturbs the iteration
+    results = [
+        solve(spec, SolveConfig(max_iters=iters, tol=0.0, diag_every=every))
+        for every in (1, 7, iters)
+    ]
+    assert results[0].diagnostics.energy == diag.energy
+    assert [r.diagnostics.iterations for r in results] == [list(range(1, 21)), [7, 14], [20]]
+    for result in results:
+        _assert_states_equal(result.state, state)
+
+
+def _counting(op):
+    """``op`` as a new ForwardOp that counts its applies and adjoints."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+
+        return call
+
+    wrapped = ForwardOp(
+        kind=op.kind, grid=op.grid, codomain_dim=op.codomain_dim,
+        _apply=counted("apply", op._apply), _adjoint=counted("adjoint", op._adjoint),
+    )
+    assert wrapped.norm > 0  # its power iteration runs once, outside the count
+    calls.clear()
+    return wrapped, calls
+
+
+@pytest.mark.parametrize(
+    "reg", [TGV2(2.0, 1.0, "nuclear"), WaveletL21(levels=2), Quadratic(1.0)], ids=str
+)
+def test_each_iteration_applies_k_once_and_its_adjoint_once(reg, monkeypatch):
+    g = Grid((8, 8))
+    rng = np.random.default_rng(20)
+    radon, calls = _counting(radon_op(g, np.arange(6) * np.pi / 6, default_n_bins(g)))
+    spec = ProblemSpec(
+        grid=g,
+        channels=(
+            ChannelSpec(op=identity_op(g), data=rng.random(g.sites), lam=1.0, kind="l2"),
+            ChannelSpec(op=radon, data=rng.random(radon.codomain_dim) + 0.1, lam=2.0, kind="kl"),
+        ),
+        regularizer=reg,
+    )
+    block = _block(reg)
+    k_reg = Counter()
+
+    def apply(*args):
+        k_reg["apply"] += 1
+        return block.apply(*args)
+
+    monkeypatch.setitem(solver_module._BLOCKS, type(reg), replace(block, apply=apply))
+    iters = 13
+    result = solve(spec, SolveConfig(max_iters=iters, tol=0.0, diag_every=1))
+    assert len(result.diagnostics.energy) == iters
+    # the affine check applies each T_i to the d + 1 affine basis images
+    check = g.ndim + 1 if block.affine_injective else 0
+    assert calls == {"apply": iters + check, "adjoint": iters}
+    assert k_reg == {"apply": iters}

@@ -29,6 +29,7 @@ from .forward import (
 from .grids import Grid
 from .problem import ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
 from .rates import (
+    PHANTOM_KINDS,
     RateChannel,
     RateExperiment,
     RateRule,
@@ -119,17 +120,20 @@ def _build_regularizer(cfg: RunConfig):
     raise ConfigError(f"regularizer.kind = {kind!r} is not known")
 
 
+# Keys that configured removed features, each with why it went.
+_REMOVED_KEYS = {
+    "solver.step_policy": "the steps are set per block of K from its block norms",
+    "solver.warm_start": "every solve starts from zero",
+}
+
+
 def _build_solver_config(cfg: RunConfig) -> SolveConfig:
-    if cfg.has("solver.step_policy"):
-        raise ConfigError(
-            "solver.step_policy was removed: the steps are set per block of K from its "
-            "block norms",
-            cfg.lines.get("solver.step_policy"),
-        )
+    for key, reason in _REMOVED_KEYS.items():
+        if cfg.has(key):
+            raise ConfigError(f"{key} was removed: {reason}", cfg.lines.get(key))
     return SolveConfig(
         max_iters=cfg.get_int("solver.max_iters", 2000),
         tol=cfg.get_float("solver.tol", 1e-10),
-        warm_start=cfg.get_bool("solver.warm_start", False),
         diag_every=cfg.get_int("solver.diag_every", 1),
     )
 
@@ -262,6 +266,8 @@ def cmd_adjoint_check(args) -> int:
         grid = _build_grid(cfg)
         n = cfg.get_int("channels")
         ops = {f"channel.{i}": _build_op(cfg, grid, i, seed).as_linear_op() for i in range(1, n + 1)}
+        ops["gradient"] = grad_linear_op(grid, n)
+        ops["sym_gradient"] = sym_grad_linear_op(grid, n)
     else:
         seed = args.seed if args.seed is not None else 0
         grid = Grid((16, 16))
@@ -371,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="write a synthetic test image")
-    p.add_argument("kind", choices=("affine_blocks", "shared_edges_disc", "smooth_bump"))
+    p.add_argument("kind", choices=PHANTOM_KINDS)
     p.add_argument("numbers", type=int, nargs="+", metavar="DIM... N")
     _add_common(p)
     p.set_defaults(func=cmd_phantom)

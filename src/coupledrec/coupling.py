@@ -5,6 +5,8 @@ The dual prox of the coupled l1 terms is a pointwise projection onto the
 dual-norm ball: plain rescaling for Frobenius coupling, a singular-value
 clip (spectral-ball projection) for nuclear coupling.  The group-l2 ball of
 wavelet coefficients is the Frobenius ball of one-component site blocks.
+One butterfly generates both directions of the Haar transform: the inverse
+only swaps its source and destination layouts, so it is the exact transpose.
 """
 
 from __future__ import annotations
@@ -98,46 +100,39 @@ def _check_levels(dims, levels: int) -> None:
 _SQRT2 = np.sqrt(2.0)
 
 
-def _haar1d_fwd(block: np.ndarray, axis: int) -> None:
-    """One Haar step along ``axis``, in place: lows to the first half, highs to the second."""
-    head = (slice(None),) * axis
-    even, odd = block[head + (slice(0, None, 2),)], block[head + (slice(1, None, 2),)]
-    lo, hi = (even + odd) / _SQRT2, (even - odd) / _SQRT2
-    n = lo.shape[axis]
-    block[head + (slice(0, n),)] = lo
-    block[head + (slice(n, None),)] = hi
-
-
-def _haar1d_inv(block: np.ndarray, axis: int) -> None:
-    """Inverse of :func:`_haar1d_fwd`, in place."""
+def _haar_step(block: np.ndarray, axis: int, inverse: bool) -> None:
+    """The butterfly ``(a + b) / sqrt(2), (a - b) / sqrt(2)`` along ``axis``, in
+    place: forward from the even/odd sites to the low/high halves, inverse back."""
     head = (slice(None),) * axis
     n = block.shape[axis] // 2
-    lo, hi = block[head + (slice(0, n),)], block[head + (slice(n, None),)]
-    even, odd = (lo + hi) / _SQRT2, (lo - hi) / _SQRT2
-    block[head + (slice(0, None, 2),)] = even
-    block[head + (slice(1, None, 2),)] = odd
+    interleaved = head + (slice(0, None, 2),), head + (slice(1, None, 2),)
+    halves = head + (slice(0, n),), head + (slice(n, None),)
+    src, dst = (halves, interleaved) if inverse else (interleaved, halves)
+    a, b = block[src[0]], block[src[1]]
+    block[dst[0]], block[dst[1]] = (a + b) / _SQRT2, (a - b) / _SQRT2
 
 
-def _haar_levels(values: np.ndarray, levels: int, transform, order) -> np.ndarray:
-    """Transform every grid axis of the level-k corner block, for k in ``order``."""
+def _haar_levels(values: np.ndarray, levels: int, inverse: bool) -> np.ndarray:
+    """Step every grid axis of the level-k corner block, coarsest level last
+    forward and first inverse."""
     dims = values.shape[:-1]
     _check_levels(dims, levels)
     vals = values.copy()
-    for k in order:
+    for k in reversed(range(levels)) if inverse else range(levels):
         block = vals[tuple(slice(0, n >> k) for n in dims)]
         for ax in range(len(dims)):
-            transform(block, ax)
+            _haar_step(block, ax, inverse)
     return vals
 
 
 def haar_forward_array(values: np.ndarray, levels: int) -> np.ndarray:
     """Orthonormal multi-level Haar transform of ``(*dims, N)`` values, channel-wise."""
-    return _haar_levels(values, levels, _haar1d_fwd, range(levels))
+    return _haar_levels(values, levels, inverse=False)
 
 
 def haar_inverse_array(values: np.ndarray, levels: int) -> np.ndarray:
     """Inverse (= adjoint) of :func:`haar_forward_array`."""
-    return _haar_levels(values, levels, _haar1d_inv, reversed(range(levels)))
+    return _haar_levels(values, levels, inverse=True)
 
 
 def haar_forward(u: MultiImage, levels: int) -> MultiImage:

@@ -1,10 +1,14 @@
 """Discrete gradient / symmetrized gradient with exact negative adjoints.
 
-The gradient uses forward differences with a zero difference at the last
-index of each axis (Neumann); the symmetrized gradient uses backward
-differences on the staggered convention customary for second-order TGV.
-The divergences are derived as exact transposes, so the adjoint identities
-hold to roundoff, not discretization order.
+One difference stencil and its transpose generate all four maps.  Along an
+axis of n sites, :func:`_diff` writes ``(a[i+1] - a[i]) / h`` at row
+``i + lo`` for the first m = n - lo sites and zero on every other row:
+``lo = 0`` is the forward difference with a zero (Neumann) last row, which
+the gradient uses; ``lo = 1`` is the interior backward difference, zero on
+the first and last row, which the symmetrized gradient uses on the
+staggered convention customary for second-order TGV.  Each divergence is
+minus :func:`_diff_t`, the stencil's exact transpose, so the adjoint
+identities hold to roundoff on any axis length, 1 included.
 """
 
 from __future__ import annotations
@@ -23,125 +27,105 @@ def _sl(ndim: int, axis: int, s: slice) -> tuple:
     return tuple(out)
 
 
-def _forward_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Forward difference, zero at the last index of `axis`."""
-    out = np.zeros_like(arr)
-    nd = arr.ndim
-    out[_sl(nd, axis, slice(None, -1))] = np.diff(arr, axis=axis) / h
+def _diff(a: np.ndarray, axis: int, h: float, lo: int) -> np.ndarray:
+    """``(a[i+1] - a[i]) / h`` at row ``i + lo`` of ``axis`` for the first n - lo
+    sites, zero elsewhere.
+
+    With ``lo = 1`` both boundary rows stay zero.  That is what puts gradients
+    of affine images in the kernel of the symmetrized gradient: the ``lo = 0``
+    gradient of an affine image is constant except for its zero last row, and
+    the ``lo = 1`` stencil never reads that row.
+    """
+    nd, m = a.ndim, a.shape[axis] - lo
+    out = np.zeros_like(a)
+    if m > 1:
+        rows = out[_sl(nd, axis, slice(lo, lo + m - 1))]
+        np.subtract(a[_sl(nd, axis, slice(1, m))], a[_sl(nd, axis, slice(0, m - 1))], out=rows)
+        rows /= h
     return out
 
 
-def _forward_diff_negadj(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Negative adjoint of :func:`_forward_diff` (a backward difference)."""
-    out = np.empty_like(arr)
-    nd = arr.ndim
-    n = arr.shape[axis]
-    out[_sl(nd, axis, slice(0, 1))] = arr[_sl(nd, axis, slice(0, 1))]
-    if n > 1:
-        out[_sl(nd, axis, slice(1, -1))] = np.diff(
-            arr[_sl(nd, axis, slice(None, -1))], axis=axis
-        )
-        out[_sl(nd, axis, slice(-1, None))] = -arr[_sl(nd, axis, slice(-2, -1))]
-    return out / h
-
-
-def _backward_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Backward difference on interior rows; zero at the first and last index.
-
-    Dropping both boundary rows is what puts gradients of affine images in
-    the kernel of the symmetrized gradient: the forward-difference gradient
-    of an affine image is constant except for its padded zero at the last
-    index, and this stencil never compares against that padded entry.
-    """
-    out = np.zeros_like(arr)
-    nd = arr.ndim
-    if arr.shape[axis] > 2:
-        out[_sl(nd, axis, slice(1, -1))] = np.diff(
-            arr[_sl(nd, axis, slice(None, -1))], axis=axis
-        )
-    return out / h
-
-
-def _backward_diff_adj(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Exact transpose of :func:`_backward_diff`."""
-    nd = arr.ndim
-    a = arr.copy()
-    a[_sl(nd, axis, slice(0, 1))] = 0.0
-    a[_sl(nd, axis, slice(-1, None))] = 0.0
-    out = a.copy()
-    out[_sl(nd, axis, slice(None, -1))] -= a[_sl(nd, axis, slice(1, None))]
-    return out / h
+def _diff_t(y: np.ndarray, axis: int, h: float, lo: int) -> np.ndarray:
+    """Exact transpose of :func:`_diff`: the written rows, zero-padded at both
+    ends, differenced backwards."""
+    nd, n = y.ndim, y.shape[axis]
+    m = n - lo
+    pad = np.zeros(y.shape[:axis] + (n + 1,) + y.shape[axis + 1 :])
+    pad[_sl(nd, axis, slice(1, m))] = y[_sl(nd, axis, slice(lo, lo + m - 1))]
+    return (pad[_sl(nd, axis, slice(None, -1))] - pad[_sl(nd, axis, slice(1, None))]) / h
 
 
 def grad_array(values: np.ndarray, spacing) -> np.ndarray:
     """Forward-difference gradient of ``(*dims, N)`` values, shaped ``(*dims, N, d)``."""
-    d = len(spacing)
-    out = np.empty(values.shape + (d,))
-    for a in range(d):
-        out[..., a] = _forward_diff(values, axis=a, h=spacing[a])
+    out = np.empty(values.shape + (len(spacing),))
+    for a, h in enumerate(spacing):
+        out[..., a] = _diff(values, a, h, 0)
     return out
 
 
 def div_array(values: np.ndarray, spacing) -> np.ndarray:
     """Negative adjoint of :func:`grad_array`, from ``(*dims, N, d)`` to ``(*dims, N)``."""
     out = np.zeros(values.shape[:-1])
-    for a in range(len(spacing)):
-        out -= _forward_diff_negadj(values[..., a], axis=a, h=spacing[a])
-    # out currently holds +adjoint; div is its negation
-    return -out
+    for a, h in enumerate(spacing):
+        out -= _diff_t(values[..., a], a, h, 0)
+    return out
 
 
 def sym_grad_array(values: np.ndarray, spacing) -> np.ndarray:
-    """Symmetrized backward-difference Jacobian of ``(*dims, N, d)`` values."""
-    pairs = sym_index_pairs(len(spacing))
-    h = spacing
+    """Upper triangle of (J + J^T) / 2 for ``(*dims, N, d)`` values, where
+    ``J[a][b]`` is the interior backward difference of component a along b."""
+    d = len(spacing)
+    jac = [[_diff(values[..., a], b, spacing[b], 1) for b in range(d)] for a in range(d)]
+    pairs = sym_index_pairs(d)
     out = np.empty(values.shape[:-1] + (len(pairs),))
     for k, (a, b) in enumerate(pairs):
-        if a == b:
-            out[..., k] = _backward_diff(values[..., a], axis=a, h=h[a])
-        else:
-            out[..., k] = 0.5 * (
-                _backward_diff(values[..., a], axis=b, h=h[b])
-                + _backward_diff(values[..., b], axis=a, h=h[a])
-            )
+        out[..., k] = jac[a][a] if a == b else 0.5 * (jac[a][b] + jac[b][a])
     return out
 
 
 def sym_div_array(values: np.ndarray, spacing) -> np.ndarray:
-    """Negative adjoint of :func:`sym_grad_array` w.r.t. the weighted inner product."""
+    """Negative adjoint of :func:`sym_grad_array` w.r.t. the weighted inner
+    product: row a of the full symmetric matrix Q gives ``-sum_b J_b^T Q[a][b]``."""
     d = len(spacing)
-    h = spacing
-    key = {(min(a, b), max(a, b)): k for k, (a, b) in enumerate(sym_index_pairs(d))}
-    out = np.zeros(values.shape[:-1] + (d,))
+    full = [[None] * d for _ in range(d)]
+    for k, (a, b) in enumerate(sym_index_pairs(d)):
+        full[a][b] = full[b][a] = values[..., k]
+    out = np.empty(values.shape[:-1] + (d,))
     for a in range(d):
         acc = np.zeros(values.shape[:-1])
-        for b in range(d):
-            acc += _backward_diff_adj(values[..., key[(min(a, b), max(a, b))]], axis=b, h=h[b])
-        out[..., a] = -acc
+        for b, h in enumerate(spacing):
+            acc -= _diff_t(full[a][b], b, h, 1)
+        out[..., a] = acc
     return out
+
+
+def _diff_norm(dims, spacing, lo: int) -> float:
+    """sqrt of the sum over axes of ||_diff||^2.  Along an axis the stencil is
+    a path graph's incidence on m = n - lo sites, so ||_diff||^2 is that
+    path Laplacian's largest eigenvalue, 4 sin^2(pi (m-1) / (2m)) / h^2
+    (0 when m <= 1)."""
+    terms = [
+        4 * np.sin(np.pi * (n - lo - 1) / (2 * (n - lo))) ** 2 / h**2
+        for n, h in zip(dims, spacing)
+        if n - lo > 1
+    ]
+    return float(np.sqrt(sum(terms)))
 
 
 def grad_norm(dims, spacing) -> float:
     """||grad_array||, exact: grad^T grad is a sum over axes of Neumann path
-    Laplacians, the largest eigenvalue of which is 4 sin^2(pi (n-1) / (2n)) / h^2."""
-    terms = [4 * np.sin(np.pi * (n - 1) / (2 * n)) ** 2 / h**2 for n, h in zip(dims, spacing)]
-    return float(np.sqrt(sum(terms)))
+    Laplacians on n sites."""
+    return _diff_norm(dims, spacing, 0)
 
 
 def sym_grad_norm_bound(dims, spacing) -> float:
     """An upper bound of ||sym_grad_array|| in the weighted inner product.
 
     Along an axis of n sites the interior backward difference B is a path
-    graph's incidence on n - 1 sites, so ||B||^2 = 4 sin^2(pi (n-2) / (2(n-1)))
-    / h^2 (0 when n <= 2); each weighted off-diagonal entry obeys
+    graph's incidence on n - 1 sites; each weighted off-diagonal entry obeys
     2 ||(x + y) / 2||^2 <= ||x||^2 + ||y||^2, which gives ||E||^2 <= sum ||B_a||^2.
     """
-    terms = [
-        4 * np.sin(np.pi * (n - 2) / (2 * (n - 1))) ** 2 / h**2
-        for n, h in zip(dims, spacing)
-        if n > 2
-    ]
-    return float(np.sqrt(sum(terms)))
+    return _diff_norm(dims, spacing, 1)
 
 
 def grad(u: MultiImage) -> VectorField:

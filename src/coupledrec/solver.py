@@ -112,7 +112,6 @@ class Diagnostics:
 class SolveConfig:
     max_iters: int = 2000
     tol: float = 1e-8
-    warm_start: bool = False
     diag_every: int = 1  # record energy/data/reg every k-th iteration
 
     def __post_init__(self):
@@ -355,13 +354,18 @@ def block_steps(norms: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]
 
 
 def check_affine_injectivity(problem: ProblemSpec, tol: float = 1e-8) -> None:
-    """Require every T_i to be injective on per-channel affine images."""
+    """Require every T_i to be injective on per-channel affine images.
+
+    The affine images are spanned by the constant image and the coordinate
+    of each axis with more than one site (on a single site the coordinate
+    is constant).
+    """
     grid = problem.grid
     coords = np.meshgrid(
         *[np.arange(nx, dtype=np.float64) * h for nx, h in zip(grid.dims, grid.spacing)],
         indexing="ij",
     )
-    basis = [np.ones(grid.dims)] + [c for c in coords]
+    basis = [np.ones(grid.dims)] + [c for c, nx in zip(coords, grid.dims) if nx > 1]
     for i, c in enumerate(problem.channels):
         cols = np.stack([c.op.apply(b / np.linalg.norm(b)) for b in basis], axis=1)
         smin = np.linalg.svd(cols, compute_uv=False)[-1]
@@ -379,10 +383,9 @@ def _clamp_kl(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _init_state(problem: ProblemSpec, cfg: SolveConfig, norms: np.ndarray) -> SolverState:
-    """Zero iterates, or with ``warm_start`` u_i = T_i^* f_i / ||T_i||, and the
-    steps of the block norms ``norms``.  The duals start at zero, so K^T y,
-    the state's ``gu`` and ``gv``, is zero too.
+def _init_state(problem: ProblemSpec, norms: np.ndarray) -> SolverState:
+    """Zero iterates and the steps of the block norms ``norms``.  The duals
+    start at zero, so K^T y, the state's ``gu`` and ``gv``, is zero too.
 
     Raises SolverError when a block's row or column of K is zero, which would
     leave its step unbounded.
@@ -394,9 +397,6 @@ def _init_state(problem: ProblemSpec, cfg: SolveConfig, norms: np.ndarray) -> So
             if not step < np.inf:
                 raise SolverError(f"saddle operator block {name} has zero norm")
     iterates = {name: np.zeros(shape) for name, shape in _iterate_shapes(problem).items()}
-    if cfg.warm_start:
-        columns = [c.op.adjoint(c.data) / norms[i, -1, 0] for i, c in enumerate(problem.channels)]
-        iterates["u"] = _clamp_kl(problem, np.stack(columns, axis=-1))
     r = [np.zeros(c.op.codomain_dim) for c in problem.channels]
     return SolverState(r=r, sigma=sigma, tau=tau, **iterates)
 
@@ -498,7 +498,7 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
     grid = problem.grid
     if _block(problem.regularizer).affine_injective:
         check_affine_injectivity(problem)
-    state = _init_state(problem, cfg, estimate_saddle_norm(problem))
+    state = _init_state(problem, estimate_saddle_norm(problem))
     diag = Diagnostics()
     quiet_streak = 0
     converged = False

@@ -72,6 +72,17 @@ def test_adjoint_check_default_suite(capsys):
     assert "radon" in out and "fourier_masked" in out
 
 
+def test_adjoint_check_of_a_config_covers_the_regularizer_maps(tmp_path, capsys):
+    # a length-1 axis: grad/div and sym_grad/sym_div must stay exact transposes
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("schema = 1\ngrid.dims = 1 16\nchannels = 2\nchannel.2.op = conv\n")
+    code, out, _ = run(capsys, "adjoint-check", str(cfg))
+    assert code == 0
+    assert "PASS" in out
+    for name in ("channel.1", "channel.2", "gradient", "sym_gradient"):
+        assert re.search(rf"^\s*{name}  max rel error \S+  ok$", out, re.M)
+
+
 def test_solve_matches_closed_form(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -244,19 +255,41 @@ def test_bad_setting_exits_as_configuration_error(tmp_path, capsys, line, messag
     assert message in err
 
 
-def test_removed_step_policy_key_exits_as_configuration_error(tmp_path, capsys):
+def _assert_removed_key_is_a_configuration_error(tmp_path, capsys, key, value):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "schema = 1\n"
         "grid.dims = 8 8\n"
         "channels = 1\n"
         "solver.max_iters = 5\n"
-        "solver.step_policy = constant\n"
+        f"{key} = {value}\n"
     )
     code, _, err = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
     assert code == 1
-    assert "line 5: solver.step_policy was removed" in err
+    assert f"line 5: {key} was removed" in err
     assert not (tmp_path / "recon.mfi").exists()
+
+
+def test_removed_step_policy_key_exits_as_configuration_error(tmp_path, capsys):
+    _assert_removed_key_is_a_configuration_error(tmp_path, capsys, "solver.step_policy", "constant")
+
+
+def test_removed_warm_start_key_exits_as_configuration_error(tmp_path, capsys):
+    _assert_removed_key_is_a_configuration_error(tmp_path, capsys, "solver.warm_start", "true")
+
+
+def test_tgv_solve_on_a_grid_with_a_length_one_axis(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "schema = 1\n"
+        "grid.dims = 1 32\n"
+        "channels = 1\n"
+        "regularizer.kind = tgv2\n"
+        "solver.max_iters = 20\n"
+    )
+    code, out, _ = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 0
+    assert read_mfi(tmp_path / "recon.mfi").values.shape == (1, 32, 1)
 
 
 def _diag_every_config(tmp_path, value):

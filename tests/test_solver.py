@@ -144,10 +144,6 @@ def test_only_kl_channels_are_clamped_at_zero():
         ),
         regularizer=Quadratic(1.0),
     )
-    warm = _init_state(spec, SolveConfig(warm_start=True), norms=np.full((2, 1, 1), 2.0))
-    np.testing.assert_array_equal(warm.u[..., 0], np.full(g.dims, -0.5))
-    np.testing.assert_array_equal(warm.u[..., 1], np.zeros(g.dims))
-
     u0 = np.full(g.dims + (2,), -1.0)
     steps = {"sigma": (0.1, 0.1), "tau": (0.1, 0.1)}
     state = SolverState(u=u0, gu=np.zeros(u0.shape), r=[np.zeros(16)] * 2, **steps)
@@ -281,6 +277,20 @@ def test_affine_injectivity_guard():
         check_affine_injectivity(spec)
     with pytest.raises(SolverError, match="affine injectivity"):
         solve(spec, SolveConfig(max_iters=5))
+
+
+@pytest.mark.parametrize("dims", [(1, 16), (16, 1)])
+def test_tgv_solve_with_a_length_one_axis_is_bitwise_the_1d_solve(dims):
+    # that axis adds no affine image and no difference: its v component stays 0
+    cfg = SolveConfig(max_iters=300, tol=0.0)
+    line = solve(_identity_pair(Grid((16,)), TGV2(2.0, 1.0)), cfg)
+    flat = solve(_identity_pair(Grid(dims), TGV2(2.0, 1.0)), cfg)
+    np.testing.assert_array_equal(flat.u.values.reshape(16, 2), line.u.values)
+    long_axis = dims.index(16)
+    v_long = flat.v.values[..., long_axis].reshape(16, 2)
+    np.testing.assert_array_equal(v_long, line.v.values[..., 0])
+    assert not flat.v.values[..., 1 - long_axis].any()
+    assert flat.diagnostics.energy == line.diagnostics.energy
 
 
 @pytest.mark.parametrize(
@@ -757,7 +767,7 @@ def test_uniform_steps_match_the_scalar_step_iteration():
     spec = _identity_pair(Grid((8, 8)), Quadratic(0.05))
     norms = estimate_saddle_norm(spec)
     np.testing.assert_array_equal(norms, np.full((2, 1, 1), 1.01))
-    state = _init_state(spec, SolveConfig(), norms)
+    state = _init_state(spec, norms)
     step = 0.99 / 1.01
     assert (state.sigma, state.tau) == ((step, step), (step, step))
     # pd_step advances its state in place: the reference gets its own arrays
@@ -767,26 +777,6 @@ def test_uniform_steps_match_the_scalar_step_iteration():
         scalar = _scalar_step_pd_step(spec, scalar)
     _assert_states_equal(state, scalar)
     assert state.iteration == 150
-
-
-def test_warm_start_divides_each_channel_by_its_own_norm():
-    g = Grid((8, 8))
-    rng = np.random.default_rng(17)
-    radon = radon_op(g, np.arange(6) * np.pi / 6, default_n_bins(g))
-    spec = ProblemSpec(
-        grid=g,
-        channels=(
-            ChannelSpec(op=identity_op(g), data=rng.random(g.sites), lam=1.0, kind="l2"),
-            ChannelSpec(op=radon, data=rng.random(radon.codomain_dim), lam=1.0, kind="kl"),
-        ),
-        regularizer=TGV2(2.0, 1.0),
-    )
-    norms = estimate_saddle_norm(spec)
-    warm = _init_state(spec, SolveConfig(warm_start=True), norms)
-    for i, c in enumerate(spec.channels):
-        expected = c.op.adjoint(c.data) / norms[i, -1, 0]
-        np.testing.assert_array_equal(warm.u[..., i], expected)
-    assert norms[0, -1, 0] == 1.01  # an identity channel: the scalar-step ||K|| of a sweep
 
 
 # --- norms shared through the operators ---------------------------------------
@@ -813,8 +803,7 @@ def _count_power_iterations(monkeypatch) -> Counter:
 @pytest.mark.parametrize(
     "reg", [TGV2(2.0, 1.0, "nuclear"), WaveletL21(levels=2), Quadratic(1.0)], ids=str
 )
-@pytest.mark.parametrize("warm_start", [False, True])
-def test_solve_with_prepared_setup_is_bitwise_equal(reg, warm_start, monkeypatch):
+def test_solve_with_prepared_setup_is_bitwise_equal(reg, monkeypatch):
     # the second solve reuses each operator's norm from the first
     calls = _count_power_iterations(monkeypatch)
     g = Grid((8, 8))
@@ -828,7 +817,7 @@ def test_solve_with_prepared_setup_is_bitwise_equal(reg, warm_start, monkeypatch
         ),
         regularizer=reg,
     )
-    cfg = SolveConfig(max_iters=40, tol=0.0, diag_every=7, warm_start=warm_start)
+    cfg = SolveConfig(max_iters=40, tol=0.0, diag_every=7)
     first, second = solve(spec, cfg), solve(spec, cfg)
     assert calls == {(g.sites, g.sites): 1, (g.sites, radon.codomain_dim): 1}
     assert (first.state.sigma, first.state.tau) == (second.state.sigma, second.state.tau)
@@ -848,9 +837,8 @@ def test_solve_rejects_a_zero_saddle_operator():
         channels=(ChannelSpec(op=zero_op, data=np.zeros(16), lam=1.0, kind="l2"),),
         regularizer=Quadratic(1.0),
     )
-    for warm_start in (False, True):  # before the warm start divides by the norm
-        with pytest.raises(SolverError, match="zero norm"):
-            solve(spec, SolveConfig(max_iters=2, warm_start=warm_start))
+    with pytest.raises(SolverError, match="zero norm"):
+        solve(spec, SolveConfig(max_iters=2))
 
 
 # --- one product with K per iteration ------------------------------------------
@@ -861,7 +849,7 @@ def test_every_row_measures_the_iterate_it_names(mode):
     # Fourier/L2 and identity/KL channels: the KL row at the zero start is +inf
     spec = _mixed_problem(mode, "fourier_identity")
     grid, iters = spec.grid, 20
-    state = _init_state(spec, SolveConfig(), estimate_saddle_norm(spec))
+    state = _init_state(spec, estimate_saddle_norm(spec))
     diag = Diagnostics()
     for k in range(1, iters + 1):
         pd_step(spec, state, diag)

@@ -26,15 +26,6 @@ class ConfigError(ValueError):
         super().__init__(prefix + message)
 
 
-def _parse_bool(text: str) -> bool:
-    v = text.lower()
-    if v in ("true", "yes", "1", "on"):
-        return True
-    if v in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(text)
-
-
 @dataclass
 class RunConfig:
     values: dict[str, str] = field(default_factory=dict)
@@ -65,9 +56,6 @@ class RunConfig:
 
     def get_float(self, key: str, default: float | None = None) -> float:
         return self._get(key, default, float, "a number")
-
-    def get_bool(self, key: str, default: bool | None = None) -> bool:
-        return self._get(key, default, _parse_bool, "a boolean")
 
     def get_ints(self, key: str, default: tuple[int, ...] | None = None) -> tuple[int, ...]:
         return self._get(key, default, lambda t: tuple(map(int, t.split())), "a list of integers")

@@ -7,6 +7,9 @@ clip (spectral-ball projection) for nuclear coupling.  The group-l2 ball of
 wavelet coefficients is the Frobenius ball of one-component site blocks.
 One butterfly generates both directions of the Haar transform: the inverse
 only swaps its source and destination layouts, so it is the exact transpose.
+The ``*_array`` functions take and give component-major values
+(``tail + (N,) + dims``, see :mod:`.grids`); the field functions convert at
+their boundary.
 """
 
 from __future__ import annotations
@@ -23,33 +26,35 @@ from .grids import (
 
 
 def _gram_2x2(values: np.ndarray):
-    """Rows x, y of the 2 x N site blocks B of (..., N, 2) values, and h, b, r,
-    mid of B B^T = [[a, b], [b, c]]: its eigenvalues are mid +- r = hypot(h, b).
+    """Rows x, y of the 2 x N site blocks B of (2, N, *dims) values, and h, b,
+    r, mid of B B^T = [[a, b], [b, c]]: its eigenvalues are mid +- r = hypot(h, b).
 
     The entries are summed one channel at a time, as :func:`block_sum_squares`
     does, and bitwise equal to NumPy's reductions over N for N <= 7."""
-    x, y = values[..., 0], values[..., 1]
-    a, c = block_sum_squares(x[..., None]), block_sum_squares(y[..., None])
-    b = x[..., 0] * y[..., 0]
-    for n in range(1, x.shape[-1]):
-        b += x[..., n] * y[..., n]
+    x, y = values[0], values[1]
+    a, c = block_sum_squares(x[None]), block_sum_squares(y[None])
+    b = x[0] * y[0]
+    for n in range(1, x.shape[0]):
+        b += x[n] * y[n]
     h = 0.5 * (a - c)
     return x, y, h, b, np.hypot(h, b), 0.5 * (a + c)
 
 
 def _clip_singular_values(values: np.ndarray, alpha: float) -> np.ndarray:
-    """Spectral-ball projection of the d x N site blocks of (..., N, d) values.
+    """Spectral-ball projection of the d x N site blocks of (d, N, *dims) values.
 
     For d = 2 the clip is M @ B with M = f2 I + (f1 - f2) e1 e1^T and
     f_k = min(1, alpha / s_k), where s_k^2 and e1 come in closed form from
     the Gram matrix B B^T = [[a, b], [b, c]].  The small s_2 loses digits
     when B is nearly rank-deficient, which does no harm: f2 = 1 as soon as
-    s_2 <= alpha.  Other d use a batched SVD.
+    s_2 <= alpha.  Other d use a batched SVD of the blocks as (*dims, d, N).
     """
-    if values.shape[-1] != 2:
-        u, s, vt = np.linalg.svd(np.swapaxes(values, -1, -2), full_matrices=False)
+    if values.shape[0] != 2:
+        blocks = np.moveaxis(values, (0, 1), (-2, -1))
+        u, s, vt = np.linalg.svd(blocks, full_matrices=False)
         np.minimum(s, alpha, out=s)
-        return np.einsum("...ik,...k,...kn->...ni", u, s, vt)
+        clipped = np.einsum("...ik,...k,...kn->...ni", u, s, vt)
+        return np.ascontiguousarray(np.moveaxis(clipped, (-1, -2), (0, 1)))
     x, y, h, b, r, mid = _gram_2x2(values)
     f1 = alpha / np.maximum(np.sqrt(mid + r), alpha)
     f2 = alpha / np.maximum(np.sqrt(np.maximum(mid - r, 0.0)), alpha)
@@ -57,19 +62,19 @@ def _clip_singular_values(values: np.ndarray, alpha: float) -> np.ndarray:
     g = 0.5 * (f1 - f2)
     hr = np.divide(h, r, out=np.zeros_like(r), where=r > 0)
     br = np.divide(b, r, out=np.zeros_like(r), where=r > 0)
-    m00 = (f2 + g * (1.0 + hr))[..., None]
-    m11 = (f2 + g * (1.0 - hr))[..., None]
-    m01 = (g * br)[..., None]
-    return np.stack([m00 * x + m01 * y, m01 * x + m11 * y], axis=-1)
+    m00 = f2 + g * (1.0 + hr)
+    m11 = f2 + g * (1.0 - hr)
+    m01 = g * br
+    return np.stack([m00 * x + m01 * y, m01 * x + m11 * y])
 
 
 def project_dual_ball_array(values: np.ndarray, alpha: float, coupling="frobenius", weights=None):
-    """Project each (N, k) site block of (..., N, k) values onto the dual ball."""
+    """Project each (k, N) site block of (k, N, *dims) values onto the dual ball."""
     if not 0 < alpha < np.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if coupling == "frobenius":
         norms = pointwise_norms_array(values, weights=weights)
-        return values / np.maximum(1.0, norms.reshape(values.shape[:-2] + (1, 1)) / alpha)
+        return values / np.maximum(1.0, norms.reshape(values.shape[2:]) / alpha)
     if coupling == "nuclear":
         return _clip_singular_values(values, alpha)
     raise ValueError(f"unknown coupling {coupling!r}")
@@ -86,7 +91,7 @@ def project_dual_ball(z, alpha: float, coupling: str = "frobenius"):
     weights = z.weights(z.grid.ndim)
     if weights is not None and coupling != "frobenius":
         raise ValueError("symmetric tensor fields only support Frobenius coupling")
-    return z.with_values(project_dual_ball_array(z.values, alpha, coupling, weights))
+    return z.from_cm(z.grid, project_dual_ball_array(z.cm_values, alpha, coupling, weights))
 
 
 def _check_levels(dims, levels: int) -> None:
@@ -113,20 +118,20 @@ def _haar_step(block: np.ndarray, axis: int, inverse: bool) -> None:
 
 
 def _haar_levels(values: np.ndarray, levels: int, inverse: bool) -> np.ndarray:
-    """Step every grid axis of the level-k corner block, coarsest level last
-    forward and first inverse."""
-    dims = values.shape[:-1]
+    """Step every grid axis of the level-k corner block of each channel,
+    coarsest level last forward and first inverse."""
+    dims = values.shape[1:]
     _check_levels(dims, levels)
     vals = values.copy()
     for k in reversed(range(levels)) if inverse else range(levels):
-        block = vals[tuple(slice(0, n >> k) for n in dims)]
+        block = vals[(slice(None),) + tuple(slice(0, n >> k) for n in dims)]
         for ax in range(len(dims)):
-            _haar_step(block, ax, inverse)
+            _haar_step(block, ax + 1, inverse)
     return vals
 
 
 def haar_forward_array(values: np.ndarray, levels: int) -> np.ndarray:
-    """Orthonormal multi-level Haar transform of ``(*dims, N)`` values, channel-wise."""
+    """Orthonormal multi-level Haar transform of ``(N, *dims)`` values, channel-wise."""
     return _haar_levels(values, levels, inverse=False)
 
 
@@ -137,15 +142,15 @@ def haar_inverse_array(values: np.ndarray, levels: int) -> np.ndarray:
 
 def haar_forward(u: MultiImage, levels: int) -> MultiImage:
     """Orthonormal multi-level Haar transform, channel-wise, Mallat layout."""
-    return u.with_values(haar_forward_array(u.values, levels))
+    return u.from_cm(u.grid, haar_forward_array(u.cm_values, levels))
 
 
 def haar_inverse(coeffs: MultiImage, levels: int) -> MultiImage:
     """Inverse (= adjoint) of :func:`haar_forward`."""
-    return coeffs.with_values(haar_inverse_array(coeffs.values, levels))
+    return coeffs.from_cm(coeffs.grid, haar_inverse_array(coeffs.cm_values, levels))
 
 
 def project_group_l2ball(shat: MultiImage, alpha: float) -> MultiImage:
     """Per coefficient index, scale the cross-channel vector to norm <= alpha."""
-    values = shat.values
-    return shat.with_values(project_dual_ball_array(values[..., None], alpha).reshape(values.shape))
+    values = shat.cm_values
+    return shat.from_cm(shat.grid, project_dual_ball_array(values[None], alpha)[0])

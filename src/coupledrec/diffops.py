@@ -8,7 +8,10 @@ the gradient uses; ``lo = 1`` is the interior backward difference, zero on
 the first and last row, which the symmetrized gradient uses on the
 staggered convention customary for second-order TGV.  Each divergence is
 minus :func:`_diff_t`, the stencil's exact transpose, so the adjoint
-identities hold to roundoff on any axis length, 1 included.
+identities hold to roundoff on any axis length, 1 included.  The ``*_array``
+maps take and give component-major values (``tail + (N,) + dims``, see
+:mod:`.grids`), so grid axis a is axis ``a - d`` of every array, and each
+component of each channel is one contiguous image.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ def _diff(a: np.ndarray, axis: int, h: float, lo: int) -> np.ndarray:
     gradient of an affine image is constant except for its zero last row, and
     the ``lo = 1`` stencil never reads that row.
     """
-    nd, m = a.ndim, a.shape[axis] - lo
+    nd = a.ndim
+    axis %= nd
+    m = a.shape[axis] - lo
     out = np.zeros_like(a)
     if m > 1:
         rows = out[_sl(nd, axis, slice(lo, lo + m - 1))]
@@ -48,7 +53,9 @@ def _diff(a: np.ndarray, axis: int, h: float, lo: int) -> np.ndarray:
 def _diff_t(y: np.ndarray, axis: int, h: float, lo: int) -> np.ndarray:
     """Exact transpose of :func:`_diff`: the written rows, zero-padded at both
     ends, differenced backwards."""
-    nd, n = y.ndim, y.shape[axis]
+    nd = y.ndim
+    axis %= nd
+    n = y.shape[axis]
     m = n - lo
     pad = np.zeros(y.shape[:axis] + (n + 1,) + y.shape[axis + 1 :])
     pad[_sl(nd, axis, slice(1, m))] = y[_sl(nd, axis, slice(lo, lo + m - 1))]
@@ -56,30 +63,32 @@ def _diff_t(y: np.ndarray, axis: int, h: float, lo: int) -> np.ndarray:
 
 
 def grad_array(values: np.ndarray, spacing) -> np.ndarray:
-    """Forward-difference gradient of ``(*dims, N)`` values, shaped ``(*dims, N, d)``."""
-    out = np.empty(values.shape + (len(spacing),))
+    """Forward-difference gradient of ``(N, *dims)`` values, shaped ``(d, N, *dims)``."""
+    d = len(spacing)
+    out = np.empty((d,) + values.shape)
     for a, h in enumerate(spacing):
-        out[..., a] = _diff(values, a, h, 0)
+        out[a] = _diff(values, a - d, h, 0)
     return out
 
 
 def div_array(values: np.ndarray, spacing) -> np.ndarray:
-    """Negative adjoint of :func:`grad_array`, from ``(*dims, N, d)`` to ``(*dims, N)``."""
-    out = np.zeros(values.shape[:-1])
+    """Negative adjoint of :func:`grad_array`, from ``(d, N, *dims)`` to ``(N, *dims)``."""
+    d = len(spacing)
+    out = np.zeros(values.shape[1:])
     for a, h in enumerate(spacing):
-        out -= _diff_t(values[..., a], a, h, 0)
+        out -= _diff_t(values[a], a - d, h, 0)
     return out
 
 
 def sym_grad_array(values: np.ndarray, spacing) -> np.ndarray:
-    """Upper triangle of (J + J^T) / 2 for ``(*dims, N, d)`` values, where
+    """Upper triangle of (J + J^T) / 2 for ``(d, N, *dims)`` values, where
     ``J[a][b]`` is the interior backward difference of component a along b."""
     d = len(spacing)
-    jac = [[_diff(values[..., a], b, spacing[b], 1) for b in range(d)] for a in range(d)]
+    jac = [[_diff(values[a], b - d, spacing[b], 1) for b in range(d)] for a in range(d)]
     pairs = sym_index_pairs(d)
-    out = np.empty(values.shape[:-1] + (len(pairs),))
+    out = np.empty((len(pairs),) + values.shape[1:])
     for k, (a, b) in enumerate(pairs):
-        out[..., k] = jac[a][a] if a == b else 0.5 * (jac[a][b] + jac[b][a])
+        out[k] = jac[a][a] if a == b else 0.5 * (jac[a][b] + jac[b][a])
     return out
 
 
@@ -89,13 +98,13 @@ def sym_div_array(values: np.ndarray, spacing) -> np.ndarray:
     d = len(spacing)
     full = [[None] * d for _ in range(d)]
     for k, (a, b) in enumerate(sym_index_pairs(d)):
-        full[a][b] = full[b][a] = values[..., k]
-    out = np.empty(values.shape[:-1] + (d,))
+        full[a][b] = full[b][a] = values[k]
+    out = np.empty((d,) + values.shape[1:])
     for a in range(d):
-        acc = np.zeros(values.shape[:-1])
+        acc = np.zeros(values.shape[1:])
         for b, h in enumerate(spacing):
-            acc -= _diff_t(full[a][b], b, h, 1)
-        out[..., a] = acc
+            acc -= _diff_t(full[a][b], b - d, h, 1)
+        out[a] = acc
     return out
 
 
@@ -130,22 +139,22 @@ def sym_grad_norm_bound(dims, spacing) -> float:
 
 def grad(u: MultiImage) -> VectorField:
     """Channel-wise forward-difference gradient."""
-    return VectorField(u.grid, grad_array(u.values, u.grid.spacing))
+    return VectorField.from_cm(u.grid, grad_array(u.cm_values, u.grid.spacing))
 
 
 def div(p: VectorField) -> MultiImage:
     """Negative adjoint of :func:`grad`: ``<grad u, p> = <u, -div p>``."""
-    return MultiImage(p.grid, div_array(p.values, p.grid.spacing))
+    return MultiImage.from_cm(p.grid, div_array(p.cm_values, p.grid.spacing))
 
 
 def sym_grad(v: VectorField) -> SymTensorField:
     """Symmetrized backward-difference Jacobian, upper-triangle storage."""
-    return SymTensorField(v.grid, sym_grad_array(v.values, v.grid.spacing))
+    return SymTensorField.from_cm(v.grid, sym_grad_array(v.cm_values, v.grid.spacing))
 
 
 def sym_div(q: SymTensorField) -> VectorField:
     """Negative adjoint of :func:`sym_grad` w.r.t. the weighted inner product."""
-    return VectorField(q.grid, sym_div_array(q.values, q.grid.spacing))
+    return VectorField.from_cm(q.grid, sym_div_array(q.cm_values, q.grid.spacing))
 
 
 @dataclass
@@ -219,10 +228,10 @@ def op_norm_estimate(op: LinearOp, iters: int = 100, seed: int = 0) -> float:
 
 def grad_linear_op(grid, channels: int) -> LinearOp:
     """grad with its adjoint -div, flattened; note sym-weight-free spaces."""
-    shape = grid.dims + (channels,)
+    shape = (channels,) + grid.dims
     return LinearOp(
         lambda x: grad_array(x.reshape(shape), grid.spacing).reshape(-1),
-        lambda y: -div_array(y.reshape(shape + (grid.ndim,)), grid.spacing).reshape(-1),
+        lambda y: -div_array(y.reshape((grid.ndim,) + shape), grid.spacing).reshape(-1),
         int(np.prod(shape)),
         int(np.prod(shape)) * grid.ndim,
     )
@@ -234,9 +243,9 @@ def sym_grad_linear_op(grid, channels: int) -> LinearOp:
     The flat vectors use scaled tensor coordinates ``sqrt(w_k) q_k`` so the
     Euclidean dot product matches the weighted field inner product.
     """
-    sq = np.sqrt(SymTensorField.weights(grid.ndim))
-    dom_shape = grid.dims + (channels, grid.ndim)
-    cod_shape = grid.dims + (channels, len(sq))
+    sq = np.sqrt(SymTensorField.weights(grid.ndim)).reshape((-1,) + (1,) * (grid.ndim + 1))
+    dom_shape = (grid.ndim, channels) + grid.dims
+    cod_shape = (len(sq), channels) + grid.dims
     return LinearOp(
         lambda x: (sym_grad_array(x.reshape(dom_shape), grid.spacing) * sq).reshape(-1),
         lambda y: (-sym_div_array(y.reshape(cod_shape) / sq, grid.spacing)).reshape(-1),

@@ -22,7 +22,9 @@ inflated by 1%.  Each regularizer is described once, in ``_BLOCKS``, with
 one ball per dual: R sums each radius alpha_j times the pointwise coupling
 norms of the dual's part of K_reg x, and the dual's prox projects onto the
 alpha_j-ball of the dual norm.  Inside the loop all iterates are plain
-float64 arrays, advanced in place.
+float64 arrays in the kernels' component-major layout (``tail + (N,) + dims``,
+see :mod:`.grids`), advanced in place; the public fields are converted at
+the boundary.
 
 Optimality residuals of one step x, y -> x+, y+ in this order:
 
@@ -53,7 +55,7 @@ from .diffops import (
     sym_grad_norm_bound,
 )
 from .discrepancy import eval_kl, eval_l2sq, prox_kl_dual, prox_l2_dual
-from .grids import MultiImage, SymTensorField, VectorField, pointwise_norms_array
+from .grids import MultiImage, SymTensorField, VectorField, pointwise_norms_array, site_major
 from .problem import ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
 
 # Unused here, but bench/tracing.py rebinds these names on this module.
@@ -69,11 +71,14 @@ class SolverError(RuntimeError):
 class SolverState:
     """All primal/dual iterates as float64 arrays, plus the stepsizes.
 
-    ``gu`` and ``gv`` are the u and v parts of K^T ybar, K's adjoint at the
-    last step's extrapolated duals ybar = 2 y+ - y (K^T y at the start); the
-    next primal step descends along them.  ``v``, ``gv``, ``p``, ``q`` (TGV)
-    and ``s`` (wavelets) are ``None`` unless the regularizer uses them;
-    shapes as in ``_iterate_shapes``.  ``sigma`` has one step per dual block
+    The arrays are component-major, ``tail + (N,) + dims``, not site-major
+    like the public fields: ``u[i]`` and ``p[a, i]`` are each one C-contiguous
+    image, which is what makes the loop's per-channel and per-component work
+    fast.  ``gu`` and ``gv`` are the u and v parts of K^T ybar, K's adjoint
+    at the last step's extrapolated duals ybar = 2 y+ - y (K^T y at the
+    start); the next primal step descends along them.  ``v``, ``gv``, ``p``,
+    ``q`` (TGV) and ``s`` (wavelets) are ``None`` unless the regularizer uses
+    them; shapes as in ``_iterate_shapes``.  ``sigma`` has one step per dual block
     and ``tau`` one per primal block, in the order of :func:`block_names`.
     :func:`pd_step` overwrites ``gu`` and ``gv`` with the new primal
     iterates, so they must not share memory with any other array.
@@ -125,6 +130,10 @@ class SolveConfig:
 
 @dataclass
 class SolveResult:
+    """A solve's outcome.  ``u`` and ``v`` are site-major fields, views of the
+    final iterates; ``state`` holds those iterates in the solver's
+    component-major layout (see :class:`SolverState`)."""
+
     u: MultiImage
     v: VectorField | None
     diagnostics: Diagnostics
@@ -136,7 +145,9 @@ class SolveResult:
 
 
 # The field kind of each regularizer iterate: the iterate is shaped
-# (*dims, N) + kind.tail(d), and its inner product is weighted by kind.weights(d).
+# kind.tail(d) + (N, *dims), component-major, so that each component of each
+# channel is one contiguous image (the kind's own fields are site-major,
+# (*dims, N) + kind.tail(d)); its inner product is weighted by kind.weights(d).
 _KINDS = {"v": VectorField, "p": VectorField, "q": SymTensorField, "s": MultiImage}
 
 
@@ -170,15 +181,12 @@ class _Block:
 
 
 def _per_channel(ufunc, x: np.ndarray, values) -> np.ndarray:
-    """``x[..., i] = ufunc(x[..., i], values[i])`` for every channel i, in place.
-
-    Equal values take one call over the whole array: a strided call per
-    channel costs about twice as much per element on small images.
-    """
+    """``x[i] = ufunc(x[i], values[i])`` for every channel i of an ``(N, *dims)``
+    array, in place; equal values take one call over the whole array."""
     if len(set(values)) == 1:
         return ufunc(x, values[0], out=x)
     for i, value in enumerate(values):
-        ufunc(x[..., i], value, out=x[..., i])
+        ufunc(x[i], value, out=x[i])
     return x
 
 
@@ -207,10 +215,18 @@ _BLOCKS = {
         norms=lambda reg, grid: ((1.0,),),  # the Haar transform is orthonormal
     ),
     Quadratic: _Block(
-        value=lambda reg, h, u: 0.5 * reg.weight * float(np.sum(u * u)),
+        value=lambda reg, h, u: 0.5 * reg.weight * _site_major_sum_squares(u),
         prox=_quadratic_prox,
     ),
 }
+
+
+def _site_major_sum_squares(u: np.ndarray) -> float:
+    """Sum of the squares of ``(N, *dims)`` values, added in the site-major
+    order of their field, so that the sum does not depend on how ``u`` is
+    laid out in memory."""
+    u = np.ascontiguousarray(site_major(u, u.ndim - 1))
+    return float(np.sum(u * u))
 
 
 def _block(reg) -> _Block:
@@ -222,11 +238,11 @@ def _block(reg) -> _Block:
 
 
 def _balls(reg, h, arrays):
-    """Each array, shaped like a dual, as ``(*dims, N, k)`` site blocks (k = 1
+    """Each array, shaped like a dual, as ``(k, N, *dims)`` site blocks (k = 1
     for a scalar dual), with the dual's radius, coupling and kind's weights."""
     block, d = _block(reg), len(h)
     for name, x, (radius, coupling) in zip(block.dual, arrays, block.balls(reg)):
-        yield x.reshape(x.shape[: d + 1] + (-1,)), radius, coupling, _KINDS[name].weights(d)
+        yield x.reshape((-1,) + x.shape[-d - 1 :]), radius, coupling, _KINDS[name].weights(d)
 
 
 def _reg_value(reg, h, ks, u: np.ndarray, *primal: np.ndarray) -> float:
@@ -256,15 +272,15 @@ def _iterates(state: SolverState, names) -> list[np.ndarray]:
 
 
 def _iterate_shapes(problem: ProblemSpec) -> dict[str, tuple[int, ...]]:
-    """Shape of every iterate the problem's regularizer uses."""
+    """Shape of every iterate the problem's regularizer uses, component-major."""
     grid = problem.grid
     block = _block(problem.regularizer)
-    base = grid.dims + (problem.n_channels,)
+    base = (problem.n_channels,) + grid.dims
     shapes = {"u": base, "gu": base}
     for name in block.primal:
-        shapes[name] = shapes["g" + name] = base + _KINDS[name].tail(grid.ndim)
+        shapes[name] = shapes["g" + name] = _KINDS[name].tail(grid.ndim) + base
     for name in block.dual:
-        shapes[name] = base + _KINDS[name].tail(grid.ndim)
+        shapes[name] = _KINDS[name].tail(grid.ndim) + base
     return shapes
 
 
@@ -286,7 +302,7 @@ def regularizer_value(problem: ProblemSpec, u: MultiImage, v: VectorField | None
     block = _block(reg)
     if block.primal and v is None:
         raise ValueError(f"{type(reg).__name__} energy needs the balancing field v")
-    x = (u.values, v.values) if block.primal else (u.values,)
+    x = (u.cm_values, v.cm_values) if block.primal else (u.cm_values,)
     return _reg_value(reg, h, block.apply(reg, h, *x), *x)
 
 
@@ -309,10 +325,10 @@ def primal_energy(problem: ProblemSpec, u: MultiImage, v: VectorField | None = N
 
 
 def _data_adjoint(problem: ProblemSpec, r: list[np.ndarray]) -> np.ndarray:
-    """T_i^* r_i for every channel i, stacked into a ``(*dims, N)`` array."""
-    tstar = np.empty(problem.grid.dims + (problem.n_channels,))
+    """T_i^* r_i for every channel i, stacked into an ``(N, *dims)`` array."""
+    tstar = np.empty((problem.n_channels,) + problem.grid.dims)
     for i, c in enumerate(problem.channels):
-        tstar[..., i] = c.op.adjoint(r[i])
+        tstar[i] = c.op.adjoint(r[i])
     return tstar
 
 
@@ -377,9 +393,9 @@ def check_affine_injectivity(problem: ProblemSpec, tol: float = 1e-8) -> None:
 
 
 def _clamp_kl(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
-    """Clamp the KL channels of a ``(*dims, N)`` array at zero, in place."""
+    """Clamp the KL channels of an ``(N, *dims)`` array at zero, in place."""
     for i in problem.kl_channels:
-        np.maximum(u[..., i], 0.0, out=u[..., i])
+        np.maximum(u[i], 0.0, out=u[i])
     return u
 
 
@@ -455,7 +471,7 @@ def pd_step(problem: ProblemSpec, state: SolverState, diag: Diagnostics | None =
     # the channels' duals: each discrepancy's conjugate prox
     data_terms, rbar = [], []
     for i, (c, s) in enumerate(zip(problem.channels, sigma[n_reg:])):
-        z = c.op.apply(u[..., i])  # a new array (ForwardOp.apply), so the step may overwrite it
+        z = c.op.apply(u[i])  # a new array (ForwardOp.apply), so the step may overwrite it
         if diag is not None:
             data_terms.append(_data_term(c, z))
         if c.kind == "l2":
@@ -517,5 +533,6 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
                 break
         else:
             quiet_streak = 0
-    u, v = MultiImage(grid, state.u), None if state.v is None else VectorField(grid, state.v)
+    u = MultiImage.from_cm(grid, state.u)
+    v = None if state.v is None else VectorField.from_cm(grid, state.v)
     return SolveResult(u=u, v=v, diagnostics=diag, state=state, converged=converged)

@@ -21,7 +21,6 @@ def test_parse_basics():
     assert cfg.get_str("channel.1.kind") == "kl"
     assert cfg.get_float("channel.1.lambda") == 2.5
     assert cfg.get_int("solver.max_iters") == 800
-    assert cfg.get_bool("solver.verbose") is False
     assert cfg.get_floats("rates.mu") == (1.0, 2.0)
 
 
@@ -50,8 +49,6 @@ def test_typed_accessor_errors_carry_source_line():
     with pytest.raises(ConfigError) as exc:
         cfg.get_int("solver.max_iters")
     assert exc.value.line == 2
-    with pytest.raises(ConfigError, match="not a boolean"):
-        parse_config("schema = 1\nx = maybe").get_bool("x")
     with pytest.raises(ConfigError, match="not a list of numbers"):
         parse_config("schema = 1\nx = 1.0 two").get_floats("x")
 

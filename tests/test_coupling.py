@@ -18,7 +18,9 @@ from coupledrec.grids import (
     MultiImage,
     SymTensorField,
     VectorField,
+    component_major,
     pointwise_norms,
+    site_major,
 )
 from coupledrec.problem import ChannelSpec, ProblemSpec, WaveletL21
 from coupledrec.solver import regularizer_value
@@ -333,12 +335,14 @@ def _ref_haar_levels(values: np.ndarray, levels: int, transform, order) -> np.nd
 @pytest.mark.parametrize("dims", [(32,), (16, 8), (8, 16, 8)], ids=["1d", "2d", "3d"])
 @pytest.mark.parametrize("levels", [1, 2, 3])
 def test_haar_matches_reference_bitwise(dims, levels):
+    # the reference transforms site-major values, the kernels component-major ones
     rng = np.random.default_rng(len(dims) * 10 + levels)
     values = rng.standard_normal(dims + (3,))
-    before = values.copy()
-    fwd = haar_forward_array(values, levels)
-    inv = haar_inverse_array(values, levels)
-    np.testing.assert_array_equal(values, before)
+    cm = np.ascontiguousarray(component_major(values, len(dims)))
+    before = cm.copy()
+    fwd = site_major(haar_forward_array(cm, levels), len(dims))
+    inv = site_major(haar_inverse_array(cm, levels), len(dims))
+    np.testing.assert_array_equal(cm, before)
     np.testing.assert_array_equal(
         fwd, _ref_haar_levels(values, levels, _ref_haar1d_fwd, range(levels))
     )
@@ -384,7 +388,7 @@ def test_gram_sums_match_einsum_bitwise(channels):
     b = np.einsum("...n,...n->...", x, y)
     c = np.einsum("...n,...n->...", y, y)
     h = 0.5 * (a - c)
-    _, _, h_new, b_new, r_new, mid_new = _gram_2x2(values)
+    _, _, h_new, b_new, r_new, mid_new = _gram_2x2(component_major(values, 2))
     np.testing.assert_array_equal(h_new, h)
     np.testing.assert_array_equal(b_new, b)
     np.testing.assert_array_equal(r_new, np.hypot(h, b))

@@ -7,6 +7,7 @@ from coupledrec.grids import (
     SymTensorField,
     VectorField,
     block_sum_squares,
+    component_major,
     inner_product,
     pointwise_norms,
     pointwise_norms_array,
@@ -158,16 +159,18 @@ def _assert_matches_reduction(new, ref, entries):
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_block_sums_match_the_reductions(n, k):
+    # the references reduce site-major values, the kernels take them component-major
     rng = np.random.default_rng(10 * n + k)
     values = rng.standard_normal((9, 7, n, k))
+    cm = component_major(values, 2)
     weights = rng.random(k) + 0.5
     for w in (None, weights):
         ref = np.sum(values**2 if w is None else values**2 * w, axis=(-2, -1))
-        _assert_matches_reduction(block_sum_squares(values, w), ref, n * k)
+        _assert_matches_reduction(block_sum_squares(cm, w), ref, n * k)
         _assert_matches_reduction(
-            pointwise_norms_array(values, weights=w), _ref_frobenius_norms(values, w), n * k
+            pointwise_norms_array(cm, weights=w), _ref_frobenius_norms(values, w), n * k
         )
     if k == 2:
         _assert_matches_reduction(
-            pointwise_norms_array(values, "nuclear"), _ref_nuclear_norms_2d(values), n * k
+            pointwise_norms_array(cm, "nuclear"), _ref_nuclear_norms_2d(values), n * k
         )

@@ -120,13 +120,13 @@ def test_pd_step_fixed_point_quadratic():
     u_star = (2.0 * lam / (2.0 * lam + w)) * f
     r_star = 2.0 * lam * (u_star - f)
     state = SolverState(
-        u=u_star[..., None].copy(), gu=r_star[..., None].copy(), r=[r_star.reshape(-1)],
+        u=u_star[None].copy(), gu=r_star[None].copy(), r=[r_star.reshape(-1)],
         sigma=(0.3,), tau=(0.3,),
     )
     pd_step(spec, state)
-    assert np.abs(state.u[..., 0] - u_star).max() < 1e-10
+    assert np.abs(state.u[0] - u_star).max() < 1e-10
     assert np.abs(state.r[0] - r_star.reshape(-1)).max() < 1e-10
-    assert np.abs(state.gu[..., 0] - r_star).max() < 1e-10
+    assert np.abs(state.gu[0] - r_star).max() < 1e-10
 
 
 def test_only_kl_channels_are_clamped_at_zero():
@@ -144,12 +144,12 @@ def test_only_kl_channels_are_clamped_at_zero():
         ),
         regularizer=Quadratic(1.0),
     )
-    u0 = np.full(g.dims + (2,), -1.0)
+    u0 = np.full((2,) + g.dims, -1.0)
     steps = {"sigma": (0.1, 0.1), "tau": (0.1, 0.1)}
     state = SolverState(u=u0, gu=np.zeros(u0.shape), r=[np.zeros(16)] * 2, **steps)
     pd_step(spec, state)
-    assert np.all(state.u[..., 0] < 0.0)
-    np.testing.assert_array_equal(state.u[..., 1], np.zeros(g.dims))
+    assert np.all(state.u[0] < 0.0)
+    np.testing.assert_array_equal(state.u[1], np.zeros(g.dims))
 
 
 def test_pd_step_extrapolation_identity():
@@ -157,9 +157,10 @@ def test_pd_step_extrapolation_identity():
     g = Grid((8, 8))
     spec = _quad_problem(g, _smooth(g, 4)[..., 0])
     r0 = _smooth(g, 6).reshape(-1)
-    state = SolverState(u=_smooth(g, 5), gu=_smooth(g, 7), r=[r0.copy()], sigma=(0.4,), tau=(0.4,))
+    u, gu = (np.moveaxis(_smooth(g, seed), -1, 0).copy() for seed in (5, 7))
+    state = SolverState(u=u, gu=gu, r=[r0.copy()], sigma=(0.4,), tau=(0.4,))
     pd_step(spec, state)
-    np.testing.assert_array_equal(state.gu[..., 0], (2.0 * state.r[0] - r0).reshape(g.dims))
+    np.testing.assert_array_equal(state.gu[0], (2.0 * state.r[0] - r0).reshape(g.dims))
 
 
 def test_energy_settles_on_random_problem():
@@ -191,8 +192,8 @@ def test_dual_feasibility_and_kl_nonnegativity():
     )
     res = solve(spec, SolveConfig(max_iters=60, tol=0.0))
     state = res.state
-    assert pointwise_norms(VectorField(g, state.p), "frobenius").max() <= 1.0 + 1e-12
-    assert pointwise_norms(SymTensorField(g, state.q), "frobenius").max() <= 2.0 + 1e-12
+    assert pointwise_norms(VectorField.from_cm(g, state.p), "frobenius").max() <= 1.0 + 1e-12
+    assert pointwise_norms(SymTensorField.from_cm(g, state.q), "frobenius").max() <= 2.0 + 1e-12
     assert res.u.values.min() >= 0.0
     # KL dual iterates stay strictly below lambda on the data support
     support = spec.channels[0].data > 0
@@ -213,7 +214,7 @@ def test_nuclear_dual_stays_in_the_spectral_ball():
         regularizer=TGV2(2.0, 1.0, coupling="nuclear"),
     )
     state = solve(spec, SolveConfig(max_iters=60, tol=0.0)).state
-    spectral = np.linalg.svd(state.p, compute_uv=False)[..., 0]
+    spectral = np.linalg.svd(VectorField.from_cm(g, state.p).values, compute_uv=False)[..., 0]
     assert spectral.max() <= 1.0 + 1e-12
     assert np.sum(spectral > 1.0 - 1e-9) > 0  # the constraint is active somewhere
 
@@ -351,7 +352,7 @@ def test_overflow_inside_tgv_block_raises_solver_error():
     )
     state = solve(spec, SolveConfig(max_iters=5, tol=0.0)).state
     rows = np.where(np.arange(12) % 2 == 0, 1.5e308, -1.5e308)
-    state.u = np.broadcast_to(rows[:, None, None], (12, 12, 1)).copy()
+    state.u = np.broadcast_to(rows[None, :, None], (1, 12, 12)).copy()
     state.gu = np.zeros(state.u.shape)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError, match="non-finite"):
         pd_step(spec, state)
@@ -452,7 +453,9 @@ def _saddle_operator(problem):
     x_shapes = [shapes[name] for name in ("u",) + block.primal]
     y_shapes = [shapes[name] for name in block.dual] + [(op.codomain_dim,) for op in ops]
     roots = [_KINDS[name].weights(len(h)) for name in block.dual]
-    roots = [None if w is None else np.sqrt(w) for w in roots]
+    # the weights scale the leading, component axis of a component-major dual
+    axes = (1,) * (len(h) + 1)
+    roots = [None if w is None else np.sqrt(w).reshape((-1,) + axes) for w in roots]
 
     def split(flat, shapes):
         ends = np.cumsum([int(np.prod(s)) for s in shapes])
@@ -462,7 +465,7 @@ def _saddle_operator(problem):
         u, *xs = split(x, x_shapes)
         rows = zip(block.apply(reg, h, u, *xs), roots)
         parts = [(k if w is None else k * w).reshape(-1) for k, w in rows]
-        return np.concatenate(parts + [op.apply(u[..., i]) for i, op in enumerate(ops)])
+        return np.concatenate(parts + [op.apply(u[i]) for i, op in enumerate(ops)])
 
     def adjoint(y):
         pieces = split(y, y_shapes)
@@ -483,14 +486,15 @@ def _channel_slices(problem):
     duals, then r_c; ``cols[c]`` the slice of u, then those of the primals."""
     block = _block(problem.regularizer)
     shapes = _iterate_shapes(problem)
-    axis, n = problem.grid.ndim, problem.n_channels
+    d, n = problem.grid.ndim, problem.n_channels
 
     def layout(names, sizes):
         start, out = 0, []
         for name in names:
             shape = shapes[name]
             idx = np.arange(start, start + int(np.prod(shape))).reshape(shape)
-            out.append([idx.take(c, axis=axis).reshape(-1) for c in range(n)])
+            # the channel axis comes just before the grid axes
+            out.append([idx.take(c, axis=len(shape) - d - 1).reshape(-1) for c in range(n)])
             start += idx.size
         for size in sizes:
             out.append(np.arange(start, start + size))
@@ -555,13 +559,16 @@ def test_regularizer_value_pairs_with_its_dual_projection(mode):
         sites, radius, coupling, weights = ball
         smallest = nonzero = pointwise_norms_array(sites, weights=weights)
         if coupling == "nuclear":
-            smallest = np.linalg.svd(np.swapaxes(sites, -1, -2), compute_uv=False)[..., -1]
+            blocks = np.moveaxis(sites, (0, 1), (-2, -1))  # (*dims, d, N)
+            smallest = np.linalg.svd(blocks, compute_uv=False)[..., -1]
         assert np.all(smallest.reshape(-1)[nonzero > 0] > radius)  # nonzero sites lie outside
         w = _KINDS[name].weights(grid.ndim)
+        w = 1.0 if w is None else w.reshape((-1,) + (1,) * (grid.ndim + 1))
         projected = cpl.project_dual_ball_array(*ball).reshape(k.shape)
-        pairing += float(np.sum(k * projected * (1.0 if w is None else w)))
-    v = VectorField(grid, primal[0]) if block.primal else None
-    value = regularizer_value(problem, MultiImage(grid, u), v) - block.value(reg, h, u, *primal)
+        pairing += float(np.sum(k * projected * w))
+    v = VectorField.from_cm(grid, primal[0]) if block.primal else None
+    u_field = MultiImage.from_cm(grid, u)
+    value = regularizer_value(problem, u_field, v) - block.value(reg, h, u, *primal)
     assert value == pytest.approx(pairing, rel=1e-12, abs=0.0)
 
 
@@ -606,12 +613,12 @@ def test_pd_step_gives_each_block_its_own_step(reg):
         expected = old[name] - t * old["g" + name]
         np.testing.assert_allclose(getattr(state, name), expected, rtol=1e-14)
     for i, (c, t) in enumerate(zip(spec.channels, tau[:n])):
-        expected = old["u"][..., i] - t * old["gu"][..., i]
+        expected = old["u"][i] - t * old["gu"][i]
         if isinstance(reg, Quadratic):
             expected = expected / (1.0 + t * reg.weight)
         if c.kind == "kl":
             expected = np.maximum(expected, 0.0)
-        np.testing.assert_allclose(state.u[..., i], expected, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(state.u[i], expected, rtol=1e-14, atol=1e-15)
 
     primal = _iterates(state, block.primal)
     ks = block.apply(reg, h, state.u, *primal)
@@ -624,7 +631,7 @@ def test_pd_step_gives_each_block_its_own_step(reg):
         np.testing.assert_allclose(getattr(state, name), expected, rtol=1e-14, atol=0)
     rbar = []
     for i, (c, s) in enumerate(zip(spec.channels, sigma[n_reg:])):
-        pred = c.op.apply(state.u[..., i])
+        pred = c.op.apply(state.u[i])
         if c.kind == "l2":
             expected = prox_l2_dual(old["r"][i] + s * (pred - c.data), s, c.lam)
         else:
@@ -736,7 +743,7 @@ def _scalar_step_pd_step(problem, state):
     }
     r_new = []
     for i, c in enumerate(problem.channels):
-        pred = c.op.apply(u[..., i])
+        pred = c.op.apply(u[i])
         if c.kind == "l2":
             r_new.append(prox_l2_dual(state.r[i] + sigma * (pred - c.data), sigma, c.lam))
         else:
@@ -777,6 +784,29 @@ def test_uniform_steps_match_the_scalar_step_iteration():
         scalar = _scalar_step_pd_step(spec, scalar)
     _assert_states_equal(state, scalar)
     assert state.iteration == 150
+
+
+# --- the component-major iterates ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "mode", ["tgv_frobenius", "tgv_nuclear", "tgv_nuclear_3d", "wavelet", "quadratic"]
+)
+def test_every_iterate_stays_c_contiguous_and_component_major(mode):
+    # the per-channel and per-component slices are contiguous images only if
+    # every iterate is C-contiguous in the shape of _iterate_shapes
+    if mode == "tgv_nuclear_3d":  # its clip takes the batched-SVD path
+        spec = _identity_pair(Grid((3, 4, 2)), TGV2(2.0, 1.0, "nuclear"))
+    else:
+        spec = _mixed_problem(mode, "fourier_identity")
+    shapes = _iterate_shapes(spec)
+    state = _init_state(spec, estimate_saddle_norm(spec))
+    for _ in range(3):
+        pd_step(spec, state, Diagnostics())
+        for name, shape in shapes.items():
+            x = getattr(state, name)
+            assert x.shape == shape, name
+            assert x.flags.c_contiguous, name
 
 
 # --- norms shared through the operators ---------------------------------------
@@ -854,8 +884,8 @@ def test_every_row_measures_the_iterate_it_names(mode):
     for k in range(1, iters + 1):
         pd_step(spec, state, diag)
         assert diag.iterations[-1] == state.iteration == k
-        u = MultiImage(grid, state.u)
-        v = None if state.v is None else VectorField(grid, state.v)
+        u = MultiImage.from_cm(grid, state.u)
+        v = None if state.v is None else VectorField.from_cm(grid, state.v)
         assert diag.energy[-1] == pytest.approx(primal_energy(spec, u, v), rel=1e-12)
         assert diag.reg_value[-1] == pytest.approx(regularizer_value(spec, u, v), rel=1e-12)
         data_terms = [channel_data_term(spec, u, i) for i in range(spec.n_channels)]

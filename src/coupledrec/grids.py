@@ -133,10 +133,6 @@ class Field:
     def zeros(cls, grid: Grid, channels: int):
         return cls(grid, np.zeros(grid.dims + (channels,) + cls.tail(grid.ndim)))
 
-    def with_values(self, values: np.ndarray):
-        """A field of the same kind and grid holding ``values``."""
-        return type(self)(self.grid, values)
-
     @property
     def cm_values(self) -> np.ndarray:
         """``values`` component-major, ``tail + (N,) + dims``; a view."""

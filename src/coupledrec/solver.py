@@ -21,17 +21,18 @@ are closed forms; each ||T_i|| is its operator's :attr:`ForwardOp.norm`,
 inflated by 1%.  Each regularizer is described once, in ``_BLOCKS``, with
 one ball per dual: R sums each radius alpha_j times the pointwise coupling
 norms of the dual's part of K_reg x, and the dual's prox projects onto the
-alpha_j-ball of the dual norm.  Inside the loop all iterates are plain
-float64 arrays in the kernels' component-major layout (``tail + (N,) + dims``,
-see :mod:`.grids`), advanced in place; the public fields are converted at
-the boundary.
+alpha_j-ball of the dual norm.  The state holds K's blocks in the order of
+:func:`block_names`, as plain float64 arrays in the kernels' component-major
+layout (``tail + (N,) + dims``, see :mod:`.grids`), advanced in place; the
+public fields are converted at the boundary.
 
 Optimality residuals of one step x, y -> x+, y+ in this order:
 
-* dual: D = S^-1 (y - y+), an element of dF*(y+) - K x+; it costs no
-  product with K.
-* primal: P = T^-1 (x - x+) - g + K^T y+, an element of dG(x+) + K^T y+;
-  it costs one K^T, at y+, on the iterations that check it.
+* dual: D = S^-1 (y - y+), an element of dF*(y+) - K x+, read per entry
+  y[j] of the state with sigma[j]; it costs no product with K.
+* primal: P = T^-1 (x - x+) - g + K^T y+, an element of dG(x+) + K^T y+,
+  read per entry of x and g; it costs one K^T, at y+, on the iterations
+  that check it.
 
 ``ForwardOp.norm`` is computed once per operator, so solves of problems that
 share their operators and differ only in data and weights power-iterate each
@@ -69,31 +70,25 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverState:
-    """All primal/dual iterates as float64 arrays, plus the stepsizes.
+    """K's blocks as float64 arrays in the order of :func:`block_names`, and the steps.
 
-    The arrays are component-major, ``tail + (N,) + dims``, not site-major
-    like the public fields: ``u[i]`` and ``p[a, i]`` are each one C-contiguous
-    image, which is what makes the loop's per-channel and per-component work
-    fast.  ``gu`` and ``gv`` are the u and v parts of K^T ybar, K's adjoint
-    at the last step's extrapolated duals ybar = 2 y+ - y (K^T y at the
-    start); the next primal step descends along them.  ``v``, ``gv``, ``p``,
-    ``q`` (TGV) and ``s`` (wavelets) are ``None`` unless the regularizer uses
-    them; shapes as in ``_iterate_shapes``.  ``sigma`` has one step per dual block
-    and ``tau`` one per primal block, in the order of :func:`block_names`.
-    :func:`pd_step` overwrites ``gu`` and ``gv`` with the new primal
-    iterates, so they must not share memory with any other array.
+    ``x`` is K's column of primal iterates: u, whose channels are the blocks
+    u1 .. uN, then the regularizer's primal iterates; ``tau`` steps them, u1
+    .. uN first.  ``g`` holds K^T ybar at each entry of ``x``, where ybar =
+    2 y+ - y are the last step's extrapolated duals (K^T y at the start).
+    ``y`` is K's row of duals, the regularizer's duals and then r1 .. rN, so
+    ``sigma[j]`` steps ``y[j]``.  Shapes as in ``_iterate_shapes``:
+    component-major, ``tail + (N,) + dims``, unlike the site-major public
+    fields, so each channel of each component is one C-contiguous image.
+    :func:`pd_step` writes the new ``x`` over ``g``, so no entry of ``g`` may
+    share memory with any other array.
     """
 
-    u: np.ndarray
-    gu: np.ndarray
-    r: list[np.ndarray]
+    x: list[np.ndarray]
+    g: list[np.ndarray]
+    y: list[np.ndarray]
     sigma: tuple[float, ...]
     tau: tuple[float, ...]
-    v: np.ndarray | None = None
-    gv: np.ndarray | None = None
-    p: np.ndarray | None = None
-    q: np.ndarray | None = None
-    s: np.ndarray | None = None  # wavelet-mode dual coefficients
     iteration: int = 0
 
 
@@ -176,22 +171,12 @@ class _Block:
     balls: Callable = lambda reg: ()
     norms: Callable = lambda reg, grid: ()
     value: Callable = lambda reg, h, u, *primal: 0.0
-    prox: Callable | None = None  # (reg, u, tau per channel) -> primal prox of u, in place
+    prox: Callable | None = None  # (reg, u, u's (N, 1, ..., 1) steps) -> prox of u, in place
     affine_injective: bool = False  # every T_i must be injective on affine images
 
 
-def _per_channel(ufunc, x: np.ndarray, values) -> np.ndarray:
-    """``x[i] = ufunc(x[i], values[i])`` for every channel i of an ``(N, *dims)``
-    array, in place; equal values take one call over the whole array."""
-    if len(set(values)) == 1:
-        return ufunc(x, values[0], out=x)
-    for i, value in enumerate(values):
-        ufunc(x[i], value, out=x[i])
-    return x
-
-
 def _quadratic_prox(reg, u, tau):
-    return _per_channel(np.divide, u, [1.0 + t * reg.weight for t in tau])
+    return np.divide(u, 1.0 + tau * reg.weight, out=u)
 
 
 _BLOCKS = {
@@ -267,21 +252,16 @@ def block_names(problem: ProblemSpec) -> tuple[tuple[str, ...], tuple[str, ...]]
     return dual, tuple(f"u{i}" for i in numbers) + block.primal
 
 
-def _iterates(state: SolverState, names) -> list[np.ndarray]:
-    return [getattr(state, name) for name in names]
-
-
-def _iterate_shapes(problem: ProblemSpec) -> dict[str, tuple[int, ...]]:
-    """Shape of every iterate the problem's regularizer uses, component-major."""
+def _iterate_shapes(problem: ProblemSpec) -> tuple[list, list]:
+    """Shapes of the primal and the dual iterates, component-major, in the
+    order of :func:`block_names`: u and the regularizer's primal iterates;
+    the regularizer's duals and each channel's r_i."""
     grid = problem.grid
     block = _block(problem.regularizer)
     base = (problem.n_channels,) + grid.dims
-    shapes = {"u": base, "gu": base}
-    for name in block.primal:
-        shapes[name] = shapes["g" + name] = _KINDS[name].tail(grid.ndim) + base
-    for name in block.dual:
-        shapes[name] = _KINDS[name].tail(grid.ndim) + base
-    return shapes
+    x = [base] + [_KINDS[name].tail(grid.ndim) + base for name in block.primal]
+    y = [_KINDS[name].tail(grid.ndim) + base for name in block.dual]
+    return x, y + [(c.op.codomain_dim,) for c in problem.channels]
 
 
 def _data_term(c: ChannelSpec, pred: np.ndarray) -> float:
@@ -392,16 +372,10 @@ def check_affine_injectivity(problem: ProblemSpec, tol: float = 1e-8) -> None:
             )
 
 
-def _clamp_kl(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
-    """Clamp the KL channels of an ``(N, *dims)`` array at zero, in place."""
-    for i in problem.kl_channels:
-        np.maximum(u[i], 0.0, out=u[i])
-    return u
-
-
 def _init_state(problem: ProblemSpec, norms: np.ndarray) -> SolverState:
-    """Zero iterates and the steps of the block norms ``norms``.  The duals
-    start at zero, so K^T y, the state's ``gu`` and ``gv``, is zero too.
+    """Zero iterates, K's blocks in the order of :func:`block_names`, and the
+    steps of the block norms ``norms``.  The duals start at zero, so K^T y,
+    the state's ``g``, is zero too.
 
     Raises SolverError when a block's row or column of K is zero, which would
     leave its step unbounded.
@@ -412,26 +386,35 @@ def _init_state(problem: ProblemSpec, norms: np.ndarray) -> SolverState:
         for name, step in zip(names, values):
             if not step < np.inf:
                 raise SolverError(f"saddle operator block {name} has zero norm")
-    iterates = {name: np.zeros(shape) for name, shape in _iterate_shapes(problem).items()}
-    r = [np.zeros(c.op.codomain_dim) for c in problem.channels]
-    return SolverState(r=r, sigma=sigma, tau=tau, **iterates)
+    x_shapes, y_shapes = _iterate_shapes(problem)
+    return SolverState(
+        x=[np.zeros(shape) for shape in x_shapes],
+        g=[np.zeros(shape) for shape in x_shapes],
+        y=[np.zeros(shape) for shape in y_shapes],
+        sigma=sigma,
+        tau=tau,
+    )
 
 
-def _require_finite(iteration: int, **arrays: np.ndarray) -> None:
-    for name, values in arrays.items():
+def _require_finite(iteration: int, name: str, arrays: list[np.ndarray]) -> None:
+    for j, values in enumerate(arrays):
         if not np.all(np.isfinite(values)):
-            raise SolverError(f"non-finite iterate {name} at iteration {iteration}")
+            raise SolverError(f"non-finite iterate {name}[{j}] at iteration {iteration}")
 
 
 def pd_step(problem: ProblemSpec, state: SolverState, diag: Diagnostics | None = None) -> None:
     """Advance ``state`` in place by one primal-dual iteration with its per-block steps.
 
-    x+ = prox_G(x - T g) is written over g; then z = K x+ is formed once,
-    and each dual's buffer holds z, then y + S z, then 2 y+ - y, whose K^T
-    is the new g.  With ``diag``, a row for the new iterate is appended to
-    it from the same z: each data term from T_i u+_i, R from K_reg x+, so
-    the row applies no operator.  Raises SolverError on a non-finite primal
-    iterate or g; the state is then partly advanced and is not to be reused.
+    One primal step runs down K's column, ``x+ = prox_G(x - T g)`` written
+    over g; u's channel steps are one ``(N, 1, ..., 1)`` array.  Then
+    z = K x+ is formed once, K_reg's outputs and then each T_i u+_i, and one
+    sigma-step runs down K's row: each buffer of z holds z, then y + S z
+    (after the channel's data shift), and, once each dual's prox has given
+    y+, 2 y+ - y, whose K^T is the new g.  With ``diag``, a row for the new
+    iterate is appended to it from the same z: each data term from
+    T_i u+_i, R from K_reg x+, so the row applies no operator.  Raises
+    SolverError on a non-finite primal iterate or g; the state is then
+    partly advanced and is not to be reused.
     """
     reg, h = problem.regularizer, problem.grid.spacing
     block = _block(reg)
@@ -439,59 +422,57 @@ def pd_step(problem: ProblemSpec, state: SolverState, diag: Diagnostics | None =
     sigma, tau = state.sigma, state.tau
     state.iteration += 1
 
-    # the primal step over g: each channel's step in place, and the old u
-    # stays intact for the caller's stop rule
-    u = np.subtract(state.u, _per_channel(np.multiply, state.gu, tau[:n]), out=state.gu)
+    # the primal step over g, and the old u stays intact for the caller's stop rule
+    taus = [np.reshape(tau[:n], (n,) + (1,) * problem.grid.ndim), *tau[n:]]
+    x = [
+        np.subtract(xj, np.multiply(g, t, out=g), out=g)
+        for xj, g, t in zip(state.x, state.g, taus)
+    ]
+    u = x[0]
     if block.prox is not None:
-        block.prox(reg, u, tau[:n])
-    state.u, state.gu = _clamp_kl(problem, u), None
-    for name, t in zip(block.primal, tau[n:]):
-        g = getattr(state, "g" + name)
-        setattr(state, name, np.subtract(getattr(state, name), np.multiply(g, t, out=g), out=g))
-        setattr(state, "g" + name, None)
-    primal = _iterates(state, block.primal)
-    _require_finite(state.iteration, u=u, **dict(zip(block.primal, primal)))
+        block.prox(reg, u, taus[0])
+    for i in problem.kl_channels:
+        np.maximum(u[i], 0.0, out=u[i])
+    state.x = x
+    _require_finite(state.iteration, "x", x)
 
-    # the regularizer's duals: each projected onto its ball
-    ks = list(block.apply(reg, h, u, *primal))
+    # z = K x+; ForwardOp.apply returns a new array, so the step may overwrite it
+    zs = list(block.apply(reg, h, *x))
+    zs += [c.op.apply(u[i]) for i, c in enumerate(problem.channels)]
     if diag is not None:
-        reg_value = _reg_value(reg, h, ks, u, *primal)
-    for k, y, s in zip(ks, _iterates(state, block.dual), sigma):
-        k *= s
-        k += y
-    for name, k, ball in zip(block.dual, ks, _balls(reg, h, ks)):
-        y = getattr(state, name)
-        setattr(state, name, cpl.project_dual_ball_array(*ball).reshape(y.shape))
-        np.subtract(np.multiply(getattr(state, name), 2.0, out=k), y, out=k)
-    u_part, *x_parts = block.adjoint(reg, h, *ks)
-    del ks
-    for name, g in zip(block.primal, x_parts):
-        setattr(state, "g" + name, g)
-
-    # the channels' duals: each discrepancy's conjugate prox
-    data_terms, rbar = [], []
-    for i, (c, s) in enumerate(zip(problem.channels, sigma[n_reg:])):
-        z = c.op.apply(u[i])  # a new array (ForwardOp.apply), so the step may overwrite it
-        if diag is not None:
-            data_terms.append(_data_term(c, z))
+        reg_value = _reg_value(reg, h, zs[:n_reg], *x)
+        data_terms = [_data_term(c, z) for c, z in zip(problem.channels, zs[n_reg:])]
+    for c, z in zip(problem.channels, zs[n_reg:]):
         if c.kind == "l2":
             z -= c.data
         else:
             z += c.background
+    for z, y, s in zip(zs, state.y, sigma):
         z *= s
-        z += state.r[i]
+        z += y
+
+    # each dual's prox: the regularizer's balls, then the discrepancies' conjugates
+    y_new = [
+        cpl.project_dual_ball_array(*ball).reshape(z.shape)
+        for z, ball in zip(zs[:n_reg], _balls(reg, h, zs[:n_reg]))
+    ]
+    for c, z, s in zip(problem.channels, zs[n_reg:], sigma[n_reg:]):
         if c.kind == "l2":
-            r_new = prox_l2_dual(z, s, c.lam)
+            y_new.append(prox_l2_dual(z, s, c.lam))
         else:
-            r_new = prox_kl_dual(z, c.data, s, c.lam)
-        rbar.append(np.subtract(np.multiply(r_new, 2.0, out=z), state.r[i], out=z))
-        state.r[i] = r_new
-    state.gu = _data_adjoint(problem, rbar)
-    del rbar
+            y_new.append(prox_kl_dual(z, c.data, s, c.lam))
+    for z, y_plus, y in zip(zs, y_new, state.y):
+        np.subtract(np.multiply(y_plus, 2.0, out=z), y, out=z)
+    state.y = y_new
+    del y  # the last old dual, freed before K^T's temporaries are allocated
+
+    u_part, *x_parts = block.adjoint(reg, h, *zs[:n_reg])
+    gu = _data_adjoint(problem, zs[n_reg:])
+    del zs
     if u_part is not None:
-        state.gu += u_part
-    gs = {"g" + name: g for name, g in zip(block.primal, x_parts)}
-    _require_finite(state.iteration, gu=state.gu, **gs)
+        gu += u_part
+    state.g = [gu, *x_parts]
+    _require_finite(state.iteration, "g", state.g)
 
     if diag is not None:
         diag.iterations.append(state.iteration)
@@ -500,8 +481,9 @@ def pd_step(problem: ProblemSpec, state: SolverState, diag: Diagnostics | None =
         diag.reg_value.append(reg_value)
 
 
-def _norm(x: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(x * x)))
+def _norm(x: np.ndarray, out: np.ndarray) -> float:
+    """The Euclidean norm of ``x``, with its squares written to ``out``."""
+    return float(np.sqrt(np.sum(np.multiply(x, x, out=out))))
 
 
 def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
@@ -519,12 +501,17 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
     quiet_streak = 0
     converged = False
     tiny = 1e-30
+    size = _norm(state.x[0], np.empty(state.x[0].shape))
     for _ in range(cfg.max_iters):
-        # pd_step writes u+ to a new array: the old u stays for the stop rule
-        previous_u = state.u
+        # pd_step writes u+ to a new array, so the old u is left to the stop
+        # rule: it holds the change and its squares, then the squares of u+,
+        # whose norm the next iteration divides by
+        previous_u = state.x[0]
         record = (state.iteration + 1) % cfg.diag_every == 0
         pd_step(problem, state, diag if record else None)
-        rel = _norm(state.u - previous_u) / max(_norm(previous_u), tiny)
+        u = state.x[0]
+        rel = _norm(np.subtract(u, previous_u, out=previous_u), previous_u) / max(size, tiny)
+        size = _norm(u, previous_u)
         diag.rel_change.append(rel)
         if rel < cfg.tol:
             quiet_streak += 1
@@ -533,6 +520,7 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
                 break
         else:
             quiet_streak = 0
-    u = MultiImage.from_cm(grid, state.u)
-    v = None if state.v is None else VectorField.from_cm(grid, state.v)
+    u, *primal = state.x
+    u = MultiImage.from_cm(grid, u)
+    v = VectorField.from_cm(grid, *primal) if primal else None
     return SolveResult(u=u, v=v, diagnostics=diag, state=state, converged=converged)

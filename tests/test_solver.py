@@ -35,11 +35,9 @@ from coupledrec.solver import (
     SolverState,
     _balls,
     _block,
-    _clamp_kl,
     _data_adjoint,
     _init_state,
     _iterate_shapes,
-    _iterates,
     _require_finite,
     block_names,
     block_steps,
@@ -120,13 +118,13 @@ def test_pd_step_fixed_point_quadratic():
     u_star = (2.0 * lam / (2.0 * lam + w)) * f
     r_star = 2.0 * lam * (u_star - f)
     state = SolverState(
-        u=u_star[None].copy(), gu=r_star[None].copy(), r=[r_star.reshape(-1)],
+        x=[u_star[None].copy()], g=[r_star[None].copy()], y=[r_star.reshape(-1)],
         sigma=(0.3,), tau=(0.3,),
     )
     pd_step(spec, state)
-    assert np.abs(state.u[0] - u_star).max() < 1e-10
-    assert np.abs(state.r[0] - r_star.reshape(-1)).max() < 1e-10
-    assert np.abs(state.gu[0] - r_star).max() < 1e-10
+    assert np.abs(state.x[0][0] - u_star).max() < 1e-10
+    assert np.abs(state.y[0] - r_star.reshape(-1)).max() < 1e-10
+    assert np.abs(state.g[0][0] - r_star).max() < 1e-10
 
 
 def test_only_kl_channels_are_clamped_at_zero():
@@ -146,10 +144,10 @@ def test_only_kl_channels_are_clamped_at_zero():
     )
     u0 = np.full((2,) + g.dims, -1.0)
     steps = {"sigma": (0.1, 0.1), "tau": (0.1, 0.1)}
-    state = SolverState(u=u0, gu=np.zeros(u0.shape), r=[np.zeros(16)] * 2, **steps)
+    state = SolverState(x=[u0], g=[np.zeros(u0.shape)], y=[np.zeros(16), np.zeros(16)], **steps)
     pd_step(spec, state)
-    assert np.all(state.u[0] < 0.0)
-    np.testing.assert_array_equal(state.u[1], np.zeros(g.dims))
+    assert np.all(state.x[0][0] < 0.0)
+    np.testing.assert_array_equal(state.x[0][1], np.zeros(g.dims))
 
 
 def test_pd_step_extrapolation_identity():
@@ -158,9 +156,9 @@ def test_pd_step_extrapolation_identity():
     spec = _quad_problem(g, _smooth(g, 4)[..., 0])
     r0 = _smooth(g, 6).reshape(-1)
     u, gu = (np.moveaxis(_smooth(g, seed), -1, 0).copy() for seed in (5, 7))
-    state = SolverState(u=u, gu=gu, r=[r0.copy()], sigma=(0.4,), tau=(0.4,))
+    state = SolverState(x=[u], g=[gu], y=[r0.copy()], sigma=(0.4,), tau=(0.4,))
     pd_step(spec, state)
-    np.testing.assert_array_equal(state.gu[0], (2.0 * state.r[0] - r0).reshape(g.dims))
+    np.testing.assert_array_equal(state.g[0][0], (2.0 * state.y[0] - r0).reshape(g.dims))
 
 
 def test_energy_settles_on_random_problem():
@@ -191,13 +189,13 @@ def test_dual_feasibility_and_kl_nonnegativity():
         regularizer=TGV2(2.0, 1.0, coupling="frobenius"),
     )
     res = solve(spec, SolveConfig(max_iters=60, tol=0.0))
-    state = res.state
-    assert pointwise_norms(VectorField.from_cm(g, state.p), "frobenius").max() <= 1.0 + 1e-12
-    assert pointwise_norms(SymTensorField.from_cm(g, state.q), "frobenius").max() <= 2.0 + 1e-12
+    p, q, r = res.state.y
+    assert pointwise_norms(VectorField.from_cm(g, p), "frobenius").max() <= 1.0 + 1e-12
+    assert pointwise_norms(SymTensorField.from_cm(g, q), "frobenius").max() <= 2.0 + 1e-12
     assert res.u.values.min() >= 0.0
     # KL dual iterates stay strictly below lambda on the data support
     support = spec.channels[0].data > 0
-    assert np.all(state.r[0][support] < 3.0)
+    assert np.all(r[support] < 3.0)
 
 
 def test_nuclear_dual_stays_in_the_spectral_ball():
@@ -213,8 +211,8 @@ def test_nuclear_dual_stays_in_the_spectral_ball():
         ),
         regularizer=TGV2(2.0, 1.0, coupling="nuclear"),
     )
-    state = solve(spec, SolveConfig(max_iters=60, tol=0.0)).state
-    spectral = np.linalg.svd(VectorField.from_cm(g, state.p).values, compute_uv=False)[..., 0]
+    p = solve(spec, SolveConfig(max_iters=60, tol=0.0)).state.y[0]
+    spectral = np.linalg.svd(VectorField.from_cm(g, p).values, compute_uv=False)[..., 0]
     assert spectral.max() <= 1.0 + 1e-12
     assert np.sum(spectral > 1.0 - 1e-9) > 0  # the constraint is active somewhere
 
@@ -352,8 +350,8 @@ def test_overflow_inside_tgv_block_raises_solver_error():
     )
     state = solve(spec, SolveConfig(max_iters=5, tol=0.0)).state
     rows = np.where(np.arange(12) % 2 == 0, 1.5e308, -1.5e308)
-    state.u = np.broadcast_to(rows[None, :, None], (1, 12, 12)).copy()
-    state.gu = np.zeros(state.u.shape)
+    state.x[0] = np.broadcast_to(rows[None, :, None], (1, 12, 12)).copy()
+    state.g[0] = np.zeros(state.x[0].shape)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError, match="non-finite"):
         pd_step(spec, state)
 
@@ -448,10 +446,8 @@ def _saddle_operator(problem):
     """
     reg, h = problem.regularizer, problem.grid.spacing
     block = _block(reg)
-    shapes = _iterate_shapes(problem)
+    x_shapes, y_shapes = _iterate_shapes(problem)
     ops = [c.op for c in problem.channels]
-    x_shapes = [shapes[name] for name in ("u",) + block.primal]
-    y_shapes = [shapes[name] for name in block.dual] + [(op.codomain_dim,) for op in ops]
     roots = [_KINDS[name].weights(len(h)) for name in block.dual]
     # the weights scale the leading, component axis of a component-major dual
     axes = (1,) * (len(h) + 1)
@@ -484,26 +480,23 @@ def _channel_slices(problem):
     """Row and column indices, in the flat layout of ``_saddle_operator``, of
     each channel's slice of each block of K: ``rows[c]`` holds the slices of the
     duals, then r_c; ``cols[c]`` the slice of u, then those of the primals."""
-    block = _block(problem.regularizer)
-    shapes = _iterate_shapes(problem)
     d, n = problem.grid.ndim, problem.n_channels
+    n_reg = len(_block(problem.regularizer).dual)
+    x_shapes, y_shapes = _iterate_shapes(problem)
 
-    def layout(names, sizes):
+    def layout(shapes):
+        """Each block's indices; a block with a channel axis split by channel."""
         start, out = 0, []
-        for name in names:
-            shape = shapes[name]
+        for shape in shapes:
             idx = np.arange(start, start + int(np.prod(shape))).reshape(shape)
-            # the channel axis comes just before the grid axes
-            out.append([idx.take(c, axis=len(shape) - d - 1).reshape(-1) for c in range(n)])
             start += idx.size
-        for size in sizes:
-            out.append(np.arange(start, start + size))
-            start += size
+            if len(shape) == 1:  # a channel's r_c
+                out.append(idx)
+            else:  # the channel axis comes just before the grid axes
+                out.append([idx.take(c, axis=len(shape) - d - 1).reshape(-1) for c in range(n)])
         return out
 
-    row_blocks = layout(block.dual, [c.op.codomain_dim for c in problem.channels])
-    col_blocks = layout(("u",) + block.primal, [])
-    n_reg = len(block.dual)
+    row_blocks, col_blocks = layout(y_shapes), layout(x_shapes)
     rows = [[b[c] for b in row_blocks[:n_reg]] + [row_blocks[n_reg + c]] for c in range(n)]
     cols = [[b[c] for b in col_blocks] for c in range(n)]
     return rows, cols
@@ -549,9 +542,8 @@ def test_regularizer_value_pairs_with_its_dual_projection(mode):
     # the K_reg part of R is this pairing, summed over the duals.
     grid, reg = SADDLE_MODES[mode]
     problem, block, h = _identity_pair(grid, reg), _block(reg), grid.spacing
-    shapes = _iterate_shapes(problem)
     rng = np.random.default_rng(17)
-    u, *primal = (rng.standard_normal(shapes[name]) for name in ("u",) + block.primal)
+    u, *primal = (rng.standard_normal(shape) for shape in _iterate_shapes(problem)[0])
     ks = block.apply(reg, h, u, *primal)
     c = 1e8
     pairing = 0.0
@@ -596,55 +588,55 @@ def test_block_steps_bound_the_scaled_operator(mode, mix):
     "reg", [TGV2(2.0, 1.0, "nuclear"), WaveletL21(levels=2), Quadratic(0.5)], ids=str
 )
 def test_pd_step_gives_each_block_its_own_step(reg):
+    # the reference repeats pd_step's float operations out of place, so every
+    # block must match bit for bit
     spec = _identity_pair(Grid((8, 8)), reg)
     block, h = _block(reg), spec.grid.spacing
     dual_names, primal_names = block_names(spec)
     sigma = tuple(0.1 + 0.03 * k for k in range(len(dual_names)))
     tau = tuple(0.2 + 0.05 * k for k in range(len(primal_names)))
     rng = np.random.default_rng(18)
-    iterates = {name: rng.random(shape) for name, shape in _iterate_shapes(spec).items()}
-    r = [rng.random(c.op.codomain_dim) for c in spec.channels]
-    old = {name: x.copy() for name, x in iterates.items()} | {"r": [x.copy() for x in r]}
-    state = SolverState(r=r, sigma=sigma, tau=tau, **iterates)
+    x_shapes, y_shapes = _iterate_shapes(spec)
+    x, g = zip(*[(rng.random(shape), rng.random(shape)) for shape in x_shapes])
+    y = [rng.random(shape) for shape in y_shapes]
+    x0, g0, y0 = ([a.copy() for a in arrays] for arrays in (x, g, y))
+    state = SolverState(x=list(x), g=list(g), y=y, sigma=sigma, tau=tau)
     pd_step(spec, state)
 
     n_reg, n = len(block.dual), spec.n_channels
-    for name, t in zip(block.primal, tau[n:]):
-        expected = old[name] - t * old["g" + name]
-        np.testing.assert_allclose(getattr(state, name), expected, rtol=1e-14)
+    for j, t in enumerate(tau[n:], start=1):
+        np.testing.assert_array_equal(state.x[j], x0[j] - t * g0[j])
     for i, (c, t) in enumerate(zip(spec.channels, tau[:n])):
-        expected = old["u"][i] - t * old["gu"][i]
+        expected = x0[0][i] - t * g0[0][i]
         if isinstance(reg, Quadratic):
             expected = expected / (1.0 + t * reg.weight)
         if c.kind == "kl":
             expected = np.maximum(expected, 0.0)
-        np.testing.assert_allclose(state.u[i], expected, rtol=1e-14, atol=1e-15)
+        np.testing.assert_array_equal(state.x[0][i], expected)
 
-    primal = _iterates(state, block.primal)
-    ks = block.apply(reg, h, state.u, *primal)
-    hats = [y + s * k for y, k, s in zip([old[name] for name in block.dual], ks, sigma)]
+    ks = block.apply(reg, h, *state.x)
+    hats = [y + s * k for y, k, s in zip(y0, ks, sigma)]
     duals = [
         cpl.project_dual_ball_array(*ball).reshape(y.shape)
         for y, ball in zip(hats, _balls(reg, h, hats))
     ]
-    for name, expected in zip(block.dual, duals):
-        np.testing.assert_allclose(getattr(state, name), expected, rtol=1e-14, atol=0)
-    rbar = []
     for i, (c, s) in enumerate(zip(spec.channels, sigma[n_reg:])):
-        pred = c.op.apply(state.u[i])
+        r, pred = y0[n_reg + i], c.op.apply(state.x[0][i])
         if c.kind == "l2":
-            expected = prox_l2_dual(old["r"][i] + s * (pred - c.data), s, c.lam)
+            duals.append(prox_l2_dual(r + s * (pred - c.data), s, c.lam))
         else:
-            expected = prox_kl_dual(old["r"][i] + s * (pred + c.background), c.data, s, c.lam)
-        np.testing.assert_allclose(state.r[i], expected, rtol=1e-14, atol=0)
-        rbar.append(2.0 * state.r[i] - old["r"][i])
-    u_part, *x_parts = block.adjoint(
-        reg, h, *[2.0 * y - y0 for y, y0 in zip(duals, [old[name] for name in block.dual])]
-    )
-    gu = _data_adjoint(spec, rbar) + (0.0 if u_part is None else u_part)
-    np.testing.assert_allclose(state.gu, gu, rtol=1e-14, atol=1e-15)
-    for name, g in zip(block.primal, x_parts):
-        np.testing.assert_allclose(getattr(state, "g" + name), g, rtol=1e-14, atol=1e-15)
+            duals.append(prox_kl_dual(r + s * (pred + c.background), c.data, s, c.lam))
+    assert len(state.y) == len(duals)
+    for actual, expected in zip(state.y, duals):
+        np.testing.assert_array_equal(actual, expected)
+    bars = [2.0 * y - y_old for y, y_old in zip(duals, y0)]
+    u_part, *x_parts = block.adjoint(reg, h, *bars[:n_reg])
+    gu = _data_adjoint(spec, bars[n_reg:])
+    if u_part is not None:
+        gu += u_part
+    assert len(state.g) == len(state.x) == 1 + len(x_parts)
+    for actual, expected in zip(state.g, [gu, *x_parts]):
+        np.testing.assert_array_equal(actual, expected)
 
 
 def _reference_norm_estimate(op, iters, seed):
@@ -724,49 +716,44 @@ def _scalar_step_pd_step(problem, state):
     g+ = K^T (2 y+ - y)."""
     reg, h = problem.regularizer, problem.grid.spacing
     block = _block(reg)
+    n_reg = len(block.dual)
     sigma, tau = state.sigma, state.tau
 
-    u = state.u - tau * state.gu
+    u, *primal = (x - tau * g for x, g in zip(state.x, state.g))
     if block.prox is not None:
         u = u / (1.0 + tau * reg.weight)
-    _clamp_kl(problem, u)
-    primal = {
-        name: getattr(state, name) - tau * getattr(state, "g" + name) for name in block.primal
-    }
-    _require_finite(state.iteration + 1, u=u, **primal)
+    for i in problem.kl_channels:
+        u[i] = np.maximum(u[i], 0.0)
+    x = [u, *primal]
+    _require_finite(state.iteration + 1, "x", x)
 
-    ks = block.apply(reg, h, u, *primal.values())
-    hats = [y + sigma * k for y, k in zip(_iterates(state, block.dual), ks)]
-    duals = {
-        name: cpl.project_dual_ball_array(*ball).reshape(y.shape)
-        for name, y, ball in zip(block.dual, hats, _balls(reg, h, hats))
-    }
-    r_new = []
+    ks = block.apply(reg, h, *x)
+    hats = [y + sigma * k for y, k in zip(state.y, ks)]
+    y_new = [
+        cpl.project_dual_ball_array(*ball).reshape(y.shape)
+        for y, ball in zip(hats, _balls(reg, h, hats))
+    ]
     for i, c in enumerate(problem.channels):
-        pred = c.op.apply(u[i])
+        r, pred = state.y[n_reg + i], c.op.apply(u[i])
         if c.kind == "l2":
-            r_new.append(prox_l2_dual(state.r[i] + sigma * (pred - c.data), sigma, c.lam))
+            y_new.append(prox_l2_dual(r + sigma * (pred - c.data), sigma, c.lam))
         else:
-            r_new.append(
-                prox_kl_dual(state.r[i] + sigma * (pred + c.background), c.data, sigma, c.lam)
-            )
-    bars = [2.0 * y - y0 for y, y0 in zip(duals.values(), _iterates(state, block.dual))]
-    u_part, *x_parts = block.adjoint(reg, h, *bars)
-    gu = _data_adjoint(problem, [2.0 * r - r0 for r, r0 in zip(r_new, state.r)])
+            y_new.append(prox_kl_dual(r + sigma * (pred + c.background), c.data, sigma, c.lam))
+    bars = [2.0 * y - y0 for y, y0 in zip(y_new, state.y)]
+    u_part, *x_parts = block.adjoint(reg, h, *bars[:n_reg])
+    gu = _data_adjoint(problem, bars[n_reg:])
     if u_part is not None:
         gu += u_part
-    gs = {"g" + name: g for name, g in zip(block.primal, x_parts)}
-    _require_finite(state.iteration + 1, gu=gu, **gs)
-    return replace(
-        state, u=u, gu=gu, r=r_new, iteration=state.iteration + 1, **duals, **primal, **gs
-    )
+    g = [gu, *x_parts]
+    _require_finite(state.iteration + 1, "g", g)
+    return replace(state, x=x, g=g, y=y_new, iteration=state.iteration + 1)
 
 
 def _assert_states_equal(a, b):
-    for name, x in _state_arrays(a).items():
-        y = _state_arrays(b)[name]
-        assert (x is None) == (y is None), name
-        assert x is None or x.tobytes() == y.tobytes(), name
+    for name, xs, ys in (("x", a.x, b.x), ("g", a.g, b.g), ("y", a.y, b.y)):
+        assert len(xs) == len(ys), name
+        for j, (x, y) in enumerate(zip(xs, ys)):
+            assert x.tobytes() == y.tobytes(), f"{name}[{j}]"
 
 
 def test_uniform_steps_match_the_scalar_step_iteration():
@@ -777,8 +764,8 @@ def test_uniform_steps_match_the_scalar_step_iteration():
     state = _init_state(spec, norms)
     step = 0.99 / 1.01
     assert (state.sigma, state.tau) == ((step, step), (step, step))
-    # pd_step advances its state in place: the reference gets its own arrays
-    scalar = replace(state, sigma=step, tau=step, gu=state.gu.copy(), r=list(state.r))
+    # pd_step writes x+ over g: the reference gets its own g
+    scalar = replace(state, sigma=step, tau=step, g=[g.copy() for g in state.g])
     for _ in range(150):
         pd_step(spec, state)
         scalar = _scalar_step_pd_step(spec, scalar)
@@ -793,28 +780,33 @@ def test_uniform_steps_match_the_scalar_step_iteration():
     "mode", ["tgv_frobenius", "tgv_nuclear", "tgv_nuclear_3d", "wavelet", "quadratic"]
 )
 def test_every_iterate_stays_c_contiguous_and_component_major(mode):
-    # the per-channel and per-component slices are contiguous images only if
-    # every iterate is C-contiguous in the shape of _iterate_shapes
+    # the state holds K's blocks in the order of block_names, and the
+    # per-channel and per-component slices are contiguous images only if every
+    # iterate is C-contiguous in the shape of _iterate_shapes
     if mode == "tgv_nuclear_3d":  # its clip takes the batched-SVD path
         spec = _identity_pair(Grid((3, 4, 2)), TGV2(2.0, 1.0, "nuclear"))
     else:
         spec = _mixed_problem(mode, "fourier_identity")
-    shapes = _iterate_shapes(spec)
+    grid, block = spec.grid, _block(spec.regularizer)
+    x_shapes, y_shapes = _iterate_shapes(spec)
+    # x is u, then the block's primal iterates
+    base = (spec.n_channels,) + grid.dims
+    assert x_shapes == [base] + [_KINDS[name].tail(grid.ndim) + base for name in block.primal]
     state = _init_state(spec, estimate_saddle_norm(spec))
     for _ in range(3):
         pd_step(spec, state, Diagnostics())
-        for name, shape in shapes.items():
-            x = getattr(state, name)
-            assert x.shape == shape, name
-            assert x.flags.c_contiguous, name
+        assert len(state.y) == len(state.sigma) == len(block_names(spec)[0])
+        assert len(state.x) == len(state.g) == 1 + len(block.primal)
+        for name, arrays, shapes in (
+            ("x", state.x, x_shapes), ("g", state.g, x_shapes), ("y", state.y, y_shapes)
+        ):
+            for j, (a, shape) in enumerate(zip(arrays, shapes, strict=True)):
+                assert a is not None, (name, j)
+                assert a.shape == shape, (name, j)
+                assert a.flags.c_contiguous, (name, j)
 
 
 # --- norms shared through the operators ---------------------------------------
-
-
-def _state_arrays(state):
-    names = ("u", "gu", "v", "gv", "p", "q", "s")
-    return {n: getattr(state, n) for n in names} | {f"r{i}": r for i, r in enumerate(state.r)}
 
 
 def _count_power_iterations(monkeypatch) -> Counter:
@@ -884,8 +876,9 @@ def test_every_row_measures_the_iterate_it_names(mode):
     for k in range(1, iters + 1):
         pd_step(spec, state, diag)
         assert diag.iterations[-1] == state.iteration == k
-        u = MultiImage.from_cm(grid, state.u)
-        v = None if state.v is None else VectorField.from_cm(grid, state.v)
+        u_cm, *primal = state.x
+        u = MultiImage.from_cm(grid, u_cm)
+        v = VectorField.from_cm(grid, *primal) if primal else None
         assert diag.energy[-1] == pytest.approx(primal_energy(spec, u, v), rel=1e-12)
         assert diag.reg_value[-1] == pytest.approx(regularizer_value(spec, u, v), rel=1e-12)
         data_terms = [channel_data_term(spec, u, i) for i in range(spec.n_channels)]

@@ -49,9 +49,9 @@ def eval_kl(v: np.ndarray, f: np.ndarray) -> float:
         raise ValueError("length mismatch")
     if np.any(v < 0) or np.any(f < 0):
         return np.inf
-    if np.any((v == 0) & (f > 0)):
-        return np.inf
     pos = f > 0
+    if np.any(pos & (v == 0)):
+        return np.inf
     v0, vp, fp = v[~pos], v[pos], f[pos]
     terms = vp - fp - fp * np.log(vp / fp)
     return max(float(np.sum(v0)) + float(np.sum(terms)), 0.0)
@@ -85,8 +85,12 @@ def prox_kl_dual(rhat: np.ndarray, f: np.ndarray, sigma: float, lam: float) -> n
     f = np.asarray(f, dtype=np.float64)
     if np.any(f < 0):
         raise ValueError("KL data must be nonnegative")
-    root = np.sqrt((rhat - lam) ** 2 + 4.0 * sigma * lam * f)
-    return rhat - 0.5 * (rhat - lam + root)
+    shifted = rhat - lam
+    root = np.multiply(shifted, shifted)
+    root += 4.0 * sigma * lam * f
+    shifted += np.sqrt(root, out=root)
+    shifted *= 0.5
+    return np.subtract(rhat, shifted, out=shifted)
 
 
 def add_gaussian_noise(f_true: np.ndarray, target_delta: float, seed: int) -> NoiseRealization:

@@ -9,7 +9,7 @@ is the exact transpose, so the dot-product test passes to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from typing import Callable
 
@@ -29,6 +29,8 @@ class ForwardOp:
     Frozen, so that :attr:`norm`, computed on first use, cannot go stale.
     :meth:`apply` and :meth:`adjoint` return arrays that share no memory with
     their argument, so a caller may overwrite the result in place.
+    ``empty_rows``, where known, are the data entries that T maps every image
+    to zero (detector bins no pixel reaches).
     """
 
     kind: str
@@ -36,6 +38,7 @@ class ForwardOp:
     codomain_dim: int
     _apply: Callable[[np.ndarray], np.ndarray]
     _adjoint: Callable[[np.ndarray], np.ndarray]
+    empty_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
@@ -100,10 +103,28 @@ def _separable_factors(kernel: np.ndarray) -> list[np.ndarray] | None:
     return factors
 
 
-def _correlate_axes(u: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    """Zero-padded correlation with the outer product of ``factors``, one axis at a time."""
-    for ax, f in enumerate(factors):
-        u = ndi.correlate1d(u, f, axis=ax, mode="constant", cval=0.0)
+def _band(factor: np.ndarray, n: int) -> sp.dia_array:
+    """The n x n matrix of zero-padded correlation with ``factor`` along one
+    axis: entry (i, i + k) is ``factor[r + k]`` for a factor of length 2r + 1.
+    ``_band(factor[::-1], n)`` is its transpose."""
+    r = factor.size // 2
+    return sp.dia_array((np.repeat(factor[:, None], n, axis=1), np.arange(-r, r + 1)), shape=(n, n))
+
+
+def _along_axes(u: np.ndarray, mats: list[sp.dia_array]) -> np.ndarray:
+    """``u`` with ``mats[ax]`` applied along each axis ``ax``.
+
+    Each product runs on a C-contiguous ``(n_ax, rest)`` matrix, the axis
+    swapped to the front; the previous product is dropped before the next is
+    allocated, so at most two image-sized arrays are live at once.  The
+    result may be a transposed view of a contiguous array.
+    """
+    for ax, m in enumerate(mats):
+        moved = u.swapaxes(0, ax)
+        shape = moved.shape
+        flat = np.ascontiguousarray(moved.reshape(shape[0], -1))
+        del u, moved
+        u = (m @ flat).reshape(shape).swapaxes(0, ax)
     return u
 
 
@@ -111,9 +132,12 @@ def convolution_op(grid: Grid, kernel: np.ndarray) -> ForwardOp:
     """Same-size correlation with zero padding; adjoint flips the kernel.
 
     Kernel sizes must be odd along every axis so the centered origin is
-    self-consistent between the pair.  A separable kernel runs as one 1-D
-    pass per axis, any other as a direct n-D correlation; either way a
-    nonnegative kernel maps nonnegative images to nonnegative data.
+    self-consistent between the pair.  A separable kernel runs as one banded
+    sparse product per axis, with matrices built here from its 1-D factors,
+    and the adjoint with their transposes, the bands of the reversed factors;
+    any other kernel as a direct n-D correlation.  Either way a nonnegative
+    kernel maps nonnegative images to nonnegative data, since only
+    nonnegative products are summed.
     """
     kernel = np.array(kernel, dtype=np.float64)  # a copy: the caller may reuse theirs
     if kernel.ndim != grid.ndim:
@@ -128,8 +152,10 @@ def convolution_op(grid: Grid, kernel: np.ndarray) -> ForwardOp:
         apply = partial(ndi.correlate, weights=kernel, mode="constant", cval=0.0)
         adjoint = partial(ndi.correlate, weights=flipped, mode="constant", cval=0.0)
     else:
-        apply = partial(_correlate_axes, factors=factors)
-        adjoint = partial(_correlate_axes, factors=[f[::-1].copy() for f in factors])
+        apply = partial(_along_axes, mats=[_band(f, n) for f, n in zip(factors, grid.dims)])
+        adjoint = partial(
+            _along_axes, mats=[_band(f[::-1], n) for f, n in zip(factors, grid.dims)]
+        )
     return ForwardOp(
         kind="convolution",
         grid=grid,
@@ -200,7 +226,8 @@ def radon_op(grid: Grid, angles, n_bins: int) -> ForwardOp:
     Pixel-driven with linear splatting onto detector bins (spacing one
     pixel): every pixel distributes its value between the two nearest bins,
     so line sums conserve mass per angle and nonnegative images map to
-    nonnegative sinograms.
+    nonnegative sinograms.  Bins that no pixel reaches are kept, and
+    recorded as the operator's ``empty_rows``.
     """
     if grid.ndim != 2:
         raise ValueError("radon_op requires a 2D grid")
@@ -219,6 +246,7 @@ def radon_op(grid: Grid, angles, n_bins: int) -> ForwardOp:
         codomain_dim=mat.shape[0],
         _apply=lambda u: mat @ u.reshape(-1),
         _adjoint=lambda y: (mat_t @ y).reshape(grid.dims),
+        empty_rows=np.flatnonzero(np.diff(mat.indptr) == 0),
     )
 
 

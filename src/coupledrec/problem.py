@@ -62,6 +62,8 @@ class ChannelSpec:
     lam: float
     kind: str = "l2"  # "l2" | "kl"
     background: np.ndarray | None = None  # KL channels only
+    # whether the background has a nonzero entry, so that T u + c needs the sum
+    has_background: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64).reshape(-1)
@@ -84,8 +86,15 @@ class ChannelSpec:
             bg = np.zeros_like(data) if bg is None else np.asarray(bg, np.float64).reshape(-1)
             if bg.size != data.size or np.any(bg < 0) or not np.all(np.isfinite(bg)):
                 raise ValueError("background must be nonnegative and match the data length")
+            empty = self.op.empty_rows
+            if empty is not None and np.any((data[empty] > 0) & (bg[empty] == 0)):
+                raise ValueError(
+                    "KL data is positive on a bin that the operator never reaches and "
+                    "that has no background, so KL(T u + c, f) = +inf for every u"
+                )
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "background", bg)
+        object.__setattr__(self, "has_background", bool(bg is not None and np.any(bg)))
 
 
 @dataclass(frozen=True)

@@ -268,7 +268,7 @@ def _data_term(c: ChannelSpec, pred: np.ndarray) -> float:
     """D_i(pred, f_i) without the lambda weight, from pred = T_i u_i."""
     if c.kind == "l2":
         return eval_l2sq(pred, c.data)
-    return eval_kl(pred + c.background, c.data)
+    return eval_kl(pred + c.background if c.has_background else pred, c.data)
 
 
 def channel_data_term(problem: ProblemSpec, u: MultiImage, i: int) -> float:
@@ -304,12 +304,18 @@ def primal_energy(problem: ProblemSpec, u: MultiImage, v: VectorField | None = N
     return _energy(problem, regularizer_value(problem, u, v), data_terms)
 
 
-def _data_adjoint(problem: ProblemSpec, r: list[np.ndarray]) -> np.ndarray:
-    """T_i^* r_i for every channel i, stacked into an ``(N, *dims)`` array."""
-    tstar = np.empty((problem.n_channels,) + problem.grid.dims)
-    for i, c in enumerate(problem.channels):
-        tstar[i] = c.op.adjoint(r[i])
-    return tstar
+def _data_adjoint(problem: ProblemSpec, r: list, out: np.ndarray | None = None) -> np.ndarray:
+    """T_i^* r_i for every channel i, added into channel i of the ``(N, *dims)``
+    array ``out`` (IEEE addition commutes, so out[i] + T_i^* r_i is the same
+    either way round), or without ``out`` stacked into a new one."""
+    if out is None:
+        out = np.empty((problem.n_channels,) + problem.grid.dims)
+        for i, (c, ri) in enumerate(zip(problem.channels, r)):
+            out[i] = c.op.adjoint(ri)
+        return out
+    for i, (c, ri) in enumerate(zip(problem.channels, r)):
+        out[i] += c.op.adjoint(ri)
+    return out
 
 
 def estimate_saddle_norm(problem: ProblemSpec) -> np.ndarray:
@@ -409,8 +415,11 @@ def pd_step(problem: ProblemSpec, state: SolverState, diag: Diagnostics | None =
     over g; u's channel steps are one ``(N, 1, ..., 1)`` array.  Then
     z = K x+ is formed once, K_reg's outputs and then each T_i u+_i, and one
     sigma-step runs down K's row: each buffer of z holds z, then y + S z
-    (after the channel's data shift), and, once each dual's prox has given
-    y+, 2 y+ - y, whose K^T is the new g.  With ``diag``, a row for the new
+    (after the channel's data shift; a KL channel's background is added only
+    where it is nonzero), and, once each dual's prox has given y+, 2 y+ - y,
+    whose K^T is the new g.  K^T's u part is one buffer: K_reg^T's u part,
+    with each T_i^* applied to channel i's buffer added into its channel
+    (:func:`_data_adjoint`).  With ``diag``, a row for the new
     iterate is appended to it from the same z: each data term from
     T_i u+_i, R from K_reg x+, so the row applies no operator.  Raises
     SolverError on a non-finite primal iterate or g; the state is then
@@ -445,7 +454,7 @@ def pd_step(problem: ProblemSpec, state: SolverState, diag: Diagnostics | None =
     for c, z in zip(problem.channels, zs[n_reg:]):
         if c.kind == "l2":
             z -= c.data
-        else:
+        elif c.has_background:
             z += c.background
     for z, y, s in zip(zs, state.y, sigma):
         z *= s
@@ -467,10 +476,8 @@ def pd_step(problem: ProblemSpec, state: SolverState, diag: Diagnostics | None =
     del y  # the last old dual, freed before K^T's temporaries are allocated
 
     u_part, *x_parts = block.adjoint(reg, h, *zs[:n_reg])
-    gu = _data_adjoint(problem, zs[n_reg:])
+    gu = _data_adjoint(problem, zs[n_reg:], u_part)
     del zs
-    if u_part is not None:
-        gu += u_part
     state.g = [gu, *x_parts]
     _require_finite(state.iteration, "g", state.g)
 

@@ -8,6 +8,7 @@ import scipy.ndimage as ndi
 from coupledrec.diffops import adjoint_check
 from coupledrec.forward import (
     ForwardOp,
+    _band,
     _separable_factors,
     convolution_op,
     default_n_bins,
@@ -250,3 +251,54 @@ def test_apply_and_adjoint_never_return_a_view_of_their_argument():
     op.adjoint(y)[:] = 5.0
     np.testing.assert_array_equal(u, np.ones(g.dims))
     np.testing.assert_array_equal(y, np.ones(12))
+
+
+def test_radon_records_the_bins_no_pixel_reaches():
+    g = Grid((8, 8))
+    op = radon_op(g, np.arange(6) * np.pi / 6, default_n_bins(g))
+    dense = np.stack([op.apply(e.reshape(g.dims)) for e in np.eye(g.sites)], axis=1)
+    np.testing.assert_array_equal(op.empty_rows, np.flatnonzero(~dense.any(axis=1)))
+    assert identity_op(g).empty_rows is None
+
+
+@pytest.mark.parametrize("n", [1, 4, 11, 20])
+def test_band_of_the_reversed_factor_is_the_transpose(n):
+    factor = np.random.default_rng(n).standard_normal(9)
+    band = _band(factor, n).toarray()
+    want = np.zeros((n, n))
+    for i in range(n):
+        for k in range(-4, 5):
+            if 0 <= i + k < n:
+                want[i, i + k] = factor[4 + k]
+    np.testing.assert_array_equal(band, want)
+    np.testing.assert_array_equal(_band(factor[::-1], n).toarray(), want.T)
+
+
+@pytest.mark.parametrize(
+    "dims, make",
+    [
+        ((7, 6), lambda g: identity_op(g)),
+        ((7, 6), lambda g: masked_fourier_op(g, np.random.default_rng(2).random(g.dims) < 0.5)),
+        ((7, 6), lambda g: radon_op(g, np.arange(4) * np.pi / 4, default_n_bins(g))),
+        ((7, 6), lambda g: convolution_op(g, np.random.default_rng(1).random((3, 3)))),
+        ((9,), lambda g: convolution_op(g, _gauss1d(1.0))),
+        ((7, 6), lambda g: convolution_op(g, _outer(_gauss1d(1.0), _gauss1d(1.5)))),
+        ((5, 4, 3), lambda g: convolution_op(g, _outer(*[_gauss1d(1.0)] * 3))),
+    ],
+    ids=[
+        "identity",
+        "masked_fourier",
+        "radon",
+        "nonseparable_convolution",
+        "banded_1d",
+        "banded_2d",
+        "banded_3d",
+    ],
+)
+def test_results_share_no_memory_with_their_argument(dims, make):
+    g = Grid(dims)
+    op = make(g)
+    rng = np.random.default_rng(3)
+    u, y = rng.standard_normal(g.dims), rng.standard_normal(op.codomain_dim)
+    assert not np.shares_memory(op.apply(u), u)
+    assert not np.shares_memory(op.adjoint(y), y)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coupledrec.forward import identity_op
+from coupledrec.forward import default_n_bins, identity_op, radon_op
 from coupledrec.grids import Grid
 from coupledrec.problem import ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
 
@@ -105,3 +105,30 @@ def test_problem_spec_rejects_empty_and_mismatched_grid():
         ProblemSpec(grid=g, channels=(), regularizer=Quadratic(1.0))
     with pytest.raises(ValueError):
         ProblemSpec(grid=Grid((3, 3)), channels=(_chan(g),), regularizer=Quadratic(1.0))
+
+
+def test_kl_channel_rejects_positive_data_on_a_bin_no_pixel_reaches():
+    # with default_n_bins the corner bins of the 8x8, 6-angle sinogram see no
+    # pixel, so KL(T u, f) would be +inf for every u where f > 0 there
+    g = Grid((8, 8))
+    radon = radon_op(g, np.arange(6) * np.pi / 6, default_n_bins(g))
+    empty = radon.empty_rows
+    assert empty.size > 0
+    data = np.ones(radon.codomain_dim)
+    with pytest.raises(ValueError, match="never reaches"):
+        ChannelSpec(op=radon, data=data, lam=1.0, kind="kl")
+    # an L2 term stays finite there, and so does KL with a background there
+    ChannelSpec(op=radon, data=data, lam=1.0, kind="l2")
+    background = np.zeros(radon.codomain_dim)
+    background[empty] = 0.5
+    assert ChannelSpec(op=radon, data=data, lam=1.0, kind="kl", background=background).has_background
+    data[empty] = 0.0
+    assert not ChannelSpec(op=radon, data=data, lam=1.0, kind="kl").has_background
+
+
+def test_kl_channel_records_whether_its_background_is_zero():
+    g = Grid((2, 2))
+    assert not _chan(g, kind="kl").has_background
+    assert not _chan(g, kind="l2").has_background
+    tiny = [0.0, 0.0, 1e-300, 0.0]
+    assert ChannelSpec(op=identity_op(g), data=np.ones(4), lam=1.0, kind="kl", background=tiny).has_background

@@ -425,6 +425,14 @@ CHANNEL_MIXES = {
 }
 
 
+def _reachable(op, data):
+    """``data`` with zeros on the bins that ``op`` never reaches, where positive
+    KL data would make every objective +inf."""
+    if op.empty_rows is not None:
+        data[op.empty_rows] = 0.0
+    return data
+
+
 def _mixed_problem(mode, mix):
     grid, reg = SADDLE_MODES[mode]
     kinds = [k if grid.ndim == 2 or k != "radon" else "blur" for k in CHANNEL_MIXES[mix]]
@@ -433,7 +441,10 @@ def _mixed_problem(mode, mix):
     for i, kind in enumerate(kinds):
         op = _channel_op(grid, kind)
         data = rng.random(op.codomain_dim) + 0.1
-        channels.append(ChannelSpec(op=op, data=data, lam=1.0, kind="kl" if i == 1 else "l2"))
+        if i == 1:
+            channels.append(ChannelSpec(op=op, data=_reachable(op, data), lam=1.0, kind="kl"))
+        else:
+            channels.append(ChannelSpec(op=op, data=data, lam=1.0, kind="l2"))
     return ProblemSpec(grid=grid, channels=tuple(channels), regularizer=reg)
 
 
@@ -690,7 +701,12 @@ def test_norm_estimate_settles_on_the_top_singular_value_of_tgv_radon():
         grid=g,
         channels=(
             ChannelSpec(op=identity_op(g), data=rng.random(g.sites), lam=1.0, kind="l2"),
-            ChannelSpec(op=radon, data=rng.random(radon.codomain_dim) + 0.1, lam=2.0, kind="kl"),
+            ChannelSpec(
+                op=radon,
+                data=_reachable(radon, rng.random(radon.codomain_dim) + 0.1),
+                lam=2.0,
+                kind="kl",
+            ),
         ),
         regularizer=TGV2(2.0, 1.0, "nuclear"),
     )
@@ -835,7 +851,9 @@ def test_solve_with_prepared_setup_is_bitwise_equal(reg, monkeypatch):
         grid=g,
         channels=(
             ChannelSpec(op=identity_op(g), data=rng.random(g.sites), lam=1.0, kind="l2"),
-            ChannelSpec(op=radon, data=rng.random(radon.codomain_dim), lam=2.0, kind="kl"),
+            ChannelSpec(
+                op=radon, data=_reachable(radon, rng.random(radon.codomain_dim)), lam=2.0, kind="kl"
+            ),
         ),
         regularizer=reg,
     )

@@ -85,8 +85,8 @@ def prox_kl_dual(rhat: np.ndarray, f: np.ndarray, sigma: float, lam: float) -> n
     f = np.asarray(f, dtype=np.float64)
     if np.any(f < 0):
         raise ValueError("KL data must be nonnegative")
-    shifted = rhat - lam
-    root = np.multiply(shifted, shifted)
+    shifted = np.subtract(rhat, lam, out=np.empty(np.broadcast(rhat, f).shape))
+    root = np.square(shifted, out=np.empty_like(shifted))
     root += 4.0 * sigma * lam * f
     shifted += np.sqrt(root, out=root)
     shifted *= 0.5

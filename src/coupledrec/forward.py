@@ -152,10 +152,14 @@ def convolution_op(grid: Grid, kernel: np.ndarray) -> ForwardOp:
         apply = partial(ndi.correlate, weights=kernel, mode="constant", cval=0.0)
         adjoint = partial(ndi.correlate, weights=flipped, mode="constant", cval=0.0)
     else:
-        apply = partial(_along_axes, mats=[_band(f, n) for f, n in zip(factors, grid.dims)])
-        adjoint = partial(
-            _along_axes, mats=[_band(f[::-1], n) for f, n in zip(factors, grid.dims)]
-        )
+        mats = [_band(f, n) for f, n in zip(factors, grid.dims)]
+        # a symmetric factor's band is its own transpose
+        adjoint_mats = [
+            m if np.array_equal(f, f[::-1]) else _band(f[::-1], n)
+            for m, f, n in zip(mats, factors, grid.dims)
+        ]
+        apply = partial(_along_axes, mats=mats)
+        adjoint = partial(_along_axes, mats=adjoint_mats)
     return ForwardOp(
         kind="convolution",
         grid=grid,

@@ -151,6 +151,18 @@ def test_prox_kl_dual_formula_points():
     assert prox_kl_dual(np.array([2.0]), np.array([0.0]), 1.0, 3.0)[0] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize(
+    "rhat_shape, f_shape", [((500,), (500,)), ((), ()), ((3, 1), (4,))], ids=str
+)
+def test_prox_kl_dual_is_bitwise_its_closed_form(rhat_shape, f_shape):
+    # the in-place evaluation repeats the closed form's operations in order
+    rng = np.random.default_rng(5)
+    rhat = rng.uniform(-5, 20, rhat_shape)
+    f = rng.uniform(0.0, 10, f_shape)
+    want = rhat - 0.5 * (rhat - 2.5 + np.sqrt((rhat - 2.5) ** 2 + 4.0 * 0.7 * 2.5 * f))
+    np.testing.assert_array_equal(prox_kl_dual(rhat, f, 0.7, 2.5), want)
+
+
 def test_prox_kl_dual_domain_constraint():
     rng = np.random.default_rng(2)
     rhat = rng.uniform(-5, 20, 500)

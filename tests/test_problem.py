@@ -119,9 +119,9 @@ def test_kl_channel_rejects_positive_data_on_a_bin_no_pixel_reaches():
         ChannelSpec(op=radon, data=data, lam=1.0, kind="kl")
     # an L2 term stays finite there, and so does KL with a background there
     ChannelSpec(op=radon, data=data, lam=1.0, kind="l2")
-    background = np.zeros(radon.codomain_dim)
-    background[empty] = 0.5
-    assert ChannelSpec(op=radon, data=data, lam=1.0, kind="kl", background=background).has_background
+    bg = np.zeros(radon.codomain_dim)
+    bg[empty] = 0.5
+    assert ChannelSpec(op=radon, data=data, lam=1.0, kind="kl", background=bg).has_background
     data[empty] = 0.0
     assert not ChannelSpec(op=radon, data=data, lam=1.0, kind="kl").has_background
 
@@ -131,4 +131,5 @@ def test_kl_channel_records_whether_its_background_is_zero():
     assert not _chan(g, kind="kl").has_background
     assert not _chan(g, kind="l2").has_background
     tiny = [0.0, 0.0, 1e-300, 0.0]
-    assert ChannelSpec(op=identity_op(g), data=np.ones(4), lam=1.0, kind="kl", background=tiny).has_background
+    c = ChannelSpec(op=identity_op(g), data=np.ones(4), lam=1.0, kind="kl", background=tiny)
+    assert c.has_background

@@ -441,10 +441,10 @@ def _mixed_problem(mode, mix):
     for i, kind in enumerate(kinds):
         op = _channel_op(grid, kind)
         data = rng.random(op.codomain_dim) + 0.1
-        if i == 1:
-            channels.append(ChannelSpec(op=op, data=_reachable(op, data), lam=1.0, kind="kl"))
-        else:
-            channels.append(ChannelSpec(op=op, data=data, lam=1.0, kind="l2"))
+        kind = "kl" if i == 1 else "l2"
+        if kind == "kl":
+            data = _reachable(op, data)
+        channels.append(ChannelSpec(op=op, data=data, lam=1.0, kind=kind))
     return ProblemSpec(grid=grid, channels=tuple(channels), regularizer=reg)
 
 

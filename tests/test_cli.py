@@ -330,6 +330,23 @@ def test_bad_diag_every_exits_as_configuration_error(tmp_path, capsys, value, me
     assert message in err
 
 
+@pytest.mark.parametrize("dims", ["8 8 8", "16"], ids=["3d", "1d"])
+def test_radon_channel_on_a_grid_that_is_not_2d_exits_with_one_line(tmp_path, capsys, dims):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "schema = 1\n"
+        f"grid.dims = {dims}\n"
+        "channels = 1\n"
+        "channel.1.op = radon\n"
+        "channel.1.kind = kl\n"
+        "regularizer.kind = tgv2\n"
+        "solver.max_iters = 5\n"
+    )
+    code, _, err = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err == "error: radon_op requires a 2D grid\n"  # one line, no traceback
+
+
 def test_info_command(capsys):
     code, out, _ = run(capsys, "info")
     assert code == 0

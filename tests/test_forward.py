@@ -4,11 +4,13 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
+import scipy.sparse as sp
 
 from coupledrec.diffops import adjoint_check
 from coupledrec.forward import (
     ForwardOp,
     _band,
+    _radon_matrices,
     _separable_factors,
     convolution_op,
     default_n_bins,
@@ -218,8 +220,11 @@ def test_radon_rejects_bad_angles():
     g = Grid((8, 8))
     with pytest.raises(ValueError):
         radon_op(g, [0.0, np.pi], 11)
-    with pytest.raises(ValueError):
-        radon_op(Grid((4, 4, 4)), [0.0], 7)
+    for dims in ((4, 4, 4), (8,)):
+        with pytest.raises(ValueError, match="radon_op requires a 2D grid"):
+            radon_op(Grid(dims), [0.0], 7)
+        with pytest.raises(ValueError, match="radon_op requires a 2D grid"):
+            default_n_bins(Grid(dims))
 
 
 @pytest.mark.parametrize(
@@ -259,6 +264,73 @@ def test_radon_records_the_bins_no_pixel_reaches():
     dense = np.stack([op.apply(e.reshape(g.dims)) for e in np.eye(g.sites)], axis=1)
     np.testing.assert_array_equal(op.empty_rows, np.flatnonzero(~dense.any(axis=1)))
     assert identity_op(g).empty_rows is None
+
+
+# The per-angle COO build the sort-free one replaced, kept verbatim as the
+# reference, with R^T formed as before: the arithmetic is the same, so both
+# matrices must be bitwise equal.
+
+
+def _ref_radon_matrix(grid: Grid, angles: np.ndarray, n_bins: int) -> sp.csr_matrix:
+    ny, nx = grid.dims
+    cy, cx = (ny - 1) / 2.0, (nx - 1) / 2.0
+    yy, xx = np.meshgrid(np.arange(ny) - cy, np.arange(nx) - cx, indexing="ij")
+    rows_all, cols_all, vals_all = [], [], []
+    pix = np.arange(grid.sites)
+    for k, theta in enumerate(angles):
+        # signed distance of each pixel center from the central ray
+        t = xx * np.cos(theta) + yy * np.sin(theta)
+        pos = t.reshape(-1) + (n_bins - 1) / 2.0
+        i0 = np.floor(pos).astype(np.int64)
+        w1 = pos - i0
+        for off, w in ((0, 1.0 - w1), (1, w1)):
+            b = i0 + off
+            ok = (b >= 0) & (b < n_bins) & (w > 0)
+            rows_all.append(k * n_bins + b[ok])
+            cols_all.append(pix[ok])
+            vals_all.append(w[ok])
+    rows = np.concatenate(rows_all)
+    cols = np.concatenate(cols_all)
+    vals = np.concatenate(vals_all)
+    shape = (len(angles) * n_bins, grid.sites)
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
+def _even(n):
+    return np.arange(n) * np.pi / n
+
+
+@pytest.mark.parametrize(
+    "dims, angles, n_bins",
+    [
+        ((64, 64), _even(12), None),
+        ((32, 32), _even(12), None),
+        ((33, 17), _even(7), None),
+        ((1, 5), _even(12), None),
+        ((5, 1), _even(12), None),
+        ((32, 32), _even(12), 21),  # shorter than the projection: bins fall out
+        ((15, 15), np.array([0.0]), None),  # weight-0 entries drop
+        ((17, 15), np.random.default_rng(5).random(9) * np.pi, None),
+    ],
+    ids=["64", "32", "33x17", "1x5", "5x1", "short_detector", "one_angle_0", "unsorted_random"],
+)
+def test_radon_matrices_match_the_reference_bitwise(dims, angles, n_bins):
+    g = Grid(dims)
+    n_bins = default_n_bins(g) if n_bins is None else n_bins
+    ref = _ref_radon_matrix(g, angles, n_bins)
+    ref_t = ref.T.tocsr()
+    mat, mat_t = _radon_matrices(g, angles, n_bins)
+    for got, want in ((mat, ref), (mat_t, ref_t)):
+        assert type(got) is type(want)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.shape == b.shape, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        assert got.has_canonical_format
+    op = radon_op(g, angles, n_bins)
+    np.testing.assert_array_equal(op.empty_rows, np.flatnonzero(np.diff(ref.indptr) == 0))
 
 
 @pytest.mark.parametrize("n", [1, 4, 11, 20])

@@ -338,6 +338,24 @@ def test_non_finite_iterate_raises_solver_error():
         solve(spec, SolveConfig(max_iters=50, tol=0.0))
 
 
+def test_huge_finite_iterates_step_without_solver_error():
+    # the finite check's sum of squares overflows at 1e200; its entry scan
+    # must still pass the state, and no overflow warning may escape
+    g = Grid((6, 6))
+    spec = _quad_problem(g, np.zeros(36))
+    state = _init_state(spec, estimate_saddle_norm(spec))
+    state.x[0] = np.full(state.x[0].shape, 1e200)
+    state.y[0] = np.full(state.y[0].shape, -1e200)
+    pd_step(spec, state)
+    assert state.iteration == 1
+    assert np.all(np.isfinite(state.x[0])) and np.all(np.isfinite(state.g[0]))
+    assert np.abs(state.x[0]).max() > 1e199 and np.abs(state.g[0]).max() > 1e199
+    _require_finite(1, "x", [np.array([1e200, -1e300, 1.0])])
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(SolverError, match=r"non-finite iterate x\[1\] at iteration 4"):
+            _require_finite(4, "x", [np.ones(3), np.array([1e200, bad, 1.0])])
+
+
 def test_overflow_inside_tgv_block_raises_solver_error():
     # u+ = u is finite, but its forward differences overflow to +-inf in grad,
     # and the non-finite duals reach g+

@@ -403,18 +403,8 @@ def _init_state(problem: ProblemSpec, norms: np.ndarray) -> SolverState:
 
 
 def _require_finite(iteration: int, name: str, arrays: list[np.ndarray]) -> None:
-    """Raise SolverError unless every entry of ``arrays`` is finite.
-
-    A sum of squares is finite only if every entry is, so one BLAS dot
-    settles the common case; the entries are scanned only when it is not,
-    since huge finite entries overflow it.
-    """
     for j, values in enumerate(arrays):
-        flat = values.reshape(-1)
-        with np.errstate(over="ignore"):
-            if np.isfinite(flat @ flat):
-                continue
-        if not np.all(np.isfinite(flat)):
+        if not np.all(np.isfinite(values)):
             raise SolverError(f"non-finite iterate {name}[{j}] at iteration {iteration}")
 
 
@@ -498,10 +488,9 @@ def pd_step(problem: ProblemSpec, state: SolverState, diag: Diagnostics | None =
         diag.reg_value.append(reg_value)
 
 
-def _norm(x: np.ndarray) -> float:
-    """The Euclidean norm of ``x``, as one BLAS dot."""
-    flat = x.reshape(-1)
-    return float(np.sqrt(flat @ flat))
+def _norm(x: np.ndarray, out: np.ndarray) -> float:
+    """The Euclidean norm of ``x``, with its squares written to ``out``."""
+    return float(np.sqrt(np.sum(np.multiply(x, x, out=out))))
 
 
 def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
@@ -519,16 +508,17 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
     quiet_streak = 0
     converged = False
     tiny = 1e-30
-    size = _norm(state.x[0])
+    size = _norm(state.x[0], np.empty(state.x[0].shape))
     for _ in range(cfg.max_iters):
         # pd_step writes u+ to a new array, so the old u is left to the stop
-        # rule, which writes the change over it
+        # rule: it holds the change and its squares, then the squares of u+,
+        # whose norm the next iteration divides by
         previous_u = state.x[0]
         record = (state.iteration + 1) % cfg.diag_every == 0
         pd_step(problem, state, diag if record else None)
         u = state.x[0]
-        rel = _norm(np.subtract(u, previous_u, out=previous_u)) / max(size, tiny)
-        size = _norm(u)
+        rel = _norm(np.subtract(u, previous_u, out=previous_u), previous_u) / max(size, tiny)
+        size = _norm(u, previous_u)
         diag.rel_change.append(rel)
         if rel < cfg.tol:
             quiet_streak += 1

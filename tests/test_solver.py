@@ -339,8 +339,8 @@ def test_non_finite_iterate_raises_solver_error():
 
 
 def test_huge_finite_iterates_step_without_solver_error():
-    # the finite check's sum of squares overflows at 1e200; its entry scan
-    # must still pass the state, and no overflow warning may escape
+    # entries of 1e200 are finite, though their squares are not: the finite
+    # check must pass the state, and no overflow warning may escape
     g = Grid((6, 6))
     spec = _quad_problem(g, np.zeros(36))
     state = _init_state(spec, estimate_saddle_norm(spec))

@@ -243,8 +243,8 @@ def run_rate_experiment(exp: RateExperiment) -> RateTable:
     Every instance has the same operators, so each operator's norm is
     estimated once, by the first solve, and shared by all solves.  The rows
     are computed from each solve's result after it returns, never from its
-    diagnostics, so the solves evaluate no per-iteration energies
-    (``diag_every = max_iters``).
+    diagnostics, so the solves record no rows (``diag_every = 0``) and
+    evaluate no per-iteration energies.
     """
     n = len(exp.channels)
     clean = [ch.op.apply(exp.u_true.channel(i)) for i, ch in enumerate(exp.channels)]
@@ -257,7 +257,7 @@ def run_rate_experiment(exp: RateExperiment) -> RateTable:
     rows: list[RateRow] = []
     premise: list[list[float]] = []
     p_pow = discrepancy_exponents([c.kind for c in exp.channels])
-    cfg = replace(exp.solve_cfg, diag_every=exp.solve_cfg.max_iters)
+    cfg = replace(exp.solve_cfg, diag_every=0)
     for lv, delta in enumerate(exp.deltas):
         premise_row = None
         for seed in exp.seeds:

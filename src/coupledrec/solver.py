@@ -98,7 +98,8 @@ class Diagnostics:
 
     ``iterations`` names the iteration of each recorded row of ``energy``,
     ``data_terms`` and ``reg_value``; ``rel_change`` has one entry for every
-    iteration.
+    iteration.  Rows are recorded only on request (``SolveConfig.diag_every``
+    of at least 1); by default the row lists stay empty.
     """
 
     iterations: list[int] = field(default_factory=list)
@@ -112,15 +113,17 @@ class Diagnostics:
 class SolveConfig:
     max_iters: int = 2000
     tol: float = 1e-8
-    diag_every: int = 1  # record energy/data/reg every k-th iteration
+    # record energy/data/reg every k-th iteration; 0 records no rows, so a
+    # solve evaluates no data term or R that nothing reads
+    diag_every: int = 0
 
     def __post_init__(self):
         if not 0 <= self.tol < np.inf:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
-        for name in ("max_iters", "diag_every"):
+        for name, least in (("max_iters", 1), ("diag_every", 0)):
             count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {count!r}")
 
 
 @dataclass
@@ -514,7 +517,7 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
         # rule: it holds the change and its squares, then the squares of u+,
         # whose norm the next iteration divides by
         previous_u = state.x[0]
-        record = (state.iteration + 1) % cfg.diag_every == 0
+        record = cfg.diag_every > 0 and (state.iteration + 1) % cfg.diag_every == 0
         pd_step(problem, state, diag if record else None)
         u = state.x[0]
         rel = _norm(np.subtract(u, previous_u, out=previous_u), previous_u) / max(size, tiny)

@@ -311,18 +311,22 @@ def _diag_every_config(tmp_path, value):
     return cfg
 
 
-def test_solve_records_every_diag_every_th_iteration(tmp_path, capsys):
-    cfg = _diag_every_config(tmp_path, 5)
+@pytest.mark.parametrize("every, recorded", [(5, [5, 10, 15, 20]), (0, [])], ids=["5", "0"])
+def test_solve_records_every_diag_every_th_iteration(tmp_path, capsys, every, recorded):
+    # diag_every = 0 switches the rows off: the CSV keeps its header, and no energy is printed
+    cfg = _diag_every_config(tmp_path, every)
     code, out, _ = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
     assert code == 0
-    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
-    assert [int(r.split(",")[0]) for r in rows] == [5, 10, 15, 20]
+    header, *rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    assert header == "iteration,energy,rel_change"
+    assert [int(r.split(",")[0]) for r in rows] == recorded
     # the summary names each block's step: TGV duals p, q, then r1, r2; u1, u2, then v
     line = next(l for l in out.splitlines() if l.startswith("iterations = 23"))
+    assert ("energy =" in out) == bool(recorded)
     assert re.search(r"sigma = p:\S+ q:\S+ r1:\S+ r2:\S+, tau = u1:\S+ u2:\S+ v:\S+$", line)
 
 
-@pytest.mark.parametrize("value, message", [("0", "diag_every"), ("2.5", "not an integer")])
+@pytest.mark.parametrize("value, message", [("-1", "diag_every"), ("2.5", "not an integer")])
 def test_bad_diag_every_exits_as_configuration_error(tmp_path, capsys, value, message):
     cfg = _diag_every_config(tmp_path, value)
     code, _, err = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))

@@ -298,5 +298,5 @@ def test_sums_over_a_result_do_not_depend_on_its_memory_layout(reg):
     truth = MultiImage(g, rng.random(g.dims + (2,)))
     assert bregman_quadratic(u, truth, 0.5) == bregman_quadratic(copied(u), truth, 0.5)
     # a diagnostics row sums the iterates themselves
-    res = solve(spec, SolveConfig(max_iters=15, tol=0.0))
+    res = solve(spec, SolveConfig(max_iters=15, tol=0.0, diag_every=1))
     assert res.diagnostics.reg_value[-1] == regularizer_value(spec, copied(res.u), copied(res.v))

@@ -11,6 +11,10 @@ v), the final energy and the iteration count:
 
 The digests are exact only for the numpy and scipy versions the file
 records; under other versions the energies are compared at ``OTHER_RTOL``.
+The solves run with the OpenBLAS that numpy and scipy bundle pinned to the
+file's ``blas_threads``, as the benchmark pins it, whatever count the process
+started with: the banded blur's matrix product rounds differently when
+OpenBLAS splits it across threads.
 A change that moves an entry rewrites the file in the same commit and names
 the cause.  To rewrite it:
 
@@ -19,6 +23,8 @@ the cause.  To rewrite it:
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
 import json
 import sys
@@ -41,6 +47,7 @@ import workloads  # noqa: E402
 
 RECORD = Path(__file__).resolve().parent / "outcomes.json"
 OTHER_RTOL = 1e-9
+BLAS_THREADS = 1
 
 
 def _sha256(*arrays) -> str:
@@ -136,17 +143,54 @@ def _versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
+def _bundled_openblas():
+    """The (get, set) thread-count functions of each OpenBLAS that numpy and
+    scipy bundle (numpy's has the 64-bit interface's suffix)."""
+    for mod in (np, scipy):
+        libs = Path(mod.__file__).parent.parent / f"{mod.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    yield get, put
+                    break
+
+
+@contextlib.contextmanager
+def _blas_threads(n: int):
+    """Run the block with every bundled OpenBLAS at ``n`` threads, and yield
+    the counts they then report; the old counts are restored afterwards."""
+    blas = list(_bundled_openblas())
+    old = [get() for get, _ in blas]
+    try:
+        for _, put in blas:
+            put(n)
+        yield [get() for get, _ in blas]
+    finally:
+        for (_, put), k in zip(blas, old):
+            put(k)
+
+
 @pytest.mark.parametrize("name", list(OUTCOMES))
 def test_outcome_matches_the_committed_record(name):
     record = json.loads(RECORD.read_text())
-    want, got = record["entries"][name], OUTCOMES[name]()
+    with _blas_threads(record["blas_threads"]) as threads:
+        got = OUTCOMES[name]()
+    want = record["entries"][name]
     if record["versions"] == _versions():
+        assert threads and set(threads) == {record["blas_threads"]}
         assert got == want
     else:
         assert got["energy"] == pytest.approx(want["energy"], rel=OTHER_RTOL)
 
 
 if __name__ == "__main__":
-    entries = {name: outcome() for name, outcome in OUTCOMES.items()}
-    RECORD.write_text(json.dumps({"versions": _versions(), "entries": entries}, indent=2) + "\n")
+    with _blas_threads(BLAS_THREADS):
+        entries = {name: outcome() for name, outcome in OUTCOMES.items()}
+    record = {"versions": _versions(), "blas_threads": BLAS_THREADS, "entries": entries}
+    RECORD.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {RECORD}")

@@ -172,7 +172,7 @@ def test_energy_settles_on_random_problem():
         ),
         regularizer=TGV2(2.0, 1.0),
     )
-    res = solve(spec, SolveConfig(max_iters=100, tol=0.0))
+    res = solve(spec, SolveConfig(max_iters=100, tol=0.0, diag_every=1))
     energies = res.diagnostics.energy
     assert np.all(np.isfinite(energies))
     assert energies[-1] <= energies[10] + 1e-12
@@ -250,7 +250,7 @@ def test_determinism_bitwise():
         channels=(ChannelSpec(op=identity_op(g), data=f, lam=1.0, kind="l2"),),
         regularizer=TGV2(2.0, 1.0),
     )
-    cfg = SolveConfig(max_iters=50, tol=0.0)
+    cfg = SolveConfig(max_iters=50, tol=0.0, diag_every=1)
     a = solve(spec, cfg)
     b = solve(spec, cfg)
     np.testing.assert_array_equal(a.u.values, b.u.values)
@@ -281,7 +281,7 @@ def test_affine_injectivity_guard():
 @pytest.mark.parametrize("dims", [(1, 16), (16, 1)])
 def test_tgv_solve_with_a_length_one_axis_is_bitwise_the_1d_solve(dims):
     # that axis adds no affine image and no difference: its v component stays 0
-    cfg = SolveConfig(max_iters=300, tol=0.0)
+    cfg = SolveConfig(max_iters=300, tol=0.0, diag_every=1)
     line = solve(_identity_pair(Grid((16,)), TGV2(2.0, 1.0)), cfg)
     flat = solve(_identity_pair(Grid(dims), TGV2(2.0, 1.0)), cfg)
     np.testing.assert_array_equal(flat.u.values.reshape(16, 2), line.u.values)
@@ -300,7 +300,7 @@ def test_tgv_solve_with_a_length_one_axis_is_bitwise_the_1d_solve(dims):
         ({"tol": -1.0}, "tol"),
         ({"max_iters": 0}, "max_iters"),
         ({"max_iters": -3}, "max_iters"),
-        ({"diag_every": 0}, "diag_every"),
+        ({"diag_every": -1}, "diag_every"),
         ({"max_iters": 2.5}, "max_iters"),
         ({"max_iters": 20.0}, "max_iters"),
         ({"max_iters": True}, "max_iters"),
@@ -396,7 +396,7 @@ def test_diagnostics_energy_equals_primal_energy():
         regularizer=TGV2(2.0, 1.0, "nuclear"),
     )
     for iters in (1, 7):
-        res = solve(spec, SolveConfig(max_iters=iters, tol=0.0))
+        res = solve(spec, SolveConfig(max_iters=iters, tol=0.0, diag_every=1))
         diag = res.diagnostics
         assert diag.energy[-1] == primal_energy(spec, res.u, res.v)
         assert diag.reg_value[-1] == regularizer_value(spec, res.u, res.v)
@@ -921,13 +921,18 @@ def test_every_row_measures_the_iterate_it_names(mode):
         assert diag.data_terms[-1] == pytest.approx(data_terms, rel=1e-12)
     assert np.isfinite(diag.energy[1:]).all()
 
-    # solve records these same rows, and recording a row never perturbs the iteration
+    # solve records these same rows, and recording a row never perturbs the
+    # iteration; by default it records none
     results = [
         solve(spec, SolveConfig(max_iters=iters, tol=0.0, diag_every=every))
-        for every in (1, 7, iters)
+        for every in (1, 7, iters, SolveConfig().diag_every)
     ]
     assert results[0].diagnostics.energy == diag.energy
-    assert [r.diagnostics.iterations for r in results] == [list(range(1, 21)), [7, 14], [20]]
+    assert [r.diagnostics.iterations for r in results] == [list(range(1, 21)), [7, 14], [20], []]
+    default = results[-1].diagnostics
+    assert default.energy == default.data_terms == default.reg_value == []
+    assert default.rel_change == results[0].diagnostics.rel_change
+    assert len(default.rel_change) == iters
     for result in results:
         _assert_states_equal(result.state, state)
 

@@ -13,8 +13,8 @@ The digests are exact only for the numpy and scipy versions the file
 records; under other versions the energies are compared at ``OTHER_RTOL``.
 The solves run with the OpenBLAS that numpy and scipy bundle pinned to the
 file's ``blas_threads``, as the benchmark pins it, whatever count the process
-started with: the banded blur's matrix product rounds differently when
-OpenBLAS splits it across threads.
+started with: the benchmark set-up scales its noise by ``np.linalg.norm``, an
+OpenBLAS dot whose partial sums OpenBLAS splits by its thread count.
 A change that moves an entry rewrites the file in the same commit and names
 the cause.  To rewrite it:
 

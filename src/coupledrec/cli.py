@@ -37,7 +37,7 @@ from .rates import (
     phantom,
     run_rate_experiment,
 )
-from .solver import SolveConfig, SolverError, block_names, solve
+from .solver import SolveConfig, SolverError, block_names, primal_energy, solve
 
 
 def _gaussian_kernel(sigma: float, ndim: int) -> np.ndarray:
@@ -224,13 +224,13 @@ def cmd_solve(args) -> int:
         fh.write("iteration,energy,rel_change\n")
         for it, en in zip(diag.iterations, diag.energy):
             fh.write(f"{it},{en:.12g},{diag.rel_change[it - 1]:.12g}\n")
-    energy = f", energy = {diag.energy[-1]:.12g}" if diag.energy else ""
     steps = [
         " ".join(f"{name}:{step:.6g}" for name, step in zip(names, values))
         for names, values in zip(block_names(spec), (result.state.sigma, result.state.tau))
     ]
     print(
-        f"iterations = {result.state.iteration}{energy}, "
+        f"iterations = {result.state.iteration}, "
+        f"energy = {primal_energy(spec, result.u, result.v):.12g}, "
         f"converged = {result.converged}, sigma = {steps[0]}, tau = {steps[1]}"
     )
     closed = _closed_form(spec)

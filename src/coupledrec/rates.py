@@ -8,7 +8,6 @@ are verified numerically.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -204,27 +203,19 @@ class RateTable:
     lambda_premise: list[list[float]]  # per level: lambda_i * delta_i^{p_i}
 
     def to_csv(self) -> str:
-        """Level-averaged table with the fixed column layout."""
-        buf = io.StringIO()
-        cols = ["level", "delta"]
-        for i in range(self.n_channels):
-            cols += [f"delta_{i + 1}", f"lambda_{i + 1}", f"data_{i + 1}"]
-        cols += ["R", "bregman"]
-        buf.write(",".join(cols) + "\n")
-        levels = sorted({r.level for r in self.rows})
-        for lv in levels:
-            group = [r for r in self.rows if r.level == lv]
-            vals: list[float] = [lv, group[0].delta]
-            for i in range(self.n_channels):
-                vals.append(np.mean([r.channel_deltas[i] for r in group]))
-                vals.append(np.mean([r.lambdas[i] for r in group]))
-                vals.append(np.mean([r.data_terms[i] for r in group]))
-            vals.append(np.mean([r.reg for r in group]))
-            vals.append(
-                np.mean([r.bregman for r in group]) if group[0].bregman is not None else np.nan
-            )
-            buf.write(",".join(_fmt(v) for v in vals) + "\n")
-        return buf.getvalue()
+        """One line per solve, in the order the sweep ran them."""
+        cols = ["level", "seed", "delta"]
+        for i in range(1, self.n_channels + 1):
+            cols += [f"delta_{i}", f"lambda_{i}", f"data_{i}"]
+        lines = [",".join(cols + ["R", "bregman", "iterations", "converged"])]
+        for r in self.rows:
+            vals = [r.level, r.seed, r.delta]
+            for triple in zip(r.channel_deltas, r.lambdas, r.data_terms):
+                vals += triple
+            bregman = np.nan if r.bregman is None else r.bregman
+            vals += [r.reg, bregman, r.iterations, r.converged]
+            lines.append(",".join(_fmt(v) for v in vals))
+        return "\n".join(lines) + "\n"
 
 
 def _fmt(v) -> str:

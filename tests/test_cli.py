@@ -3,8 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from coupledrec.cli import main, random_fourier_mask
+from coupledrec.cli import _build_problem, _build_solver_config, main, random_fourier_mask
+from coupledrec.config import load_config
 from coupledrec.fileio import read_mfi
+from coupledrec.solver import primal_energy, solve
 
 
 def run(capsys, *argv):
@@ -170,7 +172,7 @@ def test_rates_command_writes_csv_and_gates(tmp_path, capsys):
     assert code == 0
     assert "PASS  data slope channel 1" in out
     csv1 = (tmp_path / "rates.csv").read_text()
-    assert csv1.splitlines()[0].startswith("level,delta")
+    assert csv1.splitlines()[0].startswith("level,seed,delta")
     # byte-identical on rerun
     assert run(capsys, "rates", str(cfg), "--out-dir", str(tmp_path))[0] == 0
     assert (tmp_path / "rates.csv").read_text() == csv1
@@ -313,7 +315,7 @@ def _diag_every_config(tmp_path, value):
 
 @pytest.mark.parametrize("every, recorded", [(5, [5, 10, 15, 20]), (0, [])], ids=["5", "0"])
 def test_solve_records_every_diag_every_th_iteration(tmp_path, capsys, every, recorded):
-    # diag_every = 0 switches the rows off: the CSV keeps its header, and no energy is printed
+    # diag_every = 0 switches the rows off: the CSV keeps its header, the energy is still printed
     cfg = _diag_every_config(tmp_path, every)
     code, out, _ = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
     assert code == 0
@@ -322,8 +324,21 @@ def test_solve_records_every_diag_every_th_iteration(tmp_path, capsys, every, re
     assert [int(r.split(",")[0]) for r in rows] == recorded
     # the summary names each block's step: TGV duals p, q, then r1, r2; u1, u2, then v
     line = next(l for l in out.splitlines() if l.startswith("iterations = 23"))
-    assert ("energy =" in out) == bool(recorded)
+    assert ", energy = " in line
     assert re.search(r"sigma = p:\S+ q:\S+ r1:\S+ r2:\S+, tau = u1:\S+ u2:\S+ v:\S+$", line)
+
+
+def test_solve_prints_the_energy_of_the_iterate_it_writes(tmp_path, capsys):
+    # 23 iterations recorded every 5th: the last row is iteration 20, not the written iterate
+    cfg_path = _diag_every_config(tmp_path, 5)
+    code, out, _ = run(capsys, "solve", str(cfg_path), "--out-dir", str(tmp_path))
+    assert code == 0
+    cfg = load_config(cfg_path)
+    spec, _ = _build_problem(cfg, cfg.get_int("seed", 0))
+    result = solve(spec, _build_solver_config(cfg))
+    np.testing.assert_array_equal(read_mfi(tmp_path / "recon.mfi").values, result.u.values)
+    energy = format(primal_energy(spec, result.u, result.v), ".12g")
+    assert f"iterations = 23, energy = {energy}, " in out
 
 
 @pytest.mark.parametrize("value, message", [("-1", "diag_every"), ("2.5", "not an integer")])

@@ -282,11 +282,14 @@ def test_rate_experiment_table_structure():
     assert len(table.rows) == 5 * 2
     csv = table.to_csv()
     lines = csv.strip().splitlines()
-    assert lines[0] == "level,delta,delta_1,lambda_1,data_1,R,bregman"
-    assert len(lines) == 6
-    # deltas strictly decreasing down the rows
-    col = [float(l.split(",")[1]) for l in lines[1:]]
-    assert all(b < a for a, b in zip(col, col[1:]))
+    assert lines[0] == "level,seed,delta,delta_1,lambda_1,data_1,R,bregman,iterations,converged"
+    assert len(lines) == len(table.rows) + 1
+    # one line per solve, in sweep order, each value the row's own
+    for line, row in zip(lines[1:], table.rows):
+        level, seed, delta, _, _, data, _, _, iters, converged = line.split(",")
+        assert (int(level), int(seed), int(iters)) == (row.level, row.seed, row.iterations)
+        assert bool(int(converged)) is row.converged
+        assert (delta, data) == (format(row.delta, ".12g"), format(row.data_terms[0], ".12g"))
     # repeatability: the whole table is deterministic
     assert run_rate_experiment(exp).to_csv() == csv
 

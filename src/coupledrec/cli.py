@@ -154,17 +154,24 @@ def _make_channel_data(cfg: RunConfig, op: ForwardOp, truth: np.ndarray, i: int,
     raise ConfigError(f"channel.{i}.noise = {noise!r} is not known")
 
 
-def _build_problem(cfg: RunConfig, seed: int):
+def _read_channels(cfg: RunConfig, seed: int) -> tuple[Grid, list[tuple[ForwardOp, str]]]:
+    """The grid, and each channel's forward operator and data-term kind."""
     grid = _build_grid(cfg)
     n = cfg.get_int("channels")
     if n < 1:
-        raise ConfigError("channels must be >= 1")
-    truth = phantom(cfg.get_str("phantom.kind", "smooth_bump"), grid, n)
+        raise ConfigError(f"channels = {n} must be >= 1", cfg.lines.get("channels"))
+    return grid, [
+        (_build_op(cfg, grid, i, seed), cfg.get_str(f"channel.{i}.kind", "l2"))
+        for i in range(1, n + 1)
+    ]
+
+
+def _build_problem(cfg: RunConfig, seed: int):
+    grid, ops = _read_channels(cfg, seed)
+    truth = phantom(cfg.get_str("phantom.kind", "smooth_bump"), grid, len(ops))
     channels = []
-    for i in range(1, n + 1):
-        op = _build_op(cfg, grid, i, seed)
+    for i, (op, kind) in enumerate(ops, 1):
         data, _ = _make_channel_data(cfg, op, truth.channel(i - 1), i, seed)
-        kind = cfg.get_str(f"channel.{i}.kind", "l2")
         if kind == "kl":
             data = np.maximum(data, 0.0)
         channels.append(
@@ -263,11 +270,10 @@ def cmd_adjoint_check(args) -> int:
     if args.config:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
-        grid = _build_grid(cfg)
-        n = cfg.get_int("channels")
-        ops = {f"channel.{i}": _build_op(cfg, grid, i, seed).as_linear_op() for i in range(1, n + 1)}
-        ops["gradient"] = grad_linear_op(grid, n)
-        ops["sym_gradient"] = sym_grad_linear_op(grid, n)
+        grid, channels = _read_channels(cfg, seed)
+        ops = {f"channel.{i}": op.as_linear_op() for i, (op, _) in enumerate(channels, 1)}
+        ops["gradient"] = grad_linear_op(grid, len(channels))
+        ops["sym_gradient"] = sym_grad_linear_op(grid, len(channels))
     else:
         seed = args.seed if args.seed is not None else 0
         grid = Grid((16, 16))
@@ -299,10 +305,8 @@ def cmd_rates(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
     _echo(cfg, seed, sys.stdout)
-    grid = _build_grid(cfg)
-    n = cfg.get_int("channels")
-    truth = phantom(cfg.get_str("phantom.kind", "smooth_bump"), grid, n)
-    kinds = [cfg.get_str(f"channel.{i}.kind", "l2") for i in range(1, n + 1)]
+    grid, channels = _read_channels(cfg, seed)
+    truth = phantom(cfg.get_str("phantom.kind", "smooth_bump"), grid, len(channels))
     rule = RateRule(
         kind=cfg.get_str("rates.rule"),
         mu=cfg.get_floats("rates.mu"),
@@ -317,10 +321,7 @@ def cmd_rates(args) -> int:
     exp = RateExperiment(
         grid=grid,
         u_true=truth,
-        channels=[
-            RateChannel(op=_build_op(cfg, grid, i, seed), kind=kinds[i - 1])
-            for i in range(1, n + 1)
-        ],
+        channels=[RateChannel(op=op, kind=kind) for op, kind in channels],
         rule=rule,
         deltas=deltas,
         seeds=tuple(seed + k for k in range(n_seeds)),
@@ -337,8 +338,7 @@ def cmd_rates(args) -> int:
     if unconverged:
         print("WARN  slopes rest on solves that stopped at solver.max_iters before converging")
     ok = True
-    for i in range(n):
-        slope = table.data_slopes[i]
+    for i, slope in enumerate(table.data_slopes):
         print(f"data slope channel {i + 1}: {slope:.3f}")
         key = f"rates.gate.data_{i + 1}"
         if cfg.has(key):

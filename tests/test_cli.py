@@ -349,6 +349,22 @@ def test_bad_diag_every_exits_as_configuration_error(tmp_path, capsys, value, me
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["solve", "rates", "adjoint-check"])
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_channel_count_below_one_is_a_configuration_error(tmp_path, capsys, command, count):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "schema = 1\n"
+        "grid.dims = 8 8\n"
+        f"channels = {count}\n"
+        "rates.rule = two_norm\n"
+        "rates.mu = 1.0\n"
+    )
+    code, _, err = run(capsys, command, str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("config error: line 3: channels")
+
+
 @pytest.mark.parametrize("dims", ["8 8 8", "16"], ids=["3d", "1d"])
 def test_radon_channel_on_a_grid_that_is_not_2d_exits_with_one_line(tmp_path, capsys, dims):
     cfg = tmp_path / "run.cfg"

@@ -1,11 +1,14 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coupledrec.cli import _build_problem, _build_solver_config, main, random_fourier_mask
-from coupledrec.config import load_config
+from coupledrec.config import load_config, parse_config
 from coupledrec.fileio import read_mfi
+from coupledrec.forward import default_n_bins
+from coupledrec.problem import TGV2
 from coupledrec.solver import primal_energy, solve
 
 
@@ -380,6 +383,20 @@ def test_radon_channel_on_a_grid_that_is_not_2d_exits_with_one_line(tmp_path, ca
     code, _, err = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
     assert code == 1
     assert err == "error: radon_op requires a 2D grid\n"  # one line, no traceback
+
+
+def test_readme_example_config_builds_the_documented_problem():
+    # unknown keys are ignored, so a key renamed in the code but not in the README shows here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    cfg = parse_config(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    spec, _ = _build_problem(cfg, 0)
+    fourier, radon = spec.channels
+    assert (fourier.op.kind, fourier.kind, fourier.lam) == ("masked_fourier", "l2", 50.0)
+    assert (radon.op.kind, radon.kind, radon.lam) == ("radon", "kl", 20.0)
+    assert radon.op.codomain_dim == 12 * default_n_bins(spec.grid)
+    assert spec.regularizer == TGV2(2.0, 1.0, "nuclear")
+    solve_cfg = _build_solver_config(cfg)
+    assert (solve_cfg.max_iters, solve_cfg.tol) == (3000, 1e-10)
 
 
 def test_info_command(capsys):

@@ -145,7 +145,9 @@ def _make_channel_data(cfg: RunConfig, op: ForwardOp, truth: np.ndarray, i: int,
         return clean, 0.0
     if noise == "gaussian":
         level = cfg.get_float(f"channel.{i}.noise_level", 0.05)
-        nz = add_gaussian_noise(clean, level * float(np.linalg.norm(clean)), seed + 104729 * i)
+        # a pairwise sum, not a BLAS dot: the data must not depend on the thread count
+        scale = float(np.sqrt(np.sum(clean * clean)))
+        nz = add_gaussian_noise(clean, level * scale, seed + 104729 * i)
         return nz.data, nz.delta
     if noise == "poisson":
         counts = cfg.get_float(f"channel.{i}.counts", 1000.0)

@@ -102,7 +102,8 @@ def add_gaussian_noise(f_true: np.ndarray, target_delta: float, seed: int) -> No
         return NoiseRealization(f_true.copy(), 0.0)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(f_true.size)
-    noise *= target_delta / np.linalg.norm(noise)
+    # numpy's pairwise sum, unlike a BLAS dot, does not depend on the thread count
+    noise *= target_delta / np.sqrt(np.sum(noise * noise))
     return NoiseRealization(f_true + noise, float(target_delta))
 
 

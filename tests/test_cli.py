@@ -1,9 +1,13 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coupledrec
 from coupledrec.cli import _build_problem, _build_solver_config, main, random_fourier_mask
 from coupledrec.config import load_config, parse_config
 from coupledrec.fileio import read_mfi
@@ -342,6 +346,34 @@ def test_solve_prints_the_energy_of_the_iterate_it_writes(tmp_path, capsys):
     np.testing.assert_array_equal(read_mfi(tmp_path / "recon.mfi").values, result.u.values)
     energy = format(primal_energy(spec, result.u, result.v), ".12g")
     assert f"iterations = 23, energy = {energy}, " in out
+
+
+def test_solve_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # OpenBLAS splits a dot of a 128 x 128 image's length across its threads;
+    # the noise must be scaled by a sum that does not.  On a 1-core host both
+    # runs use one thread, and the test passes without showing anything.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "schema = 1\n"
+        "grid.dims = 128 128\n"
+        "channels = 1\n"
+        "channel.1.noise = gaussian\n"
+        "regularizer.kind = quadratic\n"
+        "solver.max_iters = 3\n"
+    )
+    src = str(Path(coupledrec.__file__).resolve().parent.parent)
+    written = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        out = tmp_path / f"threads_{threads}"
+        argv = [sys.executable, "-m", "coupledrec.cli", "solve", str(cfg), "--out-dir", str(out)]
+        subprocess.run(argv, env=env, check=True, capture_output=True)
+        written.append([(out / name).read_bytes() for name in ("recon.mfi", "diagnostics.csv")])
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("value, message", [("-1", "diag_every"), ("2.5", "not an integer")])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,11 @@ from .forward import (
     masked_fourier_op,
     radon_op,
 )
-from .grids import Grid
-from .problem import ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
+from .grids import Grid, MultiImage
+from .problem import COUPLINGS, DATA_KINDS, ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
 from .rates import (
     PHANTOM_KINDS,
+    RULE_KINDS,
     RateChannel,
     RateExperiment,
     RateRule,
@@ -75,49 +77,39 @@ def random_fourier_mask(
     return mask
 
 
-def _build_grid(cfg: RunConfig) -> Grid:
-    dims = cfg.get_ints("grid.dims")
-    spacing = cfg.get_floats("grid.spacing", tuple(1.0 for _ in dims))
-    return Grid(dims, spacing)
-
-
-def _build_op(cfg: RunConfig, grid: Grid, i: int, seed: int) -> ForwardOp:
-    kind = cfg.get_str(f"channel.{i}.op", "identity")
+def _read_op(cfg: RunConfig, grid: Grid, i: int, seed: int) -> Callable[[], ForwardOp]:
+    """Read channel i's operator keys and mask; return the function that builds the operator."""
+    kind = cfg.get_choice(f"channel.{i}.op", ("identity", "conv", "fourier", "radon"), "identity")
     if kind == "identity":
-        return identity_op(grid)
+        return lambda: identity_op(grid)
     if kind == "conv":
         key = f"channel.{i}.kernel_sigma"
         sigma = cfg.get_float(key, 1.0)
         if not 0 < sigma < np.inf:
             raise ConfigError(f"{key} = {sigma} must be positive and finite", cfg.lines.get(key))
-        return convolution_op(grid, _gaussian_kernel(sigma, grid.ndim))
+        return lambda: convolution_op(grid, _gaussian_kernel(sigma, grid.ndim))
     if kind == "fourier":
         if cfg.has(f"channel.{i}.mask"):
             mask = read_mask(cfg.get_str(f"channel.{i}.mask"), grid)
         else:
             frac = cfg.get_float(f"channel.{i}.mask_fraction", 1.0)
             mask = random_fourier_mask(grid.dims, frac, seed + 7919 * i)
-        return masked_fourier_op(grid, mask)
-    if kind == "radon":
-        n_ang = cfg.get_int(f"channel.{i}.angles", 16)
-        angles = np.arange(n_ang) * np.pi / n_ang
-        return radon_op(grid, angles, default_n_bins(grid))
-    raise ConfigError(f"channel.{i}.op = {kind!r} is not a known operator")
+        return lambda: masked_fourier_op(grid, mask)
+    n_ang = cfg.get_int(f"channel.{i}.angles", 16)
+    return lambda: radon_op(grid, np.arange(n_ang) * np.pi / n_ang, default_n_bins(grid))
 
 
 def _build_regularizer(cfg: RunConfig):
-    kind = cfg.get_str("regularizer.kind", "tgv2")
+    kind = cfg.get_choice("regularizer.kind", ("tgv2", "wavelet", "quadratic"), "tgv2")
     if kind == "quadratic":
         return Quadratic(cfg.get_float("regularizer.weight", 1.0))
     if kind == "tgv2":
         return TGV2(
             alpha0=cfg.get_float("regularizer.alpha0", 2.0),
             alpha1=cfg.get_float("regularizer.alpha1", 1.0),
-            coupling=cfg.get_str("regularizer.coupling", "frobenius"),
+            coupling=cfg.get_choice("regularizer.coupling", COUPLINGS, "frobenius"),
         )
-    if kind == "wavelet":
-        return WaveletL21(levels=cfg.get_int("regularizer.levels", 2))
-    raise ConfigError(f"regularizer.kind = {kind!r} is not known")
+    return WaveletL21(levels=cfg.get_int("regularizer.levels", 2))
 
 
 # Keys that configured removed features, each with why it went.
@@ -138,66 +130,88 @@ def _build_solver_config(cfg: RunConfig) -> SolveConfig:
     )
 
 
-def _make_channel_data(cfg: RunConfig, op: ForwardOp, truth: np.ndarray, i: int, seed: int):
-    clean = op.apply(truth)
-    noise = cfg.get_str(f"channel.{i}.noise", "none")
-    if noise == "none":
-        return clean, 0.0
+def _read_channel_data(cfg: RunConfig, i: int, make_op: Callable, kind: str, seed: int) -> Callable:
+    """Read channel i's noise, weight and background; return the function that
+    builds the channel from its true image."""
+    noise = cfg.get_choice(f"channel.{i}.noise", ("none", "gaussian", "poisson"), "none")
     if noise == "gaussian":
         level = cfg.get_float(f"channel.{i}.noise_level", 0.05)
-        # a pairwise sum, not a BLAS dot: the data must not depend on the thread count
-        scale = float(np.sqrt(np.sum(clean * clean)))
-        nz = add_gaussian_noise(clean, level * scale, seed + 104729 * i)
-        return nz.data, nz.delta
-    if noise == "poisson":
+    elif noise == "poisson":
         counts = cfg.get_float(f"channel.{i}.counts", 1000.0)
-        nz = add_poisson_noise(np.maximum(clean, 0.0), counts, seed + 104729 * i)
-        return nz.data, nz.delta
-    raise ConfigError(f"channel.{i}.noise = {noise!r} is not known")
+    lam = cfg.get_float(f"channel.{i}.lam", 1.0)
+    key = f"channel.{i}.background"
+    background = cfg.get_float(key) if cfg.has(key) else None
+    seed += 104729 * i
+
+    def build(truth: np.ndarray) -> ChannelSpec:
+        op = make_op()
+        data = op.apply(truth)
+        if noise == "gaussian":
+            # a pairwise sum, not a BLAS dot: the data must not depend on the thread count
+            scale = float(np.sqrt(np.sum(data * data)))
+            data = add_gaussian_noise(data, level * scale, seed).data
+        elif noise == "poisson":
+            data = add_poisson_noise(np.maximum(data, 0.0), counts, seed).data
+        if kind == "kl":
+            data = np.maximum(data, 0.0)
+        bg = None if background is None else np.full(op.codomain_dim, background)
+        return ChannelSpec(op=op, data=data, lam=lam, kind=kind, background=bg)
+
+    return build
 
 
-def _read_channels(cfg: RunConfig, seed: int) -> tuple[Grid, list[tuple[ForwardOp, str]]]:
-    """The grid, and each channel's forward operator and data-term kind."""
-    grid = _build_grid(cfg)
+def _read_channels(cfg: RunConfig, seed: int) -> tuple[Grid, list[tuple[Callable, str]]]:
+    """The grid, and each channel's operator builder and data-term kind."""
+    dims = cfg.get_ints("grid.dims")
+    grid = Grid(dims, cfg.get_floats("grid.spacing", tuple(1.0 for _ in dims)))
     n = cfg.get_int("channels")
     if n < 1:
         raise ConfigError(f"channels = {n} must be >= 1", cfg.lines.get("channels"))
     return grid, [
-        (_build_op(cfg, grid, i, seed), cfg.get_str(f"channel.{i}.kind", "l2"))
+        (_read_op(cfg, grid, i, seed), cfg.get_choice(f"channel.{i}.kind", DATA_KINDS, "l2"))
         for i in range(1, n + 1)
     ]
 
 
 def _build_problem(cfg: RunConfig, seed: int):
+    """Read every key of the problem, then build it; return it and its true image."""
     grid, ops = _read_channels(cfg, seed)
-    truth = phantom(cfg.get_str("phantom.kind", "smooth_bump"), grid, len(ops))
-    channels = []
-    for i, (op, kind) in enumerate(ops, 1):
-        data, _ = _make_channel_data(cfg, op, truth.channel(i - 1), i, seed)
-        if kind == "kl":
-            data = np.maximum(data, 0.0)
-        channels.append(
-            ChannelSpec(
-                op=op,
-                data=data,
-                lam=cfg.get_float(f"channel.{i}.lam", 1.0),
-                kind=kind,
-                background=(
-                    np.full(op.codomain_dim, cfg.get_float(f"channel.{i}.background"))
-                    if cfg.has(f"channel.{i}.background")
-                    else None
-                ),
-            )
-        )
-    spec = ProblemSpec(grid=grid, channels=tuple(channels), regularizer=_build_regularizer(cfg))
-    return spec, truth
+    truth_kind = cfg.get_choice("phantom.kind", PHANTOM_KINDS, "smooth_bump")
+    builds = [_read_channel_data(cfg, i, *op, seed) for i, op in enumerate(ops, 1)]
+    regularizer = _build_regularizer(cfg)
+    truth = phantom(truth_kind, grid, len(ops))
+    channels = tuple(build(truth.channel(i)) for i, build in enumerate(builds))
+    return ProblemSpec(grid=grid, channels=channels, regularizer=regularizer), truth
 
 
-def _echo(cfg: RunConfig, seed: int, out):
-    print("# resolved config", file=out)
+def _config(args) -> tuple[RunConfig | None, int]:
+    """The config named on the command line, if any, and the seed: ``--seed``,
+    else the config's, else 0."""
+    cfg = load_config(args.config) if args.config else None
+    return cfg, args.seed if args.seed is not None else cfg.get_int("seed", 0) if cfg else 0
+
+
+def _echo(cfg: RunConfig, seed: int, unread: bool = True):
+    """Print the resolved config and the seed, then, if ``unread``, each key
+    that no accessor has read."""
+    print("# resolved config")
     for line in cfg.dump().splitlines():
-        print(f"#   {line}", file=out)
-    print(f"# seed = {seed}", file=out)
+        print(f"#   {line}")
+    print(f"# seed = {seed}")
+    for key in sorted(cfg.values.keys() - cfg.read, key=cfg.lines.get) if unread else ():
+        print(f"# not read: line {cfg.lines[key]}: {key}")
+
+
+def _write_image(out: Path, stem: str, img: MultiImage) -> int:
+    """Write ``stem.mfi`` to ``out`` and, on a 2-D grid, a PGM preview of each
+    channel; return the number of previews written."""
+    out.mkdir(parents=True, exist_ok=True)
+    write_mfi(out / f"{stem}.mfi", img)
+    if img.grid.ndim != 2:
+        return 0
+    for i in range(img.channels):
+        write_pgm(out / f"{stem}_ch{i + 1}.pgm", img.channel(i))
+    return img.channels
 
 
 def cmd_phantom(args) -> int:
@@ -205,29 +219,20 @@ def cmd_phantom(args) -> int:
     if n < 1 or any(d < 1 for d in dims):
         print("error: dims and channel count must be positive", file=sys.stderr)
         return 1
-    grid = Grid(tuple(dims))
-    img = phantom(args.kind, grid, n)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_mfi(out / "phantom.mfi", img)
-    for i in range(n):
-        write_pgm(out / f"phantom_ch{i + 1}.pgm", img.channel(i).reshape(grid.dims))
-    print(f"wrote phantom.mfi and {n} PGM file(s) to {out}")
+    previews = _write_image(out, "phantom", phantom(args.kind, Grid(tuple(dims)), n))
+    print(f"wrote phantom.mfi and {previews} PGM file(s) to {out}")
     return 0
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
+    cfg, seed = _config(args)
     solve_cfg = _build_solver_config(cfg)
-    spec, truth = _build_problem(cfg, seed)
-    _echo(cfg, seed, sys.stdout)
+    spec, _ = _build_problem(cfg, seed)
+    _echo(cfg, seed)
     result = solve(spec, solve_cfg)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_mfi(out / "recon.mfi", result.u)
-    for i in range(result.u.channels):
-        write_pgm(out / f"recon_ch{i + 1}.pgm", result.u.channel(i).reshape(spec.grid.dims))
+    previews = "PGM channels, " if _write_image(out, "recon", result.u) else ""
     diag = result.diagnostics
     with open(out / "diagnostics.csv", "w", newline="") as fh:
         fh.write("iteration,energy,rel_change\n")
@@ -248,7 +253,7 @@ def cmd_solve(args) -> int:
             np.linalg.norm(result.u.values - closed) / max(np.linalg.norm(closed), 1e-300)
         )
         print(f"closed-form relative error = {rel:.3e}")
-    print(f"wrote recon.mfi, PGM channels, diagnostics.csv to {out}")
+    print(f"wrote recon.mfi, {previews}diagnostics.csv to {out}")
     return 0
 
 
@@ -269,15 +274,13 @@ def _closed_form(spec: ProblemSpec):
 
 
 def cmd_adjoint_check(args) -> int:
-    if args.config:
-        cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
+    cfg, seed = _config(args)
+    if cfg is not None:
         grid, channels = _read_channels(cfg, seed)
-        ops = {f"channel.{i}": op.as_linear_op() for i, (op, _) in enumerate(channels, 1)}
+        ops = {f"channel.{i}": make().as_linear_op() for i, (make, _) in enumerate(channels, 1)}
         ops["gradient"] = grad_linear_op(grid, len(channels))
         ops["sym_gradient"] = sym_grad_linear_op(grid, len(channels))
     else:
-        seed = args.seed if args.seed is not None else 0
         grid = Grid((16, 16))
         ops = {
             "identity": identity_op(grid).as_linear_op(),
@@ -304,13 +307,11 @@ def cmd_adjoint_check(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
-    _echo(cfg, seed, sys.stdout)
+    cfg, seed = _config(args)
     grid, channels = _read_channels(cfg, seed)
-    truth = phantom(cfg.get_str("phantom.kind", "smooth_bump"), grid, len(channels))
+    truth_kind = cfg.get_choice("phantom.kind", PHANTOM_KINDS, "smooth_bump")
     rule = RateRule(
-        kind=cfg.get_str("rates.rule"),
+        kind=cfg.get_choice("rates.rule", RULE_KINDS),
         mu=cfg.get_floats("rates.mu"),
         nu=cfg.get_floats("rates.nu") if cfg.has("rates.nu") else None,
     )
@@ -320,16 +321,24 @@ def cmd_rates(args) -> int:
         levels=cfg.get_int("rates.levels", 8),
     )
     n_seeds = cfg.get_int("rates.seeds", 5)
+    regularizer, solve_cfg = _build_regularizer(cfg), _build_solver_config(cfg)
+    keys = [f"rates.gate.data_{i}" for i in range(1, len(channels) + 1)]
+    gates = [cfg.get_float(key) if cfg.has(key) else None for key in keys]
+    key = "rates.gate.bregman"
+    window = cfg.get_floats(key) if cfg.has(key) else None
+    if window is not None and len(window) != 2:
+        raise ConfigError(f"{key} = {cfg.values[key]!r} is not two numbers", cfg.lines.get(key))
     exp = RateExperiment(
         grid=grid,
-        u_true=truth,
-        channels=[RateChannel(op=op, kind=kind) for op, kind in channels],
+        u_true=phantom(truth_kind, grid, len(channels)),
+        channels=[RateChannel(op=make(), kind=kind) for make, kind in channels],
         rule=rule,
         deltas=deltas,
         seeds=tuple(seed + k for k in range(n_seeds)),
-        regularizer=_build_regularizer(cfg),
-        solve_cfg=_build_solver_config(cfg),
+        regularizer=regularizer,
+        solve_cfg=solve_cfg,
     )
+    _echo(cfg, seed)
     table = run_rate_experiment(exp)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -340,18 +349,16 @@ def cmd_rates(args) -> int:
     if unconverged:
         print("WARN  slopes rest on solves that stopped at solver.max_iters before converging")
     ok = True
-    for i, slope in enumerate(table.data_slopes):
-        print(f"data slope channel {i + 1}: {slope:.3f}")
-        key = f"rates.gate.data_{i + 1}"
-        if cfg.has(key):
-            gate = cfg.get_float(key)
+    for i, (slope, gate) in enumerate(zip(table.data_slopes, gates), 1):
+        print(f"data slope channel {i}: {slope:.3f}")
+        if gate is not None:
             passed = slope >= gate
             ok &= passed
-            print(f"{'PASS' if passed else 'FAIL'}  data slope channel {i + 1} >= {gate}")
+            print(f"{'PASS' if passed else 'FAIL'}  data slope channel {i} >= {gate}")
     if table.bregman_slope is not None:
         print(f"bregman slope: {table.bregman_slope:.3f}")
-        if cfg.has("rates.gate.bregman"):
-            lo, hi = cfg.get_floats("rates.gate.bregman")
+        if window is not None:
+            lo, hi = window
             passed = lo <= table.bregman_slope <= hi
             ok &= passed
             print(f"{'PASS' if passed else 'FAIL'}  bregman slope in [{lo}, {hi}]")
@@ -363,46 +370,35 @@ def cmd_info(args) -> int:
     print("config schema version 1 (flat key = value, dotted sections, '#' comments)")
     print("image format MFI1: magic 'MFI1', u32 d, u32 dims[d], u32 N, float64 LE site-major")
     print("subcommands: phantom, solve, adjoint-check, rates, info")
-    if args.config:
-        cfg = load_config(args.config)
-        _echo(cfg, args.seed if args.seed is not None else cfg.get_int("seed", 0), sys.stdout)
+    cfg, seed = _config(args)
+    if cfg is not None:
+        _echo(cfg, seed, unread=False)
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--out-dir", default=".", help="directory for output files")
+# name, function, whether the config file is optional, help
+_CONFIG_COMMANDS = (
+    ("solve", cmd_solve, False, "solve the problem described by a config file"),
+    ("adjoint-check", cmd_adjoint_check, True, "verify operator/adjoint pairs"),
+    ("rates", cmd_rates, False, "run a convergence-rate sweep"),
+    ("info", cmd_info, True, "print version and format summary"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coupledrec")
     sub = parser.add_subparsers(dest="command", required=True)
-
     p = sub.add_parser("phantom", help="write a synthetic test image")
     p.add_argument("kind", choices=PHANTOM_KINDS)
     p.add_argument("numbers", type=int, nargs="+", metavar="DIM... N")
-    _add_common(p)
     p.set_defaults(func=cmd_phantom)
-
-    p = sub.add_parser("solve", help="solve the problem described by a config file")
-    p.add_argument("config")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("adjoint-check", help="verify operator/adjoint pairs")
-    p.add_argument("config", nargs="?", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_adjoint_check)
-
-    p = sub.add_parser("rates", help="run a convergence-rate sweep")
-    p.add_argument("config")
-    _add_common(p)
-    p.set_defaults(func=cmd_rates)
-
-    p = sub.add_parser("info", help="print version and format summary")
-    p.add_argument("config", nargs="?", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_info)
+    for name, func, optional, text in _CONFIG_COMMANDS:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("config", nargs="?" if optional else None, default=None)
+        p.set_defaults(func=func)
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--out-dir", default=".", help="directory for output files")
     return parser
 
 

@@ -30,6 +30,8 @@ class ConfigError(ValueError):
 class RunConfig:
     values: dict[str, str] = field(default_factory=dict)
     lines: dict[str, int] = field(default_factory=dict)  # key -> source line
+    # every key an accessor has looked up, so that a run can name the keys it never read
+    read: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def has(self, key: str) -> bool:
         return key in self.values
@@ -37,6 +39,7 @@ class RunConfig:
     def _get(self, key: str, default, parse, what: str = ""):
         """``parse`` the value of ``key``, or return ``default`` when it is absent;
         a ValueError from ``parse`` is reported as "is not <what>"."""
+        self.read.add(key)
         if key not in self.values:
             if default is None:
                 raise ConfigError(f"missing required key {key!r}")
@@ -62,6 +65,11 @@ class RunConfig:
 
     def get_floats(self, key: str, default: tuple[float, ...] | None = None) -> tuple[float, ...]:
         return self._get(key, default, lambda t: tuple(map(float, t.split())), "a list of numbers")
+
+    def get_choice(self, key: str, choices: tuple[str, ...], default: str | None = None) -> str:
+        # tuple.index raises the ValueError for a value outside ``choices``
+        what = "one of " + ", ".join(choices)
+        return self._get(key, default, lambda t: choices[choices.index(t)], what)
 
     def dump(self) -> str:
         """Canonical sorted rendering, used to echo the resolved config."""

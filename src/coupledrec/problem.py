@@ -10,6 +10,7 @@ from .forward import ForwardOp
 from .grids import Grid
 
 COUPLINGS = ("frobenius", "nuclear")
+DATA_KINDS = ("l2", "kl")  # a channel's discrepancy, ChannelSpec.kind
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class ChannelSpec:
     op: ForwardOp
     data: np.ndarray
     lam: float
-    kind: str = "l2"  # "l2" | "kl"
+    kind: str = "l2"  # one of DATA_KINDS
     background: np.ndarray | None = None  # KL channels only
     # whether the background has a nonzero entry, so that T u + c needs the sum
     has_background: bool = field(init=False, repr=False, compare=False)
@@ -73,7 +74,7 @@ class ChannelSpec:
             )
         if not np.all(np.isfinite(data)):
             raise ValueError("data must be finite")
-        if self.kind not in ("l2", "kl"):
+        if self.kind not in DATA_KINDS:
             raise ValueError(f"unknown discrepancy kind {self.kind!r}")
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError("lam must be a positive finite number")

@@ -25,6 +25,7 @@ from .solver import SolveConfig, channel_data_term, regularizer_value, solve
 LAMBDA_SENTINEL = 1e8  # stands in for lambda = infinity on exact-data channels
 
 PHANTOM_KINDS = ("affine_blocks", "shared_edges_disc", "smooth_bump")
+RULE_KINDS = ("two_norm", "mixed_nkl", "general")
 
 
 def _unit_coords(grid: Grid) -> list[np.ndarray]:
@@ -67,12 +68,12 @@ def phantom(kind: str, grid: Grid, channels: int) -> MultiImage:
 class RateRule:
     """Parameter-choice rule mapping noise levels to lambda weights."""
 
-    kind: str  # "two_norm" | "mixed_nkl" | "general"
+    kind: str  # one of RULE_KINDS
     mu: tuple[float, ...]
     nu: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("two_norm", "mixed_nkl", "general"):
+        if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if any(not 1 <= m < np.inf for m in self.mu):
             raise ValueError(f"exponents mu must be finite and >= 1, got {self.mu!r}")

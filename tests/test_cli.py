@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -435,3 +436,163 @@ def test_info_command(capsys):
     code, out, _ = run(capsys, "info")
     assert code == 0
     assert "coupledrec" in out and "MFI1" in out
+
+
+# --- configuration read before anything runs ----------------------------------
+
+_CHOICE_CONFIG = {
+    "schema": "1",
+    "grid.dims": "8 8",
+    "channels": "2",
+    "channel.1.op": "radon",
+    "channel.1.angles": "4",
+    "channel.2.op": "identity",
+    "channel.2.kind": "l2",
+    "channel.2.noise": "gaussian",
+    "phantom.kind": "smooth_bump",
+    "regularizer.kind": "tgv2",
+    "regularizer.coupling": "nuclear",
+    "solver.max_iters": "3",
+    "rates.rule": "two_norm",
+    "rates.mu": "1.0 1.0",
+    "rates.levels": "5",
+    "rates.seeds": "1",
+}
+
+_CHOICES = {
+    "channel.2.op": ("mri", "identity, conv, fourier, radon"),
+    "channel.2.kind": ("l1", "l2, kl"),
+    "channel.2.noise": ("salt", "none, gaussian, poisson"),
+    "regularizer.kind": ("tv", "tgv2, wavelet, quadratic"),
+    "regularizer.coupling": ("spectral", "frobenius, nuclear"),
+    "phantom.kind": ("shepp_logan", "affine_blocks, shared_edges_disc, smooth_bump"),
+    "rates.rule": ("discrepancy", "two_norm, mixed_nkl, general"),
+}
+
+# the choice keys each command reads
+_COMMAND_CHOICES = {
+    "solve": [k for k in _CHOICES if k != "rates.rule"],
+    "rates": [k for k in _CHOICES if k != "channel.2.noise"],
+    "adjoint-check": ["channel.2.op", "channel.2.kind"],
+}
+
+
+def _write_config(path, settings):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, key", [(c, k) for c, keys in _COMMAND_CHOICES.items() for k in keys]
+)
+def test_bad_choice_is_a_configuration_error_before_anything_runs(
+    tmp_path, capsys, monkeypatch, command, key
+):
+    # channel 1's Radon operator comes first: building it, or the phantom, is already too late
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built before the whole config was read")
+
+    for name in ("identity_op", "convolution_op", "masked_fourier_op", "radon_op", "phantom"):
+        monkeypatch.setattr(f"coupledrec.cli.{name}", must_not_run)
+    value, choices = _CHOICES[key]
+    settings = dict(_CHOICE_CONFIG, **{key: value})
+    cfg = _write_config(tmp_path / "run.cfg", settings)
+    out = tmp_path / "out"
+    out.mkdir()
+    code, stdout, err = run(capsys, command, str(cfg), "--out-dir", str(out))
+    line = list(settings).index(key) + 1
+    assert code == 1
+    assert err == f"config error: line {line}: {key} = {value!r} is not one of {choices}\n"
+    assert stdout == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("rates.gate.data_1 = abc", "rates.gate.data_1 = 'abc' is not a number"),
+        ("rates.gate.bregman = 0.9", "rates.gate.bregman = '0.9' is not two numbers"),
+        ("rates.gate.bregman = 0.5 1 2", "rates.gate.bregman = '0.5 1 2' is not two numbers"),
+        ("rates.gate.bregman = low 1", "rates.gate.bregman = 'low 1' is not a list of numbers"),
+    ],
+    ids=["data_1", "bregman_one_number", "bregman_three_numbers", "bregman_not_numbers"],
+)
+def test_bad_rates_gate_is_a_configuration_error_before_the_sweep(
+    tmp_path, capsys, monkeypatch, setting, message
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the sweep ran before the gates were read")
+
+    monkeypatch.setattr("coupledrec.cli.run_rate_experiment", must_not_run)
+    cfg = tmp_path / "rates.cfg"
+    cfg.write_text(
+        "schema = 1\n"
+        "grid.dims = 8 8\n"
+        "channels = 1\n"
+        "rates.rule = two_norm\n"
+        "rates.mu = 1.0\n"
+        "rates.levels = 5\n"
+        "regularizer.kind = quadratic\n" + setting + "\n"
+    )
+    code, out, err = run(capsys, "rates", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err == f"config error: line 8: {message}\n"
+    assert out == ""
+    assert not (tmp_path / "rates.csv").exists()
+
+
+def test_echo_names_the_keys_a_run_never_read(tmp_path, capsys):
+    # a typo for solver.max_iters: the solve runs under the default and says so
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "schema = 1\n"
+        "grid.dims = 8 8\n"
+        "channels = 1\n"
+        "regularizer.kind = quadratic\n"
+        "solver.max_iter = 3\n"
+    )
+    code, out, _ = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 0
+    assert "# seed = 0\n# not read: line 5: solver.max_iter\n" in out
+    assert out.count("# not read:") == 1
+    # info echoes the config but reads none of it
+    code, out, _ = run(capsys, "info", str(cfg))
+    assert code == 0
+    assert "# resolved config" in out and "# not read:" not in out
+
+
+def test_solve_reads_every_key_of_the_readme_example(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    # the echo precedes the solve, which a shorter budget keeps fast
+    monkeypatch.setattr(
+        "coupledrec.cli.solve", lambda spec, c: solve(spec, dataclasses.replace(c, max_iters=2))
+    )
+    code, out, _ = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 0
+    assert "# resolved config" in out and "# not read:" not in out
+
+
+@pytest.mark.parametrize("dims", [(16,), (8, 8, 8)], ids=["1d", "3d"])
+def test_solve_and_phantom_write_no_previews_off_a_2d_grid(tmp_path, capsys, dims):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "schema = 1\n"
+        f"grid.dims = {' '.join(map(str, dims))}\n"
+        "channels = 1\n"
+        "regularizer.kind = quadratic\n"
+        "solver.max_iters = 3\n"
+    )
+    solved, drawn = tmp_path / "solve", tmp_path / "phantom"
+    code, out, _ = run(capsys, "solve", str(cfg), "--out-dir", str(solved))
+    assert code == 0
+    assert sorted(p.name for p in solved.iterdir()) == ["diagnostics.csv", "recon.mfi"]
+    assert read_mfi(solved / "recon.mfi").values.shape == dims + (1,)
+    assert f"wrote recon.mfi, diagnostics.csv to {solved}\n" in out
+    numbers = [str(d) for d in dims] + ["2"]
+    code, out, _ = run(capsys, "phantom", "smooth_bump", *numbers, "--out-dir", str(drawn))
+    assert code == 0
+    assert [p.name for p in drawn.iterdir()] == ["phantom.mfi"]
+    assert read_mfi(drawn / "phantom.mfi").values.shape == dims + (2,)
+    assert out == f"wrote phantom.mfi and 0 PGM file(s) to {drawn}\n"

@@ -73,3 +73,24 @@ def test_load_config_missing_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("schema = 1\na = 4\n")
     assert load_config(p).get_int("a") == 4
+
+
+def test_choice_accessor_checks_the_value_against_its_choices():
+    cfg = parse_config("schema = 1\nregularizer.kind = tgv2\nchannel.1.kind = l1\n")
+    kinds = ("tgv2", "wavelet", "quadratic")
+    assert cfg.get_choice("regularizer.kind", kinds) == "tgv2"
+    assert cfg.get_choice("regularizer.coupling", ("frobenius", "nuclear"), "nuclear") == "nuclear"
+    with pytest.raises(ConfigError) as exc:
+        cfg.get_choice("channel.1.kind", ("l2", "kl"), "l2")
+    assert exc.value.line == 3
+    assert str(exc.value) == "line 3: channel.1.kind = 'l1' is not one of l2, kl"
+    with pytest.raises(ConfigError, match="missing required key"):
+        cfg.get_choice("rates.rule", ("two_norm",))
+
+
+def test_config_records_the_keys_its_accessors_read():
+    cfg = parse_config("schema = 1\nsolver.max_iter = 3\nchannels = 2\n")
+    cfg.get_int("channels")
+    cfg.get_int("solver.max_iters", 2000)
+    assert cfg.values.keys() - cfg.read == {"solver.max_iter"}
+    assert cfg == parse_config("schema = 1\nsolver.max_iter = 3\nchannels = 2\n")

@@ -27,7 +27,7 @@ from .forward import (
     masked_fourier_op,
     radon_op,
 )
-from .grids import Grid, MultiImage
+from .grids import Grid, MultiImage, l2_norm
 from .problem import COUPLINGS, DATA_KINDS, ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
 from .rates import (
     PHANTOM_KINDS,
@@ -147,9 +147,7 @@ def _read_channel_data(cfg: RunConfig, i: int, make_op: Callable, kind: str, see
         op = make_op()
         data = op.apply(truth)
         if noise == "gaussian":
-            # a pairwise sum, not a BLAS dot: the data must not depend on the thread count
-            scale = float(np.sqrt(np.sum(data * data)))
-            data = add_gaussian_noise(data, level * scale, seed).data
+            data = add_gaussian_noise(data, level * l2_norm(data), seed).data
         elif noise == "poisson":
             data = add_poisson_noise(np.maximum(data, 0.0), counts, seed).data
         if kind == "kl":
@@ -249,9 +247,7 @@ def cmd_solve(args) -> int:
     )
     closed = _closed_form(spec)
     if closed is not None:
-        rel = float(
-            np.linalg.norm(result.u.values - closed) / max(np.linalg.norm(closed), 1e-300)
-        )
+        rel = l2_norm(result.u.values - closed) / max(l2_norm(closed), 1e-300)
         print(f"closed-form relative error = {rel:.3e}")
     print(f"wrote recon.mfi, {previews}diagnostics.csv to {out}")
     return 0

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import MultiImage, SymTensorField, VectorField, sym_index_pairs
+from .grids import MultiImage, SymTensorField, VectorField, l2_norm, sym_index_pairs
 
 
 def _sl(ndim: int, axis: int, s: slice) -> tuple:
@@ -177,12 +177,9 @@ def adjoint_check(op: LinearOp, trials: int = 10, seed: int = 0) -> float:
     for _ in range(trials):
         x = rng.standard_normal(op.domain_dim)
         y = rng.standard_normal(op.codomain_dim)
-        ax = op.apply(x)
-        aty = op.adjoint(y)
-        lhs = float(np.dot(ax, y))
-        rhs = float(np.dot(x, aty))
-        denom = float(np.linalg.norm(ax) * np.linalg.norm(y)) + tiny
-        worst = max(worst, abs(lhs - rhs) / denom)
+        ax, aty = op.apply(x), op.adjoint(y)
+        gap = abs(float(np.sum(ax * y)) - float(np.sum(x * aty)))
+        worst = max(worst, gap / (l2_norm(ax) * l2_norm(y) + tiny))
     return worst
 
 
@@ -205,25 +202,25 @@ def op_norm_estimate(op: LinearOp, iters: int = 100, seed: int = 0) -> float:
         raise ValueError("iters must be >= 1")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(op.domain_dim)
-    nx = np.linalg.norm(x)
+    nx = l2_norm(x)
     if nx == 0:
         return 0.0
     x /= nx
     est = 0.0
     for _ in range(iters):
         y = op.apply(x)
-        ny = np.linalg.norm(y)
+        ny = l2_norm(y)
         if ny == 0:
             return 0.0
         if ny - est <= _SETTLED * est:
-            return float(ny)
+            return ny
         est = ny
         x = op.adjoint(y)
-        nx = np.linalg.norm(x)
+        nx = l2_norm(x)
         if nx == 0:
-            return float(est)
+            return est
         x /= nx
-    return float(est)
+    return est
 
 
 def grad_linear_op(grid, channels: int) -> LinearOp:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import l2_norm
+
 
 @dataclass(frozen=True)
 class NoiseRealization:
@@ -102,8 +104,7 @@ def add_gaussian_noise(f_true: np.ndarray, target_delta: float, seed: int) -> No
         return NoiseRealization(f_true.copy(), 0.0)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(f_true.size)
-    # numpy's pairwise sum, unlike a BLAS dot, does not depend on the thread count
-    noise *= target_delta / np.sqrt(np.sum(noise * noise))
+    noise *= target_delta / l2_norm(noise)
     return NoiseRealization(f_true + noise, float(target_delta))
 
 

@@ -205,6 +205,19 @@ def inner_product(a: Field, b: Field) -> float:
     return float(np.sum(a.values * b.values * w))
 
 
+def l2_norm(x: np.ndarray, out: np.ndarray | None = None) -> float:
+    """The Euclidean norm of all of ``x``'s entries, with their squares
+    written to ``out`` if given.
+
+    The library's only whole-array norm.  The squares are added by NumPy's
+    pairwise sum, whose order is fixed by the array's shape.  A BLAS dot
+    (``np.linalg.norm``, ``np.dot``) splits its partial sums by the BLAS
+    thread count, so its last digit, and every result computed from it,
+    would depend on the machine.
+    """
+    return float(np.sqrt(np.sum(np.multiply(x, x, out=out))))
+
+
 def block_sum_squares(values: np.ndarray, weights=None) -> np.ndarray:
     """Sum of the squared entries of each (k, N) site block of component-major
     (k, N, *dims) values; ``weights``, if given, scale the squares of each

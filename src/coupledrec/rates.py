@@ -18,7 +18,7 @@ from .discrepancy import (
     poisson_scale_for_delta,
 )
 from .forward import ForwardOp
-from .grids import Grid, MultiImage, inner_product
+from .grids import Grid, MultiImage, inner_product, l2_norm
 from .problem import ChannelSpec, ProblemSpec, Quadratic, Regularizer
 from .solver import SolveConfig, channel_data_term, regularizer_value, solve
 
@@ -240,18 +240,14 @@ def run_rate_experiment(exp: RateExperiment) -> RateTable:
     """
     n = len(exp.channels)
     clean = [ch.op.apply(exp.u_true.channel(i)) for i, ch in enumerate(exp.channels)]
-    scales = []  # by numpy's pairwise sums, which do not depend on the BLAS thread count
-    for ch, f in zip(exp.channels, clean):
-        if ch.kind == "l2":
-            scales.append(float(np.sqrt(np.sum(f * f))))
-        else:
-            scales.append(float(np.sum(np.abs(f))))
+    scales = [
+        l2_norm(f) if ch.kind == "l2" else float(np.sum(np.abs(f)))
+        for ch, f in zip(exp.channels, clean)
+    ]
     rows: list[RateRow] = []
-    premise: list[list[float]] = []
     p_pow = discrepancy_exponents([c.kind for c in exp.channels])
     cfg = replace(exp.solve_cfg, diag_every=0)
     for lv, delta in enumerate(exp.deltas):
-        premise_row = None
         for seed in exp.seeds:
             noisy, realized = [], []
             for i, ch in enumerate(exp.channels):
@@ -295,11 +291,11 @@ def run_rate_experiment(exp: RateExperiment) -> RateTable:
                     converged=result.converged,
                 )
             )
-            if premise_row is None:
-                premise_row = [
-                    float(lams[i] * realized[i] ** p_pow[i]) for i in range(n)
-                ]
-        premise.append(premise_row)
+    # rows are level-major, so each level's first row is its first seed's solve
+    premise = [
+        [lam * d**p for lam, d, p in zip(r.lambdas, r.channel_deltas, p_pow)]
+        for r in rows[:: len(exp.seeds)]
+    ]
 
     # one fit per seed; the table keeps their medians
     data_fits: list[list[float]] = []

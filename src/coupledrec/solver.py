@@ -56,7 +56,14 @@ from .diffops import (
     sym_grad_norm_bound,
 )
 from .discrepancy import eval_kl, eval_l2sq, prox_kl_dual, prox_l2_dual
-from .grids import MultiImage, SymTensorField, VectorField, pointwise_norms_array, site_major
+from .grids import (
+    MultiImage,
+    SymTensorField,
+    VectorField,
+    l2_norm,
+    pointwise_norms_array,
+    site_major,
+)
 from .problem import ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
 
 # Unused here, but bench/tracing.py rebinds these names on this module.
@@ -372,7 +379,7 @@ def check_affine_injectivity(problem: ProblemSpec, tol: float = 1e-8) -> None:
     )
     basis = [np.ones(grid.dims)] + [c for c, nx in zip(coords, grid.dims) if nx > 1]
     for i, c in enumerate(problem.channels):
-        cols = np.stack([c.op.apply(b / np.linalg.norm(b)) for b in basis], axis=1)
+        cols = np.stack([c.op.apply(b / l2_norm(b)) for b in basis], axis=1)
         smin = np.linalg.svd(cols, compute_uv=False)[-1]
         if smin <= tol:
             raise SolverError(
@@ -491,11 +498,6 @@ def pd_step(problem: ProblemSpec, state: SolverState, diag: Diagnostics | None =
         diag.reg_value.append(reg_value)
 
 
-def _norm(x: np.ndarray, out: np.ndarray) -> float:
-    """The Euclidean norm of ``x``, with its squares written to ``out``."""
-    return float(np.sqrt(np.sum(np.multiply(x, x, out=out))))
-
-
 def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
     """Run the primal-dual iteration to the relative-change stopping rule.
 
@@ -511,7 +513,7 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
     quiet_streak = 0
     converged = False
     tiny = 1e-30
-    size = _norm(state.x[0], np.empty(state.x[0].shape))
+    size = l2_norm(state.x[0], np.empty(state.x[0].shape))
     for _ in range(cfg.max_iters):
         # pd_step writes u+ to a new array, so the old u is left to the stop
         # rule: it holds the change and its squares, then the squares of u+,
@@ -520,8 +522,8 @@ def solve(problem: ProblemSpec, cfg: SolveConfig | None = None) -> SolveResult:
         record = cfg.diag_every > 0 and (state.iteration + 1) % cfg.diag_every == 0
         pd_step(problem, state, diag if record else None)
         u = state.x[0]
-        rel = _norm(np.subtract(u, previous_u, out=previous_u), previous_u) / max(size, tiny)
-        size = _norm(u, previous_u)
+        rel = l2_norm(np.subtract(u, previous_u, out=previous_u), previous_u) / max(size, tiny)
+        size = l2_norm(u, previous_u)
         diag.rel_change.append(rel)
         if rel < cfg.tol:
             quiet_streak += 1

@@ -349,32 +349,58 @@ def test_solve_prints_the_energy_of_the_iterate_it_writes(tmp_path, capsys):
     assert f"iterations = 23, energy = {energy}, " in out
 
 
-def test_solve_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
-    # OpenBLAS splits a dot of a 128 x 128 image's length across its threads;
-    # the noise must be scaled by a sum that does not.  On a 1-core host both
-    # runs use one thread, and the test passes without showing anything.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
+_THREAD_CONFIGS = {
+    # an identity channel: only the noise scaling takes a norm of the data
+    "identity_128": (
         "schema = 1\n"
         "grid.dims = 128 128\n"
         "channels = 1\n"
         "channel.1.noise = gaussian\n"
         "regularizer.kind = quadratic\n"
         "solver.max_iters = 3\n"
-    )
+    ),
+    # the power iteration's norms of 256 x 256 images and their sinograms
+    "conv_fourier_radon_256": (
+        "schema = 1\n"
+        "grid.dims = 256 256\n"
+        "channels = 3\n"
+        "channel.1.op = conv\n"
+        "channel.1.noise = gaussian\n"
+        "channel.2.op = fourier\n"
+        "channel.2.mask_fraction = 0.25\n"
+        "channel.2.noise = gaussian\n"
+        "channel.3.op = radon\n"
+        "channel.3.angles = 8\n"
+        "channel.3.kind = kl\n"
+        "channel.3.noise = poisson\n"
+        "regularizer.kind = quadratic\n"
+        "solver.max_iters = 3\n"
+    ),
+}
+
+
+def test_solve_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # OpenBLAS splits a dot of a long vector across its threads, so a norm
+    # taken by a BLAS dot, of the noise or in the power iteration, could
+    # differ in its last digit between the two runs; the library's norms are
+    # pairwise sums, which do not.  On a 1-core host both runs use one
+    # thread, and the test passes without showing anything.
     src = str(Path(coupledrec.__file__).resolve().parent.parent)
-    written = []
-    for threads in ("1", "2"):
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS=threads,
-            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        )
-        out = tmp_path / f"threads_{threads}"
-        argv = [sys.executable, "-m", "coupledrec.cli", "solve", str(cfg), "--out-dir", str(out)]
-        subprocess.run(argv, env=env, check=True, capture_output=True)
-        written.append([(out / name).read_bytes() for name in ("recon.mfi", "diagnostics.csv")])
-    assert written[0] == written[1]
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    )
+    command = [sys.executable, "-m", "coupledrec.cli", "solve"]
+    for name, text in _THREAD_CONFIGS.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}_threads_{threads}"
+            env["OPENBLAS_NUM_THREADS"] = threads
+            argv = [*command, str(cfg), "--out-dir", str(out)]
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+            written.append([(out / f).read_bytes() for f in ("recon.mfi", "diagnostics.csv")])
+        assert written[0] == written[1], name
 
 
 @pytest.mark.parametrize("value, message", [("-1", "diag_every"), ("2.5", "not an integer")])

@@ -9,6 +9,7 @@ from coupledrec.grids import (
     block_sum_squares,
     component_major,
     inner_product,
+    l2_norm,
     pointwise_norms,
     pointwise_norms_array,
     sym_index_pairs,
@@ -89,6 +90,18 @@ def test_inner_product_bilinear():
     lhs = inner_product(type(a)(a.grid, a.values + 2.0 * b.values), c)
     rhs = inner_product(a, c) + 2.0 * inner_product(b, c)
     assert lhs == pytest.approx(rhs)
+
+
+def test_l2_norm_is_the_pairwise_sum_of_squares():
+    x = np.random.default_rng(4).standard_normal((3, 256, 256))
+    norm = l2_norm(x)
+    assert type(norm) is float
+    assert norm == float(np.sqrt(np.sum(x * x)))
+    assert norm == pytest.approx(np.linalg.norm(x.reshape(-1)), rel=1e-14)
+    out = np.empty_like(x)
+    assert l2_norm(x, out) == norm
+    np.testing.assert_array_equal(out, x * x)
+    assert l2_norm(np.zeros(5)) == 0.0
 
 
 def test_pointwise_norms_frobenius_vs_direct():

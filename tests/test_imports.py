@@ -1,5 +1,6 @@
-"""Every name a library module imports must be used in it, and every private
-module-level name it defines must be read somewhere in the library.
+"""Every name a library module imports must be used in it, every private
+module-level name it defines must be read somewhere in the library, and no
+module may take a norm or a dot product from BLAS.
 
 A parse of each module with ``ast``, standing in for a linter's F401 check
 without depending on one.  An import stays when the module reads the name,
@@ -133,3 +134,58 @@ def test_library_defines_no_unread_private_name():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     unread = unread_private_names(sources)
     assert not unread, ", ".join(f"{module}:{line} {name}" for module, line, name in unread)
+
+
+_BLAS_REDUCTIONS = {"np.linalg.norm", "np.dot", "np.vdot", "np.inner"}
+
+
+def blas_reductions(source: str) -> list[tuple[int, str]]:
+    """(line, callee) of every call of a BLAS reduction: ``np.linalg.norm``,
+    ``np.dot``, ``np.vdot``, ``np.inner`` or any ``.dot`` method."""
+    return sorted(
+        (node.lineno, ast.unparse(node.func))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and (node.func.attr == "dot" or ast.unparse(node.func) in _BLAS_REDUCTIONS)
+    )
+
+
+def test_the_check_finds_a_blas_reduction():
+    source = (
+        "import numpy as np\n"
+        "a = np.linalg.norm(x) + np.dot(x, y)\n"
+        "b = np.vdot(x, y) * np.inner(x, y)\n"
+        "c = x.dot(y)\n"
+        "d = np.sqrt(np.sum(x * x)) + float(np.sum(np.abs(x)))\n"
+        "e = np.linalg.svd(m, compute_uv=False)\n"
+    )
+    assert blas_reductions(source) == [
+        (2, "np.dot"),
+        (2, "np.linalg.norm"),
+        (3, "np.inner"),
+        (3, "np.vdot"),
+        (4, "x.dot"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_modules_take_no_norm_or_dot_from_blas(path):
+    """No library result may depend on the BLAS thread count.
+
+    A BLAS reduction splits its partial sums by the thread count, so its
+    last digit, and every result computed from it, would differ between
+    machines; the library's norms go through ``grids.l2_norm`` and its dot
+    products through ``np.sum(a * b)``, NumPy's pairwise sums.  What stays
+    allowed, because no result depends on its last digit or because it runs
+    on arrays too small for BLAS to split:
+
+    * the SVDs: the pass/fail smallest singular value of
+      ``solver.check_affine_injectivity``, and the per-site blocks of the
+      nuclear coupling on 3-D grids, a few entries each;
+    * ``np.polyfit``, a least-squares fit of one short rate curve;
+    * sparse ``@`` products (the Radon matrix, the banded blur), which
+      SciPy computes without BLAS.
+    """
+    found = blas_reductions(path.read_text())
+    assert not found, ", ".join(f"{path.name}:{line} {callee}" for line, callee in found)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
+from .coupling import check_levels
 from .diffops import adjoint_check, grad_linear_op, sym_grad_linear_op
 from .discrepancy import add_gaussian_noise, add_poisson_noise
 from .fileio import read_mask, write_mfi, write_pgm
@@ -77,39 +78,53 @@ def random_fourier_mask(
     return mask
 
 
+def _positive(cfg: RunConfig, key: str, default: float) -> float:
+    """Read a number that must be positive and finite; report any other at the key's line."""
+    value = cfg.get_float(key, default)
+    if not 0 < value < np.inf:
+        raise ConfigError(f"{key} = {value} must be positive and finite", cfg.lines.get(key))
+    return value
+
+
 def _read_op(cfg: RunConfig, grid: Grid, i: int, seed: int) -> Callable[[], ForwardOp]:
     """Read channel i's operator keys and mask; return the function that builds the operator."""
     kind = cfg.get_choice(f"channel.{i}.op", ("identity", "conv", "fourier", "radon"), "identity")
     if kind == "identity":
         return lambda: identity_op(grid)
     if kind == "conv":
-        key = f"channel.{i}.kernel_sigma"
-        sigma = cfg.get_float(key, 1.0)
-        if not 0 < sigma < np.inf:
-            raise ConfigError(f"{key} = {sigma} must be positive and finite", cfg.lines.get(key))
+        sigma = _positive(cfg, f"channel.{i}.kernel_sigma", 1.0)
         return lambda: convolution_op(grid, _gaussian_kernel(sigma, grid.ndim))
     if kind == "fourier":
         if cfg.has(f"channel.{i}.mask"):
             mask = read_mask(cfg.get_str(f"channel.{i}.mask"), grid)
         else:
-            frac = cfg.get_float(f"channel.{i}.mask_fraction", 1.0)
+            key = f"channel.{i}.mask_fraction"
+            frac = cfg.get_float(key, 1.0)
+            if not 0 < frac <= 1:
+                raise ConfigError(f"{key} = {frac} must lie in (0, 1]", cfg.lines.get(key))
             mask = random_fourier_mask(grid.dims, frac, seed + 7919 * i)
         return lambda: masked_fourier_op(grid, mask)
     n_ang = cfg.get_int(f"channel.{i}.angles", 16)
     return lambda: radon_op(grid, np.arange(n_ang) * np.pi / n_ang, default_n_bins(grid))
 
 
-def _build_regularizer(cfg: RunConfig):
+def _build_regularizer(cfg: RunConfig, grid: Grid):
     kind = cfg.get_choice("regularizer.kind", ("tgv2", "wavelet", "quadratic"), "tgv2")
     if kind == "quadratic":
-        return Quadratic(cfg.get_float("regularizer.weight", 1.0))
+        return Quadratic(_positive(cfg, "regularizer.weight", 1.0))
     if kind == "tgv2":
         return TGV2(
-            alpha0=cfg.get_float("regularizer.alpha0", 2.0),
-            alpha1=cfg.get_float("regularizer.alpha1", 1.0),
+            alpha0=_positive(cfg, "regularizer.alpha0", 2.0),
+            alpha1=_positive(cfg, "regularizer.alpha1", 1.0),
             coupling=cfg.get_choice("regularizer.coupling", COUPLINGS, "frobenius"),
         )
-    return WaveletL21(levels=cfg.get_int("regularizer.levels", 2))
+    key = "regularizer.levels"
+    levels = cfg.get_int(key, 2)
+    try:
+        check_levels(grid.dims, levels)
+    except ValueError as e:
+        raise ConfigError(f"{key} = {levels}: {e}", cfg.lines.get(key)) from None
+    return WaveletL21(levels=levels)
 
 
 # Keys that configured removed features, each with why it went.
@@ -137,8 +152,8 @@ def _read_channel_data(cfg: RunConfig, i: int, make_op: Callable, kind: str, see
     if noise == "gaussian":
         level = cfg.get_float(f"channel.{i}.noise_level", 0.05)
     elif noise == "poisson":
-        counts = cfg.get_float(f"channel.{i}.counts", 1000.0)
-    lam = cfg.get_float(f"channel.{i}.lam", 1.0)
+        counts = _positive(cfg, f"channel.{i}.counts", 1000.0)
+    lam = _positive(cfg, f"channel.{i}.lam", 1.0)
     key = f"channel.{i}.background"
     background = cfg.get_float(key) if cfg.has(key) else None
     seed += 104729 * i
@@ -176,7 +191,7 @@ def _build_problem(cfg: RunConfig, seed: int):
     grid, ops = _read_channels(cfg, seed)
     truth_kind = cfg.get_choice("phantom.kind", PHANTOM_KINDS, "smooth_bump")
     builds = [_read_channel_data(cfg, i, *op, seed) for i, op in enumerate(ops, 1)]
-    regularizer = _build_regularizer(cfg)
+    regularizer = _build_regularizer(cfg, grid)
     truth = phantom(truth_kind, grid, len(ops))
     channels = tuple(build(truth.channel(i)) for i, build in enumerate(builds))
     return ProblemSpec(grid=grid, channels=channels, regularizer=regularizer), truth
@@ -317,7 +332,7 @@ def cmd_rates(args) -> int:
         levels=cfg.get_int("rates.levels", 8),
     )
     n_seeds = cfg.get_int("rates.seeds", 5)
-    regularizer, solve_cfg = _build_regularizer(cfg), _build_solver_config(cfg)
+    regularizer, solve_cfg = _build_regularizer(cfg, grid), _build_solver_config(cfg)
     keys = [f"rates.gate.data_{i}" for i in range(1, len(channels) + 1)]
     gates = [cfg.get_float(key) if cfg.has(key) else None for key in keys]
     key = "rates.gate.bregman"

@@ -94,7 +94,8 @@ def project_dual_ball(z, alpha: float, coupling: str = "frobenius"):
     return z.from_cm(z.grid, project_dual_ball_array(z.cm_values, alpha, coupling, weights))
 
 
-def _check_levels(dims, levels: int) -> None:
+def check_levels(dims, levels: int) -> None:
+    """Raise ValueError unless levels >= 1 and 2**levels divides every axis of dims."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
     for n in dims:
@@ -121,7 +122,7 @@ def _haar_levels(values: np.ndarray, levels: int, inverse: bool) -> np.ndarray:
     """Step every grid axis of the level-k corner block of each channel,
     coarsest level last forward and first inverse."""
     dims = values.shape[1:]
-    _check_levels(dims, levels)
+    check_levels(dims, levels)
     vals = values.copy()
     for k in reversed(range(levels)) if inverse else range(levels):
         block = vals[(slice(None),) + tuple(slice(0, n >> k) for n in dims)]

@@ -38,23 +38,20 @@ def phantom(kind: str, grid: Grid, channels: int) -> MultiImage:
     if channels < 1:
         raise ValueError("channels must be >= 1")
     coords = _unit_coords(grid)
+    r2 = sum((c - 0.5) ** 2 for c in coords)
     vals = np.zeros(grid.dims + (channels,))
     if kind == "affine_blocks":
         ramp = 0.2 + 0.5 * coords[0] + (0.3 * coords[1] if len(coords) > 1 else 0.0)
         for i in range(channels):
             vals[..., i] = ramp * (0.5 + 0.5 * (i + 1) / channels)
     elif kind == "shared_edges_disc":
-        center = [0.5] * grid.ndim
-        r2 = sum((c - m) ** 2 for c, m in zip(coords, center))
         outer = r2 <= 0.35**2
-        inner = sum((c - m - 0.08) ** 2 for c, m in zip(coords, center)) <= 0.15**2
+        inner = sum((c - 0.5 - 0.08) ** 2 for c in coords) <= 0.15**2
         for i in range(channels):
             level = (i + 1) / channels
             vals[..., i][outer] = 0.5 * level
             vals[..., i][inner & outer] = 1.0 * level
     elif kind == "smooth_bump":
-        center = [0.5] * grid.ndim
-        r2 = sum((c - m) ** 2 for c, m in zip(coords, center))
         for i in range(channels):
             width = 0.12 + 0.06 * i / max(channels - 1, 1)
             vals[..., i] = 0.1 + 0.9 * np.exp(-r2 / (2.0 * width**2))
@@ -102,12 +99,9 @@ def choose_lambdas(rule: RateRule, deltas, kinds) -> np.ndarray:
     if rule.kind == "two_norm":
         expo = [-(2.0 - 1.0 / m) for m in rule.mu]
     elif rule.kind == "mixed_nkl":
-        pools = [m if k == "l2" else m / 2.0 for m, k in zip(rule.mu, kinds)]
-        mu_bar = min(pools)
-        eps = [mu_bar / m for m in rule.mu]
-        expo = [
-            -((2.0 if k == "l2" else 1.0) - e) for e, k in zip(eps, kinds)
-        ]
+        p_pow = discrepancy_exponents(kinds)
+        mu_bar = min(m * p / 2.0 for m, p in zip(rule.mu, p_pow))
+        expo = [-(p - mu_bar / m) for m, p in zip(rule.mu, p_pow)]
     else:
         eta = [m * n for m, n in zip(rule.mu, rule.nu)]
         eta_min = min(eta)
@@ -197,7 +191,6 @@ class RateRow:
 
 @dataclass
 class RateTable:
-    n_channels: int
     rows: list[RateRow]
     data_slopes: list[float]  # seed-median fitted slope per channel
     bregman_slope: float | None
@@ -206,7 +199,7 @@ class RateTable:
     def to_csv(self) -> str:
         """One line per solve, in the order the sweep ran them."""
         cols = ["level", "seed", "delta"]
-        for i in range(1, self.n_channels + 1):
+        for i in range(1, len(self.data_slopes) + 1):
             cols += [f"delta_{i}", f"lambda_{i}", f"data_{i}"]
         lines = [",".join(cols + ["R", "bregman", "iterations", "converged"])]
         for r in self.rows:
@@ -238,35 +231,34 @@ def run_rate_experiment(exp: RateExperiment) -> RateTable:
     diagnostics, so the solves record no rows (``diag_every = 0``) and
     evaluate no per-iteration energies.
     """
-    n = len(exp.channels)
+    n, n_seeds = len(exp.channels), len(exp.seeds)
+    kinds = [ch.kind for ch in exp.channels]
     clean = [ch.op.apply(exp.u_true.channel(i)) for i, ch in enumerate(exp.channels)]
     scales = [
         l2_norm(f) if ch.kind == "l2" else float(np.sum(np.abs(f)))
         for ch, f in zip(exp.channels, clean)
     ]
     rows: list[RateRow] = []
-    p_pow = discrepancy_exponents([c.kind for c in exp.channels])
     cfg = replace(exp.solve_cfg, diag_every=0)
     for lv, delta in enumerate(exp.deltas):
         for seed in exp.seeds:
-            noisy, realized = [], []
+            draws = []
             for i, ch in enumerate(exp.channels):
                 target = (delta ** exp.rule.mu[i]) * scales[i]
                 cseed = _channel_seed(seed, lv, i)
                 if ch.kind == "l2":
-                    nz = add_gaussian_noise(clean[i], target, cseed)
+                    draws.append(add_gaussian_noise(clean[i], target, cseed))
                 else:
                     s = poisson_scale_for_delta(clean[i], target)
-                    nz = add_poisson_noise(clean[i], s, cseed)
-                noisy.append(nz.data)
-                realized.append(max(nz.delta, 1e-300))
-            lams = choose_lambdas(exp.rule, realized, [c.kind for c in exp.channels])
+                    draws.append(add_poisson_noise(clean[i], s, cseed))
+            realized = [max(d.delta, 1e-300) for d in draws]
+            lams = choose_lambdas(exp.rule, realized, kinds)
             lams = np.where(np.isfinite(lams), lams, LAMBDA_SENTINEL)
             spec = ProblemSpec(
                 grid=exp.grid,
                 channels=tuple(
-                    ChannelSpec(op=ch.op, data=noisy[i], lam=float(lams[i]), kind=ch.kind)
-                    for i, ch in enumerate(exp.channels)
+                    ChannelSpec(op=ch.op, data=d.data, lam=float(lam), kind=ch.kind)
+                    for ch, d, lam in zip(exp.channels, draws, lams)
                 ),
                 regularizer=exp.regularizer,
             )
@@ -291,30 +283,24 @@ def run_rate_experiment(exp: RateExperiment) -> RateTable:
                     converged=result.converged,
                 )
             )
-    # rows are level-major, so each level's first row is its first seed's solve
-    premise = [
-        [lam * d**p for lam, d, p in zip(r.lambdas, r.channel_deltas, p_pow)]
-        for r in rows[:: len(exp.seeds)]
-    ]
 
-    # one fit per seed; the table keeps their medians
-    data_fits: list[list[float]] = []
-    breg_fits: list[float] = []
-    eps = 1e-300
-    for seed in exp.seeds:
-        srows = sorted((r for r in rows if r.seed == seed), key=lambda r: r.level)
-        xs = [r.delta for r in srows]
-        data_fits.append(
-            [fit_loglog_slope(xs, [max(r.data_terms[i], eps) for r in srows])[0] for i in range(n)]
-        )
-        if srows[0].bregman is not None:
-            breg_fits.append(fit_loglog_slope(xs, [max(r.bregman, eps) for r in srows])[0])
-    data_slopes = [float(np.median([fits[i] for fits in data_fits])) for i in range(n)]
-    breg_slope = float(np.median(breg_fits)) if breg_fits else None
+    # rows are level-major: seed k's rows, in level order, are rows[k::n_seeds],
+    # and rows[::n_seeds] holds each level's first solve
+    def median_slope(value) -> float:
+        """Median over seeds of the log-log slope of value(row), floored at 1e-300, against delta."""
+        fits = [
+            fit_loglog_slope(exp.deltas, [max(value(r), 1e-300) for r in rows[k::n_seeds]])[0]
+            for k in range(n_seeds)
+        ]
+        return float(np.median(fits))
+
+    p_pow = discrepancy_exponents(kinds)
     return RateTable(
-        n_channels=n,
         rows=rows,
-        data_slopes=data_slopes,
-        bregman_slope=breg_slope,
-        lambda_premise=premise,
+        data_slopes=[median_slope(lambda r: r.data_terms[i]) for i in range(n)],
+        bregman_slope=None if rows[0].bregman is None else median_slope(lambda r: r.bregman),
+        lambda_premise=[
+            [lam * d**p for lam, d, p in zip(r.lambdas, r.channel_deltas, p_pow)]
+            for r in rows[::n_seeds]
+        ],
     )

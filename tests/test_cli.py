@@ -249,6 +249,13 @@ def test_config_error_exit_code(tmp_path, capsys):
         ("channel.1.op = conv\nchannel.1.kernel_sigma = -1.5", "line 7: channel.1.kernel_sigma"),
         ("channel.1.op = conv\nchannel.1.kernel_sigma = 0", "line 7: channel.1.kernel_sigma"),
         ("channel.1.op = conv\nchannel.1.kernel_sigma = nan", "line 7: channel.1.kernel_sigma"),
+        ("regularizer.alpha1 = 0", "config error: line 6: regularizer.alpha1"),
+        ("channel.1.lam = -1", "config error: line 6: channel.1.lam"),
+        ("channel.1.noise = poisson\nchannel.1.counts = 0", "config error: line 7: channel.1.counts"),
+        (
+            "channel.1.op = fourier\nchannel.1.mask_fraction = 0",
+            "config error: line 7: channel.1.mask_fraction",
+        ),
     ],
 )
 def test_bad_setting_exits_as_configuration_error(tmp_path, capsys, line, message):
@@ -260,9 +267,12 @@ def test_bad_setting_exits_as_configuration_error(tmp_path, capsys, line, messag
         "regularizer.kind = tgv2\n"
         "solver.max_iters = 5\n" + line + "\n"
     )
-    code, _, err = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
+    code, out, err = run(capsys, "solve", str(cfg), "--out-dir", str(tmp_path))
     assert code == 1
-    assert message in err
+    # a message that names the config line must open stderr
+    assert err.startswith(message) if message.startswith("config error: ") else message in err
+    assert out == ""
+    assert not (tmp_path / "recon.mfi").exists()
 
 
 def _assert_removed_key_is_a_configuration_error(tmp_path, capsys, key, value):
@@ -565,6 +575,38 @@ def test_bad_rates_gate_is_a_configuration_error_before_the_sweep(
     assert err == f"config error: line 8: {message}\n"
     assert out == ""
     assert not (tmp_path / "rates.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "rates"])
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [("wavelet", "regularizer.levels", "5"), ("quadratic", "regularizer.weight", "0")],
+    ids=["levels", "weight"],
+)
+def test_bad_regularizer_setting_is_a_configuration_error_at_its_line(
+    tmp_path, capsys, command, kind, key, value
+):
+    # 2^5 does not divide the 16-point axes
+    settings = {
+        "schema": "1",
+        "grid.dims": "16 16",
+        "channels": "1",
+        "regularizer.kind": kind,
+        key: value,
+        "solver.max_iters": "3",
+        "rates.rule": "two_norm",
+        "rates.mu": "1.0",
+        "rates.levels": "5",
+        "rates.seeds": "1",
+    }
+    cfg = _write_config(tmp_path / "run.cfg", settings)
+    out = tmp_path / "out"
+    out.mkdir()
+    code, stdout, err = run(capsys, command, str(cfg), "--out-dir", str(out))
+    assert code == 1
+    assert err.startswith(f"config error: line 5: {key} = ")
+    assert stdout == ""
+    assert list(out.iterdir()) == []
 
 
 def test_echo_names_the_keys_a_run_never_read(tmp_path, capsys):

@@ -128,6 +128,15 @@ def test_mixed_rule_hand_computed():
     np.testing.assert_allclose(lams, [1.0 / d1, d2 ** -0.5], rtol=1e-12)
 
 
+def test_mixed_rule_halves_the_kl_exponents_pool():
+    # mu = (2, 2): the KL channel's pool mu_2 / 2 = 1 lies below the L2 channel's
+    # mu_1 = 2, so mu_bar = 1, eps = (1/2, 1/2), lambda = (d1^-3/2, d2^-1/2)
+    rule = RateRule(kind="mixed_nkl", mu=(2.0, 2.0))
+    d1, d2 = 0.2, 0.05
+    lams = choose_lambdas(rule, [d1, d2], ["l2", "kl"])
+    np.testing.assert_allclose(lams, [d1**-1.5, d2**-0.5], rtol=1e-12)
+
+
 def test_zero_delta_gives_infinite_sentinel():
     rule = RateRule(kind="two_norm", mu=(1.0, 2.0))
     lams = choose_lambdas(rule, [0.0, 0.1], ["l2", "l2"])

@@ -78,12 +78,17 @@ def random_fourier_mask(
     return mask
 
 
+def _check(cfg: RunConfig, key: str, value, ok: bool, rule: str):
+    """``value`` if ``ok``, else a ConfigError at the key's line: it "must ``rule``"."""
+    if not ok:
+        raise ConfigError(f"{key} = {value} must {rule}", cfg.lines.get(key))
+    return value
+
+
 def _positive(cfg: RunConfig, key: str, default: float) -> float:
     """Read a number that must be positive and finite; report any other at the key's line."""
     value = cfg.get_float(key, default)
-    if not 0 < value < np.inf:
-        raise ConfigError(f"{key} = {value} must be positive and finite", cfg.lines.get(key))
-    return value
+    return _check(cfg, key, value, 0 < value < np.inf, "be positive and finite")
 
 
 def _read_op(cfg: RunConfig, grid: Grid, i: int, seed: int) -> Callable[[], ForwardOp]:
@@ -100,11 +105,12 @@ def _read_op(cfg: RunConfig, grid: Grid, i: int, seed: int) -> Callable[[], Forw
         else:
             key = f"channel.{i}.mask_fraction"
             frac = cfg.get_float(key, 1.0)
-            if not 0 < frac <= 1:
-                raise ConfigError(f"{key} = {frac} must lie in (0, 1]", cfg.lines.get(key))
+            _check(cfg, key, frac, 0 < frac <= 1, "lie in (0, 1]")
             mask = random_fourier_mask(grid.dims, frac, seed + 7919 * i)
         return lambda: masked_fourier_op(grid, mask)
-    n_ang = cfg.get_int(f"channel.{i}.angles", 16)
+    key = f"channel.{i}.angles"
+    n_ang = cfg.get_int(key, 16)
+    _check(cfg, key, n_ang, n_ang >= 1, "be an integer >= 1")
     return lambda: radon_op(grid, np.arange(n_ang) * np.pi / n_ang, default_n_bins(grid))
 
 
@@ -138,11 +144,19 @@ def _build_solver_config(cfg: RunConfig) -> SolveConfig:
     for key, reason in _REMOVED_KEYS.items():
         if cfg.has(key):
             raise ConfigError(f"{key} was removed: {reason}", cfg.lines.get(key))
-    return SolveConfig(
-        max_iters=cfg.get_int("solver.max_iters", 2000),
-        tol=cfg.get_float("solver.tol", 1e-10),
-        diag_every=cfg.get_int("solver.diag_every", 1),
-    )
+    values = {
+        "max_iters": cfg.get_int("solver.max_iters", 2000),
+        "tol": cfg.get_float("solver.tol", 1e-10),
+        "diag_every": cfg.get_int("solver.diag_every", 1),
+    }
+    # each key alone against SolveConfig's own ranges, so a bad one is named at its line
+    for name, value in values.items():
+        try:
+            SolveConfig(**{name: value})
+        except ValueError as e:
+            key = f"solver.{name}"
+            raise ConfigError(f"{key} = {value}: {e}", cfg.lines.get(key)) from None
+    return SolveConfig(**values)
 
 
 def _read_channel_data(cfg: RunConfig, i: int, make_op: Callable, kind: str, seed: int) -> Callable:
@@ -150,7 +164,9 @@ def _read_channel_data(cfg: RunConfig, i: int, make_op: Callable, kind: str, see
     builds the channel from its true image."""
     noise = cfg.get_choice(f"channel.{i}.noise", ("none", "gaussian", "poisson"), "none")
     if noise == "gaussian":
-        level = cfg.get_float(f"channel.{i}.noise_level", 0.05)
+        key = f"channel.{i}.noise_level"
+        level = cfg.get_float(key, 0.05)
+        _check(cfg, key, level, 0 <= level < np.inf, "be finite and >= 0")
     elif noise == "poisson":
         counts = _positive(cfg, f"channel.{i}.counts", 1000.0)
     lam = _positive(cfg, f"channel.{i}.lam", 1.0)
@@ -178,8 +194,7 @@ def _read_channels(cfg: RunConfig, seed: int) -> tuple[Grid, list[tuple[Callable
     dims = cfg.get_ints("grid.dims")
     grid = Grid(dims, cfg.get_floats("grid.spacing", tuple(1.0 for _ in dims)))
     n = cfg.get_int("channels")
-    if n < 1:
-        raise ConfigError(f"channels = {n} must be >= 1", cfg.lines.get("channels"))
+    _check(cfg, "channels", n, n >= 1, "be >= 1")
     return grid, [
         (_read_op(cfg, grid, i, seed), cfg.get_choice(f"channel.{i}.kind", DATA_KINDS, "l2"))
         for i in range(1, n + 1)

@@ -30,14 +30,18 @@ def _gram_2x2(values: np.ndarray):
     r, mid of B B^T = [[a, b], [b, c]]: its eigenvalues are mid +- r = hypot(h, b).
 
     The entries are summed one channel at a time, as :func:`block_sum_squares`
-    does, and bitwise equal to NumPy's reductions over N for N <= 7."""
+    does, and bitwise equal to NumPy's reductions over N for N <= 7; mid and r
+    are written over a and c."""
     x, y = values[0], values[1]
     a, c = block_sum_squares(x[None]), block_sum_squares(y[None])
     b = x[0] * y[0]
     for n in range(1, x.shape[0]):
         b += x[n] * y[n]
-    h = 0.5 * (a - c)
-    return x, y, h, b, np.hypot(h, b), 0.5 * (a + c)
+    h = np.subtract(a, c)
+    h *= 0.5
+    mid = np.add(a, c, out=a)
+    mid *= 0.5
+    return x, y, h, b, np.hypot(h, b, out=c), mid
 
 
 def _clip_singular_values(values: np.ndarray, alpha: float) -> np.ndarray:
@@ -47,7 +51,9 @@ def _clip_singular_values(values: np.ndarray, alpha: float) -> np.ndarray:
     f_k = min(1, alpha / s_k), where s_k^2 and e1 come in closed form from
     the Gram matrix B B^T = [[a, b], [b, c]].  The small s_2 loses digits
     when B is nearly rank-deficient, which does no harm: f2 = 1 as soon as
-    s_2 <= alpha.  Other d use a batched SVD of the blocks as (*dims, d, N).
+    s_2 <= alpha.  Every site-sized quantity is formed in place over one
+    that is no longer needed, so the clip holds five site images besides
+    its output.  Other d use a batched SVD of the blocks as (*dims, d, N).
     """
     if values.shape[0] != 2:
         blocks = np.moveaxis(values, (0, 1), (-2, -1))
@@ -56,16 +62,27 @@ def _clip_singular_values(values: np.ndarray, alpha: float) -> np.ndarray:
         clipped = np.einsum("...ik,...k,...kn->...ni", u, s, vt)
         return np.ascontiguousarray(np.moveaxis(clipped, (-1, -2), (0, 1)))
     x, y, h, b, r, mid = _gram_2x2(values)
-    f1 = alpha / np.maximum(np.sqrt(mid + r), alpha)
-    f2 = alpha / np.maximum(np.sqrt(np.maximum(mid - r, 0.0)), alpha)
+    # f1 = alpha / max(sqrt(mid + r), alpha), and f2 the same of max(mid - r, 0) over mid
+    f1 = np.add(mid, r)
+    f2 = np.maximum(np.subtract(mid, r, out=mid), 0.0, out=mid)
+    for f in (f1, f2):
+        np.divide(alpha, np.maximum(np.sqrt(f, out=f), alpha, out=f), out=f)
     # e1 e1^T = [[1 + h/r, b/r], [b/r, 1 - h/r]] / 2; at r = 0, f1 = f2 and M = f I
-    g = 0.5 * (f1 - f2)
-    hr = np.divide(h, r, out=np.zeros_like(r), where=r > 0)
-    br = np.divide(b, r, out=np.zeros_like(r), where=r > 0)
-    m00 = f2 + g * (1.0 + hr)
-    m11 = f2 + g * (1.0 - hr)
-    m01 = g * br
-    return np.stack([m00 * x + m01 * y, m01 * x + m11 * y])
+    g = np.multiply(np.subtract(f1, f2, out=f1), 0.5, out=f1)
+    positive = r > 0
+    for ratio in (h, b):
+        np.divide(ratio, r, out=ratio, where=positive)
+        np.copyto(ratio, 0.0, where=~positive)
+    m00 = np.add(np.multiply(np.add(1.0, h, out=r), g, out=r), f2, out=r)
+    m11 = np.add(np.multiply(np.subtract(1.0, h, out=h), g, out=h), f2, out=h)
+    m01 = np.multiply(b, g, out=b)
+    out = np.empty_like(values)
+    term = f2  # free once m00 and m11 hold it
+    for n in range(x.shape[0]):
+        for row, (left, right) in enumerate(((m00, m01), (m01, m11))):
+            np.multiply(left, x[n], out=out[row, n])
+            out[row, n] += np.multiply(right, y[n], out=term)
+    return out
 
 
 def project_dual_ball_array(values: np.ndarray, alpha: float, coupling="frobenius", weights=None):
@@ -74,7 +91,8 @@ def project_dual_ball_array(values: np.ndarray, alpha: float, coupling="frobeniu
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if coupling == "frobenius":
         norms = pointwise_norms_array(values, weights=weights)
-        return values / np.maximum(1.0, norms.reshape(values.shape[2:]) / alpha)
+        norms /= alpha
+        return values / np.maximum(1.0, norms, out=norms).reshape(values.shape[2:])
     if coupling == "nuclear":
         return _clip_singular_values(values, alpha)
     raise ValueError(f"unknown coupling {coupling!r}")
@@ -115,30 +133,36 @@ def _haar_step(block: np.ndarray, axis: int, inverse: bool) -> None:
     halves = head + (slice(0, n),), head + (slice(n, None),)
     src, dst = (halves, interleaved) if inverse else (interleaved, halves)
     a, b = block[src[0]], block[src[1]]
-    block[dst[0]], block[dst[1]] = (a + b) / _SQRT2, (a - b) / _SQRT2
+    total, diff = np.add(a, b), np.subtract(a, b)
+    block[dst[0]] = np.divide(total, _SQRT2, out=total)
+    block[dst[1]] = np.divide(diff, _SQRT2, out=diff)
 
 
-def _haar_levels(values: np.ndarray, levels: int, inverse: bool) -> np.ndarray:
+def _haar_levels(values: np.ndarray, levels: int, inverse: bool, overwrite: bool) -> np.ndarray:
     """Step every grid axis of the level-k corner block of each channel,
-    coarsest level last forward and first inverse."""
+    coarsest level last forward and first inverse; over ``values`` itself
+    with ``overwrite``, else over a copy.  One channel at a time, so that a
+    butterfly's two temporaries are each half of one channel's image."""
     dims = values.shape[1:]
     check_levels(dims, levels)
-    vals = values.copy()
-    for k in reversed(range(levels)) if inverse else range(levels):
-        block = vals[(slice(None),) + tuple(slice(0, n >> k) for n in dims)]
-        for ax in range(len(dims)):
-            _haar_step(block, ax + 1, inverse)
+    vals = values if overwrite else values.copy()
+    for image in vals:
+        for k in reversed(range(levels)) if inverse else range(levels):
+            block = image[tuple(slice(0, n >> k) for n in dims)]
+            for ax in range(len(dims)):
+                _haar_step(block, ax, inverse)
     return vals
 
 
 def haar_forward_array(values: np.ndarray, levels: int) -> np.ndarray:
     """Orthonormal multi-level Haar transform of ``(N, *dims)`` values, channel-wise."""
-    return _haar_levels(values, levels, inverse=False)
+    return _haar_levels(values, levels, inverse=False, overwrite=False)
 
 
-def haar_inverse_array(values: np.ndarray, levels: int) -> np.ndarray:
-    """Inverse (= adjoint) of :func:`haar_forward_array`."""
-    return _haar_levels(values, levels, inverse=True)
+def haar_inverse_array(values: np.ndarray, levels: int, overwrite: bool = False) -> np.ndarray:
+    """Inverse (= adjoint) of :func:`haar_forward_array`; with ``overwrite``
+    it is written over ``values``, which it returns."""
+    return _haar_levels(values, levels, inverse=True, overwrite=overwrite)
 
 
 def haar_forward(u: MultiImage, levels: int) -> MultiImage:

@@ -24,42 +24,90 @@ import numpy as np
 from .grids import MultiImage, SymTensorField, VectorField, l2_norm, sym_index_pairs
 
 
-def _sl(ndim: int, axis: int, s: slice) -> tuple:
-    out = [slice(None)] * ndim
-    out[axis] = s
-    return tuple(out)
+def _rows(a: np.ndarray, axis: int) -> np.ndarray:
+    """``a`` as ``(A, n, B)``, with its ``axis`` of n sites in the middle; a
+    view if ``a`` is C-contiguous, else a copy."""
+    return a.reshape(int(np.prod(a.shape[:axis])), a.shape[axis], -1)
 
 
-def _diff(a: np.ndarray, axis: int, h: float, lo: int) -> np.ndarray:
+def _row_differences(y: np.ndarray, out: np.ndarray, dst: int, src1: int, src0: int, count: int):
+    """``out[:, dst + i] = y[:, src1 + i] - y[:, src0 + i]`` for i < count, on
+    ``(A, n, B)`` arrays (``out`` a view of a C-contiguous one), taken as one
+    subtraction over the flat span from the first block's row ``dst`` to the
+    last block's row ``dst + count - 1``, which it returns.  The rows in
+    between get junk, which the caller overwrites.  Along the last axis the
+    rows are short and do not join up, and NumPy then copies every operand
+    through buffers as large as the whole of a 64 x 64 x 2 array; on the flat
+    span it does not.
+    """
+    blocks, n, b = out.shape
+    start, end = dst * b, ((blocks - 1) * n + dst + count) * b
+    flat = y.reshape(-1)
+    shift1, shift0 = (src1 - dst) * b, (src0 - dst) * b
+    return np.subtract(
+        flat[start + shift1 : end + shift1],
+        flat[start + shift0 : end + shift0],
+        out=out.reshape(-1)[start:end],
+    )
+
+
+def _diff(a: np.ndarray, axis: int, h: float, lo: int, out: np.ndarray | None = None):
     """``(a[i+1] - a[i]) / h`` at row ``i + lo`` of ``axis`` for the first n - lo
-    sites, zero elsewhere.
+    sites, zero elsewhere; written into ``out``, C-contiguous, if given.
 
     With ``lo = 1`` both boundary rows stay zero.  That is what puts gradients
     of affine images in the kernel of the symmetrized gradient: the ``lo = 0``
     gradient of an affine image is constant except for its zero last row, and
     the ``lo = 1`` stencil never reads that row.
     """
-    nd = a.ndim
-    axis %= nd
+    axis %= a.ndim
     m = a.shape[axis] - lo
-    out = np.zeros_like(a)
+    if out is None:
+        out = np.empty(a.shape)
+    rows = _rows(out, axis)
     if m > 1:
-        rows = out[_sl(nd, axis, slice(lo, lo + m - 1))]
-        np.subtract(a[_sl(nd, axis, slice(1, m))], a[_sl(nd, axis, slice(0, m - 1))], out=rows)
-        rows /= h
+        span = _row_differences(_rows(a, axis), rows, lo, 1, 0, m - 1)
+        span /= h
+        rows[:, :lo] = 0.0
+        rows[:, lo + m - 1 :] = 0.0
+    else:
+        out.fill(0.0)
     return out
 
 
-def _diff_t(y: np.ndarray, axis: int, h: float, lo: int) -> np.ndarray:
-    """Exact transpose of :func:`_diff`: the written rows, zero-padded at both
-    ends, differenced backwards."""
-    nd = y.ndim
-    axis %= nd
-    n = y.shape[axis]
-    m = n - lo
-    pad = np.zeros(y.shape[:axis] + (n + 1,) + y.shape[axis + 1 :])
-    pad[_sl(nd, axis, slice(1, m))] = y[_sl(nd, axis, slice(lo, lo + m - 1))]
-    return (pad[_sl(nd, axis, slice(None, -1))] - pad[_sl(nd, axis, slice(1, None))]) / h
+def _diff_t(y: np.ndarray, axis: int, h: float, lo: int, out: np.ndarray) -> np.ndarray:
+    """Exact transpose of :func:`_diff`, written into ``out``: the k = n - lo - 1
+    rows w that :func:`_diff` writes, zero-padded at both ends and differenced
+    backwards, ``(0 - w[0], w[0] - w[1], ..., w[k-1] - 0, 0, ...) / h``;
+    ``out`` is C-contiguous.
+
+    The first row is ``0 - w[0]``, not ``-w[0]``, which differs at w[0] = +0.
+    """
+    axis %= y.ndim
+    k = y.shape[axis] - lo - 1
+    rows, src = _rows(out, axis), _rows(y, axis)
+    w = src[:, lo : lo + k]
+    if k > 0:
+        if k > 1:
+            _row_differences(src, rows, 1, lo, lo + 1, k - 1)
+        np.subtract(0.0, w[:, 0], out=rows[:, 0])
+        rows[:, k] = w[:, k - 1]
+        rows[:, k + 1 :] = 0.0
+        out /= h
+    else:
+        out.fill(0.0)
+    return out
+
+
+def _divergence(terms, spacing, lo: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``out = -sum_b _diff_t(terms[b])`` along grid axis b, each term taken
+    from zero in axis order and formed in ``scratch``; all three shaped
+    ``(N, *dims)``."""
+    d = len(spacing)
+    out.fill(0.0)
+    for b, (y, h) in enumerate(zip(terms, spacing)):
+        out -= _diff_t(y, b - d, h, lo, scratch)
+    return out
 
 
 def grad_array(values: np.ndarray, spacing) -> np.ndarray:
@@ -67,44 +115,54 @@ def grad_array(values: np.ndarray, spacing) -> np.ndarray:
     d = len(spacing)
     out = np.empty((d,) + values.shape)
     for a, h in enumerate(spacing):
-        out[a] = _diff(values, a - d, h, 0)
+        _diff(values, a - d, h, 0, out[a])
     return out
 
 
 def div_array(values: np.ndarray, spacing) -> np.ndarray:
     """Negative adjoint of :func:`grad_array`, from ``(d, N, *dims)`` to ``(N, *dims)``."""
-    d = len(spacing)
-    out = np.zeros(values.shape[1:])
-    for a, h in enumerate(spacing):
-        out -= _diff_t(values[a], a - d, h, 0)
-    return out
+    out = np.empty(values.shape[1:])
+    return _divergence(values, spacing, 0, out, np.empty_like(out))
 
 
 def sym_grad_array(values: np.ndarray, spacing) -> np.ndarray:
     """Upper triangle of (J + J^T) / 2 for ``(d, N, *dims)`` values, where
-    ``J[a][b]`` is the interior backward difference of component a along b."""
+    ``J[a][b]`` is the interior backward difference of component a along b.
+    Each entry of J is formed when its pair is, so at most two are held."""
     d = len(spacing)
-    jac = [[_diff(values[a], b - d, spacing[b], 1) for b in range(d)] for a in range(d)]
     pairs = sym_index_pairs(d)
     out = np.empty((len(pairs),) + values.shape[1:])
     for k, (a, b) in enumerate(pairs):
-        out[k] = jac[a][a] if a == b else 0.5 * (jac[a][b] + jac[b][a])
+        if a == b:
+            _diff(values[a], a - d, spacing[a], 1, out[k])
+        else:
+            jab = _diff(values[a], b - d, spacing[b], 1)
+            jab += _diff(values[b], a - d, spacing[a], 1)
+            np.multiply(0.5, jab, out=out[k])
     return out
+
+
+def sym_div_rows(values: np.ndarray, spacing):
+    """Yield row a of :func:`sym_div_array` of ``(d*(d+1)/2, N, *dims)`` values,
+    for a = 0 .. d-1, each in the same ``(N, *dims)`` buffer, which the next
+    row overwrites: a caller that consumes each row as it comes holds two
+    images, where :func:`sym_div_array` holds d + 1."""
+    d = len(spacing)
+    full = [[None] * d for _ in range(d)]
+    for k, (a, b) in enumerate(sym_index_pairs(d)):
+        full[a][b] = full[b][a] = values[k]
+    row = np.empty(values.shape[1:])
+    scratch = np.empty_like(row)
+    for a in range(d):
+        yield _divergence(full[a], spacing, 1, row, scratch)
 
 
 def sym_div_array(values: np.ndarray, spacing) -> np.ndarray:
     """Negative adjoint of :func:`sym_grad_array` w.r.t. the weighted inner
     product: row a of the full symmetric matrix Q gives ``-sum_b J_b^T Q[a][b]``."""
-    d = len(spacing)
-    full = [[None] * d for _ in range(d)]
-    for k, (a, b) in enumerate(sym_index_pairs(d)):
-        full[a][b] = full[b][a] = values[k]
-    out = np.empty((d,) + values.shape[1:])
-    for a in range(d):
-        acc = np.zeros(values.shape[1:])
-        for b, h in enumerate(spacing):
-            acc -= _diff_t(full[a][b], b - d, h, 1)
-        out[a] = acc
+    out = np.empty((len(spacing),) + values.shape[1:])
+    for a, row in enumerate(sym_div_rows(values, spacing)):
+        out[a] = row
     return out
 
 

@@ -265,7 +265,8 @@ def pointwise_norms_array(values: np.ndarray, coupling: str = "frobenius", weigh
     values, flat per site; Frobenius ``weights`` scale the squared entries of
     each component."""
     if coupling == "frobenius":
-        return np.sqrt(block_sum_squares(values, weights)).reshape(-1)
+        total = block_sum_squares(values, weights)
+        return np.sqrt(total, out=total).reshape(-1)
     if coupling == "nuclear" and values.shape[0] == 2:
         return _nuclear_norms_2d(values)
     if coupling == "nuclear":

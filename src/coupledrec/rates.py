@@ -57,7 +57,10 @@ def phantom(kind: str, grid: Grid, channels: int) -> MultiImage:
             vals[..., i] = 0.1 + 0.9 * np.exp(-r2 / (2.0 * width**2))
     else:
         raise ValueError(f"unknown phantom kind {kind!r}")
-    vals /= vals.max()
+    top = vals.max()
+    if not top > 0:
+        raise ValueError(f"phantom {kind!r} is zero at every site of a grid with dims {grid.dims}")
+    vals /= top
     return MultiImage(grid, vals)
 
 

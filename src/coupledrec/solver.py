@@ -52,6 +52,7 @@ from .diffops import (
     grad_array,
     grad_norm,
     sym_div_array,
+    sym_div_rows,
     sym_grad_array,
     sym_grad_norm_bound,
 )
@@ -88,7 +89,9 @@ class SolverState:
     component-major, ``tail + (N,) + dims``, unlike the site-major public
     fields, so each channel of each component is one C-contiguous image.
     :func:`pd_step` writes the new ``x`` over ``g``, so no entry of ``g`` may
-    share memory with any other array.
+    share memory with any other array; it writes the new ``g`` partly over
+    its own extrapolated duals, so an iteration holds these lists once each,
+    K x+ (one ``y``'s worth) and a few images of scratch.
     """
 
     x: list[np.ndarray]
@@ -161,23 +164,26 @@ class _Block:
     """A regularizer's part of the saddle problem; the defaults have no K_reg.
 
     ``primal`` names its iterates besides u, ``dual`` its dual iterates (both
-    keys of ``_KINDS``).  The functions take the regularizer, the grid
-    spacing h, then arrays: ``apply`` (K_reg, one array per dual) and
-    ``value`` (the part of R outside K_reg) take (u, *primal); ``adjoint``
-    (the u part, None if K_reg ignores u, then one per primal) takes the
-    duals.  ``balls`` takes the regularizer and gives each dual's ball, a
-    (radius, coupling) pair: the dual prox projects onto it, in the weights
-    of the dual's field kind, and R sums radius times the coupling norm of
-    K_reg's output.  ``norms`` takes the regularizer and the grid and gives,
-    for each dual, the norm of K_reg's block from one channel of u, then
-    from each primal, in the weighted inner products (an upper bound where
-    no closed form is exact).
+    keys of ``_KINDS``).  The functions take the regularizer, the grid spacing
+    h, then arrays: ``apply`` (K_reg, one array per dual) and ``value`` (the
+    part of R outside K_reg) take (u, *primal); ``adjoint`` (the u part, None
+    if K_reg ignores u, then one per primal) takes the duals; ``adjoint_over``
+    gives bitwise the same, but may write over the duals it takes and return
+    them, for :func:`pd_step` to pass it the dead extrapolated duals.
+    ``balls`` takes the regularizer and gives each dual's ball, a (radius,
+    coupling) pair: the dual prox projects onto it, in the weights of the
+    dual's field kind, and R sums radius times the coupling norm of K_reg's
+    output.  ``norms`` takes the regularizer and the grid and gives, for each
+    dual, the norm of K_reg's block from one channel of u, then from each
+    primal, in the weighted inner products (an upper bound where no closed
+    form is exact).
     """
 
     primal: tuple[str, ...] = ()
     dual: tuple[str, ...] = ()
     apply: Callable = lambda reg, h, u: ()
     adjoint: Callable = lambda reg, h: (None,)
+    adjoint_over: Callable = lambda reg, h: (None,)
     balls: Callable = lambda reg: ()
     norms: Callable = lambda reg, grid: ()
     value: Callable = lambda reg, h, u, *primal: 0.0
@@ -189,12 +195,28 @@ def _quadratic_prox(reg, u, tau):
     return np.divide(u, 1.0 + tau * reg.weight, out=u)
 
 
+def _tgv_apply(reg, h, u, v):
+    """K_reg (u, v) = (grad u - v, E v)."""
+    p = grad_array(u, h)
+    return np.subtract(p, v, out=p), sym_grad_array(v, h)
+
+
+def _tgv_adjoint_over(reg, h, p, q):
+    """K_reg^T (p, q) = (-div p, -p - sym_div q), the second written over p, one
+    row of sym_div q at a time."""
+    gu = div_array(p, h)
+    for pa, row in zip(p, sym_div_rows(q, h)):
+        np.subtract(np.negative(pa, out=pa), row, out=pa)
+    return np.negative(gu, out=gu), p
+
+
 _BLOCKS = {
     TGV2: _Block(
         primal=("v",),
         dual=("p", "q"),
-        apply=lambda reg, h, u, v: (grad_array(u, h) - v, sym_grad_array(v, h)),
+        apply=_tgv_apply,
         adjoint=lambda reg, h, p, q: (-div_array(p, h), -p - sym_div_array(q, h)),
+        adjoint_over=_tgv_adjoint_over,
         balls=lambda reg: ((reg.alpha1, reg.coupling), (reg.alpha0, "frobenius")),
         norms=lambda reg, grid: (
             (grad_norm(grid.dims, grid.spacing), 1.0),  # p = grad u - v
@@ -206,6 +228,7 @@ _BLOCKS = {
         dual=("s",),
         apply=lambda reg, h, u: (cpl.haar_forward_array(u, reg.levels),),
         adjoint=lambda reg, h, s: (cpl.haar_inverse_array(s, reg.levels),),
+        adjoint_over=lambda reg, h, s: (cpl.haar_inverse_array(s, reg.levels, overwrite=True),),
         balls=lambda reg: ((1.0, "frobenius"),),
         norms=lambda reg, grid: ((1.0,),),  # the Haar transform is orthonormal
     ),
@@ -426,14 +449,21 @@ def pd_step(problem: ProblemSpec, state: SolverState, diag: Diagnostics | None =
     z = K x+ is formed once, K_reg's outputs and then each T_i u+_i, and one
     sigma-step runs down K's row: each buffer of z holds z, then y + S z
     (after the channel's data shift; a KL channel's background is added only
-    where it is nonzero), and, once each dual's prox has given y+, 2 y+ - y,
-    whose K^T is the new g.  K^T's u part is one buffer: K_reg^T's u part,
-    with each T_i^* applied to channel i's buffer added into its channel
-    (:func:`_data_adjoint`).  With ``diag``, a row for the new
-    iterate is appended to it from the same z: each data term from
-    T_i u+_i, R from K_reg x+, so the row applies no operator.  Raises
-    SolverError on a non-finite primal iterate or g; the state is then
-    partly advanced and is not to be reused.
+    where it is nonzero).  The duals are proxed one block at a time: the
+    block's y+ is a new array, its buffer of z takes 2 y+ - y, and its old y
+    is dropped at once.  K^T of these extrapolated duals is the new g, and
+    consumes them: K_reg^T is written over the regularizer's
+    (``_Block.adjoint_over``; under TGV, g's v part is -p - sym_div q over
+    p's buffer), which are released before each T_i^* is added into channel
+    i of K_reg^T's u part (:func:`_data_adjoint`).
+
+    So an iteration holds x (over the old g), y, z (one y's worth) and the
+    stop rule's old u, and on top at most one new dual block with its prox's
+    scratch, or K_reg^T's new u part with two images of scratch.  With
+    ``diag``, a row for the new iterate is appended to it from the same z:
+    each data term from T_i u+_i, R from K_reg x+, so the row applies no
+    operator.  Raises SolverError on a non-finite primal iterate or g; the
+    state is then partly advanced and is not to be reused.
     """
     reg, h = problem.regularizer, problem.grid.spacing
     block = _block(reg)
@@ -470,25 +500,28 @@ def pd_step(problem: ProblemSpec, state: SolverState, diag: Diagnostics | None =
         z *= s
         z += y
 
-    # each dual's prox: the regularizer's balls, then the discrepancies' conjugates
-    y_new = [
-        cpl.project_dual_ball_array(*ball).reshape(z.shape)
-        for z, ball in zip(zs[:n_reg], _balls(reg, h, zs[:n_reg]))
-    ]
-    for c, z, s in zip(problem.channels, zs[n_reg:], sigma[n_reg:]):
-        if c.kind == "l2":
-            y_new.append(prox_l2_dual(z, s, c.lam))
+    # each dual's prox, one block at a time (the regularizer's balls, then the
+    # discrepancies' conjugates), into a new list; each old y is dropped as
+    # soon as z holds 2 y+ - y
+    y_old, state.y = list(state.y), []
+    balls = _balls(reg, h, zs[:n_reg])
+    for j, z in enumerate(zs):
+        if j < n_reg:
+            y_plus = cpl.project_dual_ball_array(*next(balls)).reshape(z.shape)
+        elif (c := problem.channels[j - n_reg]).kind == "l2":
+            y_plus = prox_l2_dual(z, sigma[j], c.lam)
         else:
-            y_new.append(prox_kl_dual(z, c.data, s, c.lam))
-    for z, y_plus, y in zip(zs, y_new, state.y):
-        np.subtract(np.multiply(y_plus, 2.0, out=z), y, out=z)
-    state.y = y_new
-    del y  # the last old dual, freed before K^T's temporaries are allocated
+            y_plus = prox_kl_dual(z, c.data, sigma[j], c.lam)
+        np.subtract(np.multiply(y_plus, 2.0, out=z), y_old[j], out=z)
+        y_old[j] = None
+        state.y.append(y_plus)
+    del balls, y_plus
 
-    u_part, *x_parts = block.adjoint(reg, h, *zs[:n_reg])
-    gu = _data_adjoint(problem, zs[n_reg:], u_part)
+    # K^T over the dead extrapolated duals: K_reg^T's, released before T_i^*'s
+    u_part, *x_parts = block.adjoint_over(reg, h, *zs[:n_reg])
+    del zs[:n_reg]
+    state.g = [_data_adjoint(problem, zs, u_part), *x_parts]
     del zs
-    state.g = [gu, *x_parts]
     _require_finite(state.iteration, "g", state.g)
 
     if diag is not None:

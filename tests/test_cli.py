@@ -256,6 +256,18 @@ def test_config_error_exit_code(tmp_path, capsys):
             "channel.1.op = fourier\nchannel.1.mask_fraction = 0",
             "config error: line 7: channel.1.mask_fraction",
         ),
+        (
+            "channel.1.noise = gaussian\nchannel.1.noise_level = -1",
+            "config error: line 7: channel.1.noise_level",
+        ),
+        (
+            "channel.1.noise = gaussian\nchannel.1.noise_level = inf",
+            "config error: line 7: channel.1.noise_level",
+        ),
+        ("channel.1.op = radon\nchannel.1.angles = 0", "config error: line 7: channel.1.angles"),
+        ("solver.tol = -1", "config error: line 6: solver.tol"),
+        ("solver.tol = inf", "config error: line 6: solver.tol"),
+        ("solver.diag_every = -1", "config error: line 6: solver.diag_every"),
     ],
 )
 def test_bad_setting_exits_as_configuration_error(tmp_path, capsys, line, message):
@@ -575,6 +587,34 @@ def test_bad_rates_gate_is_a_configuration_error_before_the_sweep(
     assert err == f"config error: line 8: {message}\n"
     assert out == ""
     assert not (tmp_path / "rates.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "rates"])
+@pytest.mark.parametrize(
+    "key, value", [("solver.max_iters", "0"), ("solver.tol", "nan"), ("solver.diag_every", "-2")]
+)
+def test_bad_solver_setting_is_a_configuration_error_at_its_line(
+    tmp_path, capsys, command, key, value
+):
+    settings = {
+        "schema": "1",
+        "grid.dims": "8 8",
+        "channels": "1",
+        "regularizer.kind": "quadratic",
+        key: value,
+        "rates.rule": "two_norm",
+        "rates.mu": "1.0",
+        "rates.levels": "5",
+        "rates.seeds": "1",
+    }
+    cfg = _write_config(tmp_path / "run.cfg", settings)
+    out = tmp_path / "out"
+    out.mkdir()
+    code, stdout, err = run(capsys, command, str(cfg), "--out-dir", str(out))
+    assert code == 1
+    assert err.startswith(f"config error: line 5: {key} = ")
+    assert stdout == ""
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["solve", "rates"])

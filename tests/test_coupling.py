@@ -351,6 +351,14 @@ def test_haar_matches_reference_bitwise(dims, levels):
     )
 
 
+@pytest.mark.parametrize("dims", [(32,), (16, 8), (8, 16, 8)], ids=["1d", "2d", "3d"])
+def test_haar_inverse_over_its_input_gives_the_fresh_result(dims):
+    values = np.random.default_rng(len(dims)).standard_normal((3,) + dims)
+    expected = haar_inverse_array(values, 2)
+    assert haar_inverse_array(values, 2, overwrite=True) is values
+    assert values.tobytes() == expected.tobytes()
+
+
 # --- group shrinkage ----------------------------------------------------------
 
 

@@ -228,6 +228,24 @@ def test_difference_maps_match_the_site_major_kernels(grid, channels):
     _same(sym_div(q), _sym_div_array(q.values, h))
 
 
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: str(g.dims))
+def test_difference_maps_keep_the_sign_of_zero(grid):
+    # entries of +-0 and +-1 only, so that many differences are signed zeros,
+    # which must come out with the reference's signs too
+    rng = np.random.default_rng(8)
+
+    def signed(kind):
+        shape = grid.dims + (2,) + kind.tail(grid.ndim)
+        return kind(grid, rng.choice([0.0, -0.0, 1.0, -1.0], size=shape))
+
+    h = grid.spacing
+    u, p, q = signed(MultiImage), signed(VectorField), signed(SymTensorField)
+    _same(grad(u), _grad_array(u.values, h))
+    _same(div(p), _div_array(p.values, h))
+    _same(sym_grad(p), _sym_grad_array(p.values, h))
+    _same(sym_div(q), _sym_div_array(q.values, h))
+
+
 @pytest.mark.parametrize("channels", CHANNELS)
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: str(g.dims))
 def test_norms_and_projections_match_the_site_major_kernels(grid, channels):

@@ -73,6 +73,12 @@ def test_phantom_rejects_unknown_kind():
         phantom("checkerboard", Grid((8, 8)), 1)
 
 
+def test_phantom_that_misses_every_site_names_its_kind_and_grid():
+    # the length-1 axis puts every site at distance >= 0.5 from the disc's centre
+    with pytest.raises(ValueError, match=r"'shared_edges_disc'.*\(1, 32\)"):
+        phantom("shared_edges_disc", Grid((1, 32)), 2)
+
+
 # --- parameter rules ----------------------------------------------------------
 
 

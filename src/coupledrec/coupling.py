@@ -141,16 +141,17 @@ def _haar_step(block: np.ndarray, axis: int, inverse: bool) -> None:
 def _haar_levels(values: np.ndarray, levels: int, inverse: bool, overwrite: bool) -> np.ndarray:
     """Step every grid axis of the level-k corner block of each channel,
     coarsest level last forward and first inverse; over ``values`` itself
-    with ``overwrite``, else over a copy.  One channel at a time, so that a
-    butterfly's two temporaries are each half of one channel's image."""
+    with ``overwrite``, else over a copy.  The finest level, whose block is
+    the whole image, is stepped one channel at a time, so that a butterfly's
+    two temporaries are each half of one channel's image, not of all."""
     dims = values.shape[1:]
     check_levels(dims, levels)
     vals = values if overwrite else values.copy()
-    for image in vals:
-        for k in reversed(range(levels)) if inverse else range(levels):
-            block = image[tuple(slice(0, n >> k) for n in dims)]
+    for k in reversed(range(levels)) if inverse else range(levels):
+        corner = (slice(None),) + tuple(slice(0, n >> k) for n in dims)
+        for part in (vals[i : i + 1] for i in range(len(vals))) if k == 0 else (vals,):
             for ax in range(len(dims)):
-                _haar_step(block, ax, inverse)
+                _haar_step(part[corner], ax + 1, inverse)
     return vals
 
 

@@ -690,9 +690,9 @@ def test_adjoint_over_the_duals_is_bitwise_the_adjoint(reg):
 
 # What one pd_step may allocate, as a multiple of the bytes of its iterates
 # x, g and y: the new duals and K x+ are one y each, and the kernels' scratch
-# and temporaries come on top.  Freeing each old dual as soon as it is used
-# and writing K_reg^T over the dead extrapolated duals keeps TGV and wavelets
-# near 1.3; the step before that allocated about 1.85 (32 x 32, two channels).
+# comes on top.  TGV and wavelets allocate about 1.3 here (32 x 32, two
+# channels); a step that kept every old and extrapolated dual alive through
+# K^T, or formed K_reg^T in new arrays, allocates about 1.85.
 STEP_ALLOCATION_BOUND = 1.4
 
 

@@ -138,32 +138,29 @@ def _haar_step(block: np.ndarray, axis: int, inverse: bool) -> None:
     block[dst[1]] = np.divide(diff, _SQRT2, out=diff)
 
 
-def _haar_levels(values: np.ndarray, levels: int, inverse: bool, overwrite: bool) -> np.ndarray:
+def _haar_levels(values: np.ndarray, levels: int, inverse: bool) -> np.ndarray:
     """Step every grid axis of the level-k corner block of each channel,
-    coarsest level last forward and first inverse; over ``values`` itself
-    with ``overwrite``, else over a copy.  The finest level, whose block is
-    the whole image, is stepped one channel at a time, so that a butterfly's
-    two temporaries are each half of one channel's image, not of all."""
+    coarsest level last forward and first inverse, over ``values`` itself,
+    which it returns.  Each channel is stepped on its own, so that a
+    butterfly's two temporaries are each half of one channel's block."""
     dims = values.shape[1:]
     check_levels(dims, levels)
-    vals = values if overwrite else values.copy()
     for k in reversed(range(levels)) if inverse else range(levels):
         corner = (slice(None),) + tuple(slice(0, n >> k) for n in dims)
-        for part in (vals[i : i + 1] for i in range(len(vals))) if k == 0 else (vals,):
+        for part in (values[i : i + 1] for i in range(len(values))):
             for ax in range(len(dims)):
                 _haar_step(part[corner], ax + 1, inverse)
-    return vals
+    return values
 
 
 def haar_forward_array(values: np.ndarray, levels: int) -> np.ndarray:
     """Orthonormal multi-level Haar transform of ``(N, *dims)`` values, channel-wise."""
-    return _haar_levels(values, levels, inverse=False, overwrite=False)
+    return _haar_levels(values.copy(), levels, inverse=False)
 
 
-def haar_inverse_array(values: np.ndarray, levels: int, overwrite: bool = False) -> np.ndarray:
-    """Inverse (= adjoint) of :func:`haar_forward_array`; with ``overwrite``
-    it is written over ``values``, which it returns."""
-    return _haar_levels(values, levels, inverse=True, overwrite=overwrite)
+def haar_inverse_array(values: np.ndarray, levels: int) -> np.ndarray:
+    """Inverse (= adjoint) of :func:`haar_forward_array`."""
+    return _haar_levels(values.copy(), levels, inverse=True)
 
 
 def haar_forward(u: MultiImage, levels: int) -> MultiImage:

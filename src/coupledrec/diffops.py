@@ -34,21 +34,30 @@ def _row_differences(y: np.ndarray, out: np.ndarray, dst: int, src1: int, src0: 
     """``out[:, dst + i] = y[:, src1 + i] - y[:, src0 + i]`` for i < count, on
     ``(A, n, B)`` arrays (``out`` a view of a C-contiguous one), taken as one
     subtraction over the flat span from the first block's row ``dst`` to the
-    last block's row ``dst + count - 1``, which it returns.  The rows in
-    between get junk, which the caller overwrites.  Along the last axis the
-    rows are short and do not join up, and NumPy then copies every operand
-    through buffers as large as the whole of a 64 x 64 x 2 array; on the flat
-    span it does not.
+    last block's row ``dst + count - 1``.  The rows in between get junk,
+    which the caller overwrites.  Along the last axis the rows are short and
+    do not join up, and NumPy then copies every operand through buffers as
+    large as the whole of a 64 x 64 x 2 array; on the flat span it does not.
+
+    A junk row pairs sites that are not neighbours, which can overflow or
+    meet inf - inf where no true difference does.  So the span raises
+    FloatingPointError on either, and then the true rows are taken again on
+    their own, to warn just as they would.
     """
     blocks, n, b = out.shape
     start, end = dst * b, ((blocks - 1) * n + dst + count) * b
     flat = y.reshape(-1)
     shift1, shift0 = (src1 - dst) * b, (src0 - dst) * b
-    return np.subtract(
-        flat[start + shift1 : end + shift1],
-        flat[start + shift0 : end + shift0],
-        out=out.reshape(-1)[start:end],
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            np.subtract(
+                flat[start + shift1 : end + shift1],
+                flat[start + shift0 : end + shift0],
+                out=out.reshape(-1)[start:end],
+            )
+    except FloatingPointError:
+        true_rows = out[:, dst : dst + count]
+        np.subtract(y[:, src1 : src1 + count], y[:, src0 : src0 + count], out=true_rows)
 
 
 def _diff(a: np.ndarray, axis: int, h: float, lo: int, out: np.ndarray | None = None):
@@ -66,10 +75,10 @@ def _diff(a: np.ndarray, axis: int, h: float, lo: int, out: np.ndarray | None = 
         out = np.empty(a.shape)
     rows = _rows(out, axis)
     if m > 1:
-        span = _row_differences(_rows(a, axis), rows, lo, 1, 0, m - 1)
-        span /= h
+        _row_differences(_rows(a, axis), rows, lo, 1, 0, m - 1)
         rows[:, :lo] = 0.0
         rows[:, lo + m - 1 :] = 0.0
+        out /= h
     else:
         out.fill(0.0)
     return out

@@ -228,7 +228,7 @@ _BLOCKS = {
         dual=("s",),
         apply=lambda reg, h, u: (cpl.haar_forward_array(u, reg.levels),),
         adjoint=lambda reg, h, s: (cpl.haar_inverse_array(s, reg.levels),),
-        adjoint_over=lambda reg, h, s: (cpl.haar_inverse_array(s, reg.levels, overwrite=True),),
+        adjoint_over=lambda reg, h, s: (cpl._haar_levels(s, reg.levels, inverse=True),),
         balls=lambda reg: ((1.0, "frobenius"),),
         norms=lambda reg, grid: ((1.0,),),  # the Haar transform is orthonormal
     ),
@@ -499,6 +499,7 @@ def pd_step(problem: ProblemSpec, state: SolverState, diag: Diagnostics | None =
     for z, y, s in zip(zs, state.y, sigma):
         z *= s
         z += y
+    del y  # else the last old dual outlives its y_old entry, through K^T
 
     # each dual's prox, one block at a time (the regularizer's balls, then the
     # discrepancies' conjugates), into a new list; each old y is dropped as

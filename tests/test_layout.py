@@ -16,7 +16,7 @@ from coupledrec.coupling import (
     project_dual_ball,
     project_group_l2ball,
 )
-from coupledrec.diffops import div, grad, sym_div, sym_grad
+from coupledrec.diffops import div, grad, grad_array, sym_div, sym_grad
 from coupledrec.forward import identity_op
 from coupledrec.grids import (
     Grid,
@@ -244,6 +244,33 @@ def test_difference_maps_keep_the_sign_of_zero(grid):
     _same(div(p), _div_array(p.values, h))
     _same(sym_grad(p), _sym_grad_array(p.values, h))
     _same(sym_div(q), _sym_div_array(q.values, h))
+
+
+@pytest.mark.parametrize("grid", [Grid((4, 5)), Grid((3, 4, 5))], ids=lambda g: str(g.dims))
+def test_difference_maps_warn_only_where_a_true_difference_overflows(grid):
+    # the last component of each field runs from +1e308 to -1e308 along the
+    # last axis, the other way in channel 1, and the other components are
+    # zero: no true difference, nor any sum of them, overflows, but the last
+    # site of one row less the first of the next does, and so does the first
+    # row of channel 1 less the last of channel 0
+    ramp = 1e308 * np.linspace(1.0, -1.0, grid.dims[-1])
+
+    def ramps(kind):
+        values = np.zeros(grid.dims + (2,) + kind.tail(grid.ndim))
+        last = values[..., -1] if kind.tail(grid.ndim) else values
+        last[:] = ramp.reshape((-1, 1)) * [1.0, -1.0]
+        return kind(grid, values)
+
+    h = grid.spacing
+    u, p, q = ramps(MultiImage), ramps(VectorField), ramps(SymTensorField)
+    _same(grad(u), _grad_array(u.values, h))
+    _same(div(p), _div_array(p.values, h))
+    _same(sym_grad(p), _sym_grad_array(p.values, h))
+    _same(sym_div(q), _sym_div_array(q.values, h))
+    # a true difference that overflows still warns
+    steep = np.array([[[1e308, -1e308], [0.0, 0.0]]])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert grad_array(steep, (1.0, 1.0))[1, 0, 0, 0] == -np.inf
 
 
 @pytest.mark.parametrize("channels", CHANNELS)

@@ -28,7 +28,7 @@ from .forward import (
     masked_fourier_op,
     radon_op,
 )
-from .grids import Grid, MultiImage, l2_norm
+from .grids import MAX_NDIM, Grid, MultiImage, l2_norm
 from .problem import COUPLINGS, DATA_KINDS, ChannelSpec, ProblemSpec, Quadratic, TGV2, WaveletL21
 from .rates import (
     PHANTOM_KINDS,
@@ -192,7 +192,13 @@ def _read_channel_data(cfg: RunConfig, i: int, make_op: Callable, kind: str, see
 def _read_channels(cfg: RunConfig, seed: int) -> tuple[Grid, list[tuple[Callable, str]]]:
     """The grid, and each channel's operator builder and data-term kind."""
     dims = cfg.get_ints("grid.dims")
-    grid = Grid(dims, cfg.get_floats("grid.spacing", tuple(1.0 for _ in dims)))
+    ok = 1 <= len(dims) <= MAX_NDIM and all(k >= 1 for k in dims)
+    _check(cfg, "grid.dims", cfg.values["grid.dims"], ok, f"be 1 to {MAX_NDIM} integers >= 1")
+    spacing = cfg.get_floats("grid.spacing", (1.0,) * len(dims))
+    ok = len(spacing) == len(dims) and all(0 < h < np.inf for h in spacing)
+    rule = "be positive and finite, one number per axis"
+    _check(cfg, "grid.spacing", cfg.values.get("grid.spacing"), ok, rule)
+    grid = Grid(dims, spacing)
     n = cfg.get_int("channels")
     _check(cfg, "channels", n, n >= 1, "be >= 1")
     return grid, [

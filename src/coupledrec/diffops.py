@@ -12,10 +12,23 @@ identities hold to roundoff on any axis length, 1 included.  The ``*_array``
 maps take and give component-major values (``tail + (N,) + dims``, see
 :mod:`.grids`), so grid axis a is axis ``a - d`` of every array, and each
 component of each channel is one contiguous image.
+
+Each map writes each element in as few whole-array passes as its rounding
+steps allow.  Counted in ``(N, *dims)`` images written on a d-axis grid of
+unit spacing, leaving out the zero boundary rows: :func:`grad_array` takes
+d passes, one difference per axis; :func:`div_array` 2d, each term formed
+in scratch and then taken from the sum, the first from 0.0;
+:func:`sym_grad_array` d + 2d(d - 1), one difference per diagonal entry
+and two, a sum and a halving per off-diagonal one; :func:`sym_div_array`
+2d^2, d rows of d terms (for d = 2: 2, 4, 6 and 8).  An axis whose
+spacing h is not 1 adds one pass per difference, the division by h.  At
+h = 1 that pass is skipped, which changes no bit: x / 1.0 is exactly x for
+every finite or infinite double, signed zeros included.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +40,7 @@ from .grids import MultiImage, SymTensorField, VectorField, l2_norm, sym_index_p
 def _rows(a: np.ndarray, axis: int) -> np.ndarray:
     """``a`` as ``(A, n, B)``, with its ``axis`` of n sites in the middle; a
     view if ``a`` is C-contiguous, else a copy."""
-    return a.reshape(int(np.prod(a.shape[:axis])), a.shape[axis], -1)
+    return a.reshape(math.prod(a.shape[:axis]), a.shape[axis], -1)
 
 
 def _row_differences(y: np.ndarray, out: np.ndarray, dst: int, src1: int, src0: int, count: int):
@@ -78,7 +91,8 @@ def _diff(a: np.ndarray, axis: int, h: float, lo: int, out: np.ndarray | None = 
         _row_differences(_rows(a, axis), rows, lo, 1, 0, m - 1)
         rows[:, :lo] = 0.0
         rows[:, lo + m - 1 :] = 0.0
-        out /= h
+        if h != 1.0:
+            out /= h
     else:
         out.fill(0.0)
     return out
@@ -102,7 +116,8 @@ def _diff_t(y: np.ndarray, axis: int, h: float, lo: int, out: np.ndarray) -> np.
         np.subtract(0.0, w[:, 0], out=rows[:, 0])
         rows[:, k] = w[:, k - 1]
         rows[:, k + 1 :] = 0.0
-        out /= h
+        if h != 1.0:
+            out /= h
     else:
         out.fill(0.0)
     return out
@@ -111,11 +126,12 @@ def _diff_t(y: np.ndarray, axis: int, h: float, lo: int, out: np.ndarray) -> np.
 def _divergence(terms, spacing, lo: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """``out = -sum_b _diff_t(terms[b])`` along grid axis b, each term taken
     from zero in axis order and formed in ``scratch``; all three shaped
-    ``(N, *dims)``."""
+    ``(N, *dims)``.  The first term is ``0 - t``, not ``-t``, which differs
+    at t = +0."""
     d = len(spacing)
-    out.fill(0.0)
-    for b, (y, h) in enumerate(zip(terms, spacing)):
-        out -= _diff_t(y, b - d, h, lo, scratch)
+    np.subtract(0.0, _diff_t(terms[0], -d, spacing[0], lo, scratch), out=out)
+    for b in range(1, d):
+        out -= _diff_t(terms[b], b - d, spacing[b], lo, scratch)
     return out
 
 
@@ -137,18 +153,31 @@ def div_array(values: np.ndarray, spacing) -> np.ndarray:
 def sym_grad_array(values: np.ndarray, spacing) -> np.ndarray:
     """Upper triangle of (J + J^T) / 2 for ``(d, N, *dims)`` values, where
     ``J[a][b]`` is the interior backward difference of component a along b.
-    Each entry of J is formed when its pair is, so at most two are held."""
+    Each entry of J is formed when its pair is: J[a][b] in the output's
+    entry itself, J[b][a] in one scratch image, which is all this holds
+    beyond the output."""
     d = len(spacing)
     pairs = sym_index_pairs(d)
     out = np.empty((len(pairs),) + values.shape[1:])
+    scratch = np.empty(values.shape[1:]) if d > 1 else None
     for k, (a, b) in enumerate(pairs):
-        if a == b:
-            _diff(values[a], a - d, spacing[a], 1, out[k])
-        else:
-            jab = _diff(values[a], b - d, spacing[b], 1)
-            jab += _diff(values[b], a - d, spacing[a], 1)
-            np.multiply(0.5, jab, out=out[k])
+        entry = _diff(values[a], b - d, spacing[b], 1, out[k])
+        if a != b:
+            entry += _diff(values[b], a - d, spacing[a], 1, scratch)
+            entry *= 0.5
     return out
+
+
+def _sym_div_into(values: np.ndarray, spacing, rows):
+    """Write row a of :func:`sym_div_array` into ``rows[a]`` and yield it, for
+    a = 0 .. d-1, each row's terms formed in one scratch image."""
+    d = len(spacing)
+    full = [[None] * d for _ in range(d)]
+    for k, (a, b) in enumerate(sym_index_pairs(d)):
+        full[a][b] = full[b][a] = values[k]
+    scratch = np.empty(values.shape[1:])
+    for a in range(d):
+        yield _divergence(full[a], spacing, 1, rows[a], scratch)
 
 
 def sym_div_rows(values: np.ndarray, spacing):
@@ -156,22 +185,15 @@ def sym_div_rows(values: np.ndarray, spacing):
     for a = 0 .. d-1, each in the same ``(N, *dims)`` buffer, which the next
     row overwrites: a caller that consumes each row as it comes holds two
     images, where :func:`sym_div_array` holds d + 1."""
-    d = len(spacing)
-    full = [[None] * d for _ in range(d)]
-    for k, (a, b) in enumerate(sym_index_pairs(d)):
-        full[a][b] = full[b][a] = values[k]
-    row = np.empty(values.shape[1:])
-    scratch = np.empty_like(row)
-    for a in range(d):
-        yield _divergence(full[a], spacing, 1, row, scratch)
+    return _sym_div_into(values, spacing, [np.empty(values.shape[1:])] * len(spacing))
 
 
 def sym_div_array(values: np.ndarray, spacing) -> np.ndarray:
     """Negative adjoint of :func:`sym_grad_array` w.r.t. the weighted inner
     product: row a of the full symmetric matrix Q gives ``-sum_b J_b^T Q[a][b]``."""
     out = np.empty((len(spacing),) + values.shape[1:])
-    for a, row in enumerate(sym_div_rows(values, spacing)):
-        out[a] = row
+    for _ in _sym_div_into(values, spacing, out):
+        pass
     return out
 
 
@@ -296,8 +318,8 @@ def grad_linear_op(grid, channels: int) -> LinearOp:
     return LinearOp(
         lambda x: grad_array(x.reshape(shape), grid.spacing).reshape(-1),
         lambda y: -div_array(y.reshape((grid.ndim,) + shape), grid.spacing).reshape(-1),
-        int(np.prod(shape)),
-        int(np.prod(shape)) * grid.ndim,
+        math.prod(shape),
+        math.prod(shape) * grid.ndim,
     )
 
 
@@ -313,6 +335,6 @@ def sym_grad_linear_op(grid, channels: int) -> LinearOp:
     return LinearOp(
         lambda x: (sym_grad_array(x.reshape(dom_shape), grid.spacing) * sq).reshape(-1),
         lambda y: (-sym_div_array(y.reshape(cod_shape) / sq, grid.spacing)).reshape(-1),
-        int(np.prod(dom_shape)),
-        int(np.prod(cod_shape)),
+        math.prod(dom_shape),
+        math.prod(cod_shape),
     )

@@ -6,6 +6,7 @@ then float64 values in site-major, channel-minor order.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -37,10 +38,10 @@ def read_mfi(path: str | Path) -> MultiImage:
     off += 4 * d
     (n,) = struct.unpack_from("<I", raw, off)
     off += 4
-    count = int(np.prod(dims)) * n
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-    if values.size != count:
+    count = math.prod(dims) * n
+    if 8 * count > len(raw) - off:
         raise ValueError(f"{path}: truncated MFI1 payload")
+    values = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
     return MultiImage(Grid(tuple(dims)), values.reshape(dims + (n,)).astype(np.float64))
 
 

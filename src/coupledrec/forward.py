@@ -182,14 +182,13 @@ def masked_fourier_op(grid: Grid, mask: np.ndarray) -> ForwardOp:
         raise ValueError("mask keeps no frequencies")
 
     def apply(u):
-        freq = np.fft.fftn(u, norm="ortho")[mask]
-        out = np.empty(2 * m)
-        out[0::2] = freq.real
-        out[1::2] = freq.imag
-        return out
+        # a complex128 array's memory is its (re, im) pairs, interleaved
+        return np.fft.fftn(u, norm="ortho")[mask].view(np.float64)
 
     def adjoint(y):
         freq = np.zeros(grid.dims, dtype=np.complex128)
+        # not y.view(np.complex128), which is not bitwise the same: the complex
+        # sum and product below can turn a real or imaginary part of -0 into +0
         freq[mask] = y[0::2] + 1j * y[1::2]
         return np.fft.ifftn(freq, norm="ortho").real
 

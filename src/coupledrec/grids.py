@@ -20,6 +20,7 @@ view; the field wrappers of the kernels convert at their boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,7 @@ class Grid:
 
     @property
     def sites(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
 
 @dataclass(frozen=True)

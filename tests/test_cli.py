@@ -268,13 +268,22 @@ def test_config_error_exit_code(tmp_path, capsys):
         ("solver.tol = -1", "config error: line 6: solver.tol"),
         ("solver.tol = inf", "config error: line 6: solver.tol"),
         ("solver.diag_every = -1", "config error: line 6: solver.diag_every"),
+        ("grid.spacing = 1.0 0", "config error: line 6: grid.spacing = 1.0 0 must"),
+        ("grid.spacing = 1.0", "config error: line 6: grid.spacing"),
+        ("grid.spacing = 1 1 1", "config error: line 6: grid.spacing"),
+        ("grid.spacing = 1 nan", "config error: line 6: grid.spacing"),
+        ("grid.dims = 0 16", "config error: line 6: grid.dims = 0 16 must"),
+        ("grid.dims = 8 -8", "config error: line 6: grid.dims"),
+        ("grid.dims = 4 4 4 4", "config error: line 6: grid.dims"),
     ],
 )
 def test_bad_setting_exits_as_configuration_error(tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"
+    # a bad grid.dims replaces the valid one; the blank line keeps the numbering
+    dims = "" if line.startswith("grid.dims") else "grid.dims = 8 8"
     cfg.write_text(
         "schema = 1\n"
-        "grid.dims = 8 8\n"
+        f"{dims}\n"
         "channels = 1\n"
         "regularizer.kind = tgv2\n"
         "solver.max_iters = 5\n" + line + "\n"

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,15 @@ def test_mfi_rejects_truncated(tmp_path):
     p = tmp_path / "x.mfi"
     write_mfi(p, MultiImage.zeros(g, 2))
     p.write_bytes(p.read_bytes()[:-9])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="truncated MFI1 payload"):
+        read_mfi(p)
+
+
+def test_mfi_rejects_a_header_larger_than_any_payload(tmp_path):
+    # 3 axes of 2^32 - 1 sites: more values than a 64-bit count can hold
+    p = tmp_path / "x.mfi"
+    p.write_bytes(b"MFI1" + struct.pack("<5I", 3, *(3 * [2**32 - 1]), 1) + bytes(64))
+    with pytest.raises(ValueError, match="truncated MFI1 payload"):
         read_mfi(p)
 
 

@@ -246,13 +246,24 @@ def test_difference_maps_keep_the_sign_of_zero(grid):
     _same(sym_div(q), _sym_div_array(q.values, h))
 
 
-@pytest.mark.parametrize("grid", [Grid((4, 5)), Grid((3, 4, 5))], ids=lambda g: str(g.dims))
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid((4, 5)),
+        Grid((3, 4, 5)),
+        pytest.param(Grid((4, 5), (1.0, 2.0)), id="(4, 5) h=(1, 2)"),
+    ],
+    ids=lambda g: str(g.dims),
+)
 def test_difference_maps_warn_only_where_a_true_difference_overflows(grid):
     # the last component of each field runs from +1e308 to -1e308 along the
     # last axis, the other way in channel 1, and the other components are
     # zero: no true difference, nor any sum of them, overflows, but the last
     # site of one row less the first of the next does, and so does the first
-    # row of channel 1 less the last of channel 0
+    # row of channel 1 less the last of channel 0.  The maps skip the
+    # division at unit spacing only, so one grid divides along one axis and
+    # not the other; its spacing is 2, as one below 1 would make true
+    # differences overflow.
     ramp = 1e308 * np.linspace(1.0, -1.0, grid.dims[-1])
 
     def ramps(kind):

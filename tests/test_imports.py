@@ -216,9 +216,9 @@ def test_the_check_finds_a_numpy_product():
 def test_library_modules_take_shape_products_with_math_prod(path):
     """Every product of a shape or of dims is a ``math.prod`` of Python ints.
 
-    ``np.prod`` of a tuple builds an array first, about 7 us a call against
-    0.15 us for ``math.prod``, and the difference maps take one such
-    product per stencil, several times an iteration; it also wraps around
+    ``np.prod`` of a tuple builds an array from it first, some fifty times
+    the cost of ``math.prod`` on a two-entry shape, and the difference maps
+    take such a product for every stencil they apply; it also wraps around
     silently where ``math.prod`` stays exact.
     """
     found = numpy_shape_products(path.read_text())

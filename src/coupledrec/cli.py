@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config
-from .coupling import check_levels
+from .config import SCHEMA_VERSION, ConfigError, RunConfig, load_config
 from .diffops import adjoint_check, grad_linear_op, sym_grad_linear_op
 from .discrepancy import add_gaussian_noise, add_poisson_noise
 from .fileio import read_mask, write_mfi, write_pgm
@@ -78,17 +77,8 @@ def random_fourier_mask(
     return mask
 
 
-def _check(cfg: RunConfig, key: str, value, ok: bool, rule: str):
-    """``value`` if ``ok``, else a ConfigError at the key's line: it "must ``rule``"."""
-    if not ok:
-        raise ConfigError(f"{key} = {value} must {rule}", cfg.lines.get(key))
-    return value
-
-
-def _positive(cfg: RunConfig, key: str, default: float) -> float:
-    """Read a number that must be positive and finite; report any other at the key's line."""
-    value = cfg.get_float(key, default)
-    return _check(cfg, key, value, 0 < value < np.inf, "be positive and finite")
+# a ``must`` rule of the typed config accessors
+_POSITIVE = (lambda x: 0 < x < np.inf, "be positive and finite")
 
 
 def _read_op(cfg: RunConfig, grid: Grid, i: int, seed: int) -> Callable[[], ForwardOp]:
@@ -97,40 +87,34 @@ def _read_op(cfg: RunConfig, grid: Grid, i: int, seed: int) -> Callable[[], Forw
     if kind == "identity":
         return lambda: identity_op(grid)
     if kind == "conv":
-        sigma = _positive(cfg, f"channel.{i}.kernel_sigma", 1.0)
+        sigma = cfg.get_float(f"channel.{i}.kernel_sigma", 1.0, must=_POSITIVE)
         return lambda: convolution_op(grid, _gaussian_kernel(sigma, grid.ndim))
     if kind == "fourier":
         if cfg.has(f"channel.{i}.mask"):
             mask = read_mask(cfg.get_str(f"channel.{i}.mask"), grid)
         else:
-            key = f"channel.{i}.mask_fraction"
-            frac = cfg.get_float(key, 1.0)
-            _check(cfg, key, frac, 0 < frac <= 1, "lie in (0, 1]")
+            in_range = (lambda f: 0 < f <= 1, "lie in (0, 1]")
+            frac = cfg.get_float(f"channel.{i}.mask_fraction", 1.0, must=in_range)
             mask = random_fourier_mask(grid.dims, frac, seed + 7919 * i)
         return lambda: masked_fourier_op(grid, mask)
-    key = f"channel.{i}.angles"
-    n_ang = cfg.get_int(key, 16)
-    _check(cfg, key, n_ang, n_ang >= 1, "be an integer >= 1")
+    n_ang = cfg.get_int(f"channel.{i}.angles", 16, must=(lambda n: n >= 1, "be >= 1"))
     return lambda: radon_op(grid, np.arange(n_ang) * np.pi / n_ang, default_n_bins(grid))
 
 
 def _build_regularizer(cfg: RunConfig, grid: Grid):
     kind = cfg.get_choice("regularizer.kind", ("tgv2", "wavelet", "quadratic"), "tgv2")
     if kind == "quadratic":
-        return Quadratic(_positive(cfg, "regularizer.weight", 1.0))
+        return Quadratic(cfg.get_float("regularizer.weight", 1.0, must=_POSITIVE))
     if kind == "tgv2":
         return TGV2(
-            alpha0=_positive(cfg, "regularizer.alpha0", 2.0),
-            alpha1=_positive(cfg, "regularizer.alpha1", 1.0),
+            alpha0=cfg.get_float("regularizer.alpha0", 2.0, must=_POSITIVE),
+            alpha1=cfg.get_float("regularizer.alpha1", 1.0, must=_POSITIVE),
             coupling=cfg.get_choice("regularizer.coupling", COUPLINGS, "frobenius"),
         )
-    key = "regularizer.levels"
-    levels = cfg.get_int(key, 2)
-    try:
-        check_levels(grid.dims, levels)
-    except ValueError as e:
-        raise ConfigError(f"{key} = {levels}: {e}", cfg.lines.get(key)) from None
-    return WaveletL21(levels=levels)
+    # no axis has 2^64 sites, and the bound spares building 2^k of a huge k
+    divides = lambda k: 1 <= k < 64 and all(n % 2**k == 0 for n in grid.dims)
+    rule = "be >= 1, with 2^levels dividing every axis of grid.dims"
+    return WaveletL21(levels=cfg.get_int("regularizer.levels", 2, must=(divides, rule)))
 
 
 # Keys that configured removed features, each with why it went.
@@ -164,14 +148,14 @@ def _read_channel_data(cfg: RunConfig, i: int, make_op: Callable, kind: str, see
     builds the channel from its true image."""
     noise = cfg.get_choice(f"channel.{i}.noise", ("none", "gaussian", "poisson"), "none")
     if noise == "gaussian":
-        key = f"channel.{i}.noise_level"
-        level = cfg.get_float(key, 0.05)
-        _check(cfg, key, level, 0 <= level < np.inf, "be finite and >= 0")
+        in_range = (lambda x: 0 <= x < np.inf, "be finite and >= 0")
+        level = cfg.get_float(f"channel.{i}.noise_level", 0.05, must=in_range)
     elif noise == "poisson":
-        counts = _positive(cfg, f"channel.{i}.counts", 1000.0)
-    lam = _positive(cfg, f"channel.{i}.lam", 1.0)
+        counts = cfg.get_float(f"channel.{i}.counts", 1000.0, must=_POSITIVE)
+    lam = cfg.get_float(f"channel.{i}.lam", 1.0, must=_POSITIVE)
     key = f"channel.{i}.background"
-    background = cfg.get_float(key) if cfg.has(key) else None
+    on_kl = (lambda c: kind == "kl" and 0 <= c < np.inf, "be finite and >= 0, on KL channels only")
+    background = cfg.get_float(key, must=on_kl) if cfg.has(key) else None
     seed += 104729 * i
 
     def build(truth: np.ndarray) -> ChannelSpec:
@@ -191,16 +175,14 @@ def _read_channel_data(cfg: RunConfig, i: int, make_op: Callable, kind: str, see
 
 def _read_channels(cfg: RunConfig, seed: int) -> tuple[Grid, list[tuple[Callable, str]]]:
     """The grid, and each channel's operator builder and data-term kind."""
-    dims = cfg.get_ints("grid.dims")
-    ok = 1 <= len(dims) <= MAX_NDIM and all(k >= 1 for k in dims)
-    _check(cfg, "grid.dims", cfg.values["grid.dims"], ok, f"be 1 to {MAX_NDIM} integers >= 1")
-    spacing = cfg.get_floats("grid.spacing", (1.0,) * len(dims))
-    ok = len(spacing) == len(dims) and all(0 < h < np.inf for h in spacing)
-    rule = "be positive and finite, one number per axis"
-    _check(cfg, "grid.spacing", cfg.values.get("grid.spacing"), ok, rule)
-    grid = Grid(dims, spacing)
-    n = cfg.get_int("channels")
-    _check(cfg, "channels", n, n >= 1, "be >= 1")
+    shape = (lambda d: 0 < len(d) <= MAX_NDIM and min(d) >= 1, f"be 1 to {MAX_NDIM} integers >= 1")
+    dims = cfg.get_ints("grid.dims", must=shape)
+    in_range = (
+        lambda s: len(s) == len(dims) and all(0 < h < np.inf for h in s),
+        "be positive and finite, one number per axis",
+    )
+    grid = Grid(dims, cfg.get_floats("grid.spacing", (1.0,) * len(dims), must=in_range))
+    n = cfg.get_int("channels", must=(lambda n: n >= 1, "be >= 1"))
     return grid, [
         (_read_op(cfg, grid, i, seed), cfg.get_choice(f"channel.{i}.kind", DATA_KINDS, "l2"))
         for i in range(1, n + 1)
@@ -222,7 +204,9 @@ def _config(args) -> tuple[RunConfig | None, int]:
     """The config named on the command line, if any, and the seed: ``--seed``,
     else the config's, else 0."""
     cfg = load_config(args.config) if args.config else None
-    return cfg, args.seed if args.seed is not None else cfg.get_int("seed", 0) if cfg else 0
+    if args.seed is not None or cfg is None:
+        return cfg, args.seed or 0
+    return cfg, cfg.get_int("seed", 0, must=(lambda s: s >= 0, "be >= 0"))
 
 
 def _echo(cfg: RunConfig, seed: int, unread: bool = True):
@@ -250,9 +234,6 @@ def _write_image(out: Path, stem: str, img: MultiImage) -> int:
 
 def cmd_phantom(args) -> int:
     *dims, n = args.numbers
-    if n < 1 or any(d < 1 for d in dims):
-        print("error: dims and channel count must be positive", file=sys.stderr)
-        return 1
     out = Path(args.out_dir)
     previews = _write_image(out, "phantom", phantom(args.kind, Grid(tuple(dims)), n))
     print(f"wrote phantom.mfi and {previews} PGM file(s) to {out}")
@@ -341,30 +322,41 @@ def cmd_adjoint_check(args) -> int:
 def cmd_rates(args) -> int:
     cfg, seed = _config(args)
     grid, channels = _read_channels(cfg, seed)
+    n = len(channels)
     truth_kind = cfg.get_choice("phantom.kind", PHANTOM_KINDS, "smooth_bump")
-    rule = RateRule(
-        kind=cfg.get_choice("rates.rule", RULE_KINDS),
-        mu=cfg.get_floats("rates.mu"),
-        nu=cfg.get_floats("rates.nu") if cfg.has("rates.nu") else None,
+    rule_kind = cfg.get_choice("rates.rule", RULE_KINDS)
+    two_norm = rule_kind == "two_norm"  # which needs a 1 among mu
+    in_range = (
+        lambda m: len(m) == n and all(1 <= x < np.inf for x in m) and (1 in m or not two_norm),
+        "be finite and >= 1, one per channel" + (", the least of them 1" if two_norm else ""),
     )
+    mu = cfg.get_floats("rates.mu", must=in_range)
+    in_range = (
+        lambda v: len(v) == n and all(0 < x <= 1 for x in v),
+        "lie in (0, 1], one per channel",
+    )
+    nu = cfg.get_floats("rates.nu", must=in_range) if rule_kind == "general" else None
     deltas = geometric_deltas(
-        start=cfg.get_float("rates.start", 0.1),
-        ratio=cfg.get_float("rates.ratio", 0.5),
-        levels=cfg.get_int("rates.levels", 8),
+        start=cfg.get_float("rates.start", 0.1, must=_POSITIVE),
+        ratio=cfg.get_float("rates.ratio", 0.5, must=(lambda r: 0 < r < 1, "lie in (0, 1)")),
+        levels=cfg.get_int("rates.levels", 8, must=(lambda k: k >= 5, "be >= 5")),
     )
-    n_seeds = cfg.get_int("rates.seeds", 5)
+    n_seeds = cfg.get_int("rates.seeds", 5, must=(lambda k: k >= 1, "be >= 1: at least one seed"))
     regularizer, solve_cfg = _build_regularizer(cfg, grid), _build_solver_config(cfg)
-    keys = [f"rates.gate.data_{i}" for i in range(1, len(channels) + 1)]
-    gates = [cfg.get_float(key) if cfg.has(key) else None for key in keys]
+    finite = (np.isfinite, "be finite")
+    keys = [f"rates.gate.data_{i}" for i in range(1, n + 1)]
+    gates = [cfg.get_float(key, must=finite) if cfg.has(key) else None for key in keys]
     key = "rates.gate.bregman"
-    window = cfg.get_floats(key) if cfg.has(key) else None
+    # a count other than two passes here, to be reported in its own words below
+    in_range = (lambda w: np.isfinite(w).all() and list(w) == sorted(w), "be finite, with lo <= hi")
+    window = cfg.get_floats(key, must=in_range) if cfg.has(key) else None
     if window is not None and len(window) != 2:
         raise ConfigError(f"{key} = {cfg.values[key]!r} is not two numbers", cfg.lines.get(key))
     exp = RateExperiment(
         grid=grid,
-        u_true=phantom(truth_kind, grid, len(channels)),
+        u_true=phantom(truth_kind, grid, n),
         channels=[RateChannel(op=make(), kind=kind) for make, kind in channels],
-        rule=rule,
+        rule=RateRule(rule_kind, mu, nu),
         deltas=deltas,
         seeds=tuple(seed + k for k in range(n_seeds)),
         regularizer=regularizer,
@@ -399,7 +391,8 @@ def cmd_rates(args) -> int:
 
 def cmd_info(args) -> int:
     print(f"coupledrec {__version__}")
-    print("config schema version 1 (flat key = value, dotted sections, '#' comments)")
+    schema = f"config schema version {SCHEMA_VERSION}"
+    print(f"{schema} (flat key = value, dotted sections, '#' comments)")
     print("image format MFI1: magic 'MFI1', u32 d, u32 dims[d], u32 N, float64 LE site-major")
     print("subcommands: phantom, solve, adjoint-check, rates, info")
     cfg, seed = _config(args)

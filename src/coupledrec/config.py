@@ -36,35 +36,41 @@ class RunConfig:
     def has(self, key: str) -> bool:
         return key in self.values
 
-    def _get(self, key: str, default, parse, what: str = ""):
+    def _get(self, key: str, default, parse, what: str = "", must=None):
         """``parse`` the value of ``key``, or return ``default`` when it is absent;
-        a ValueError from ``parse`` is reported as "is not <what>"."""
+        a ValueError from ``parse`` is reported as "is not <what>".  A present
+        value must pass ``must``, a ``(test, rule)`` pair, if one is given, else
+        it is reported as "must <rule>"."""
         self.read.add(key)
         if key not in self.values:
             if default is None:
                 raise ConfigError(f"missing required key {key!r}")
             return default
+        text = self.values[key]
         try:
-            return parse(self.values[key])
+            value = parse(text)
         except ValueError:
-            raise ConfigError(
-                f"{key} = {self.values[key]!r} is not {what}", self.lines.get(key)
-            ) from None
+            raise ConfigError(f"{key} = {text!r} is not {what}", self.lines.get(key)) from None
+        if must is not None and not must[0](value):
+            raise ConfigError(f"{key} = {text} must {must[1]}", self.lines.get(key))
+        return value
 
     def get_str(self, key: str, default: str | None = None) -> str:
         return self._get(key, default, str)
 
-    def get_int(self, key: str, default: int | None = None) -> int:
-        return self._get(key, default, int, "an integer")
+    def get_int(self, key: str, default: int | None = None, must=None) -> int:
+        return self._get(key, default, int, "an integer", must)
 
-    def get_float(self, key: str, default: float | None = None) -> float:
-        return self._get(key, default, float, "a number")
+    def get_float(self, key: str, default: float | None = None, must=None) -> float:
+        return self._get(key, default, float, "a number", must)
 
-    def get_ints(self, key: str, default: tuple[int, ...] | None = None) -> tuple[int, ...]:
-        return self._get(key, default, lambda t: tuple(map(int, t.split())), "a list of integers")
+    def get_ints(self, key: str, default: tuple | None = None, must=None) -> tuple[int, ...]:
+        parse = lambda t: tuple(map(int, t.split()))
+        return self._get(key, default, parse, "a list of integers", must)
 
-    def get_floats(self, key: str, default: tuple[float, ...] | None = None) -> tuple[float, ...]:
-        return self._get(key, default, lambda t: tuple(map(float, t.split())), "a list of numbers")
+    def get_floats(self, key: str, default: tuple | None = None, must=None) -> tuple[float, ...]:
+        parse = lambda t: tuple(map(float, t.split()))
+        return self._get(key, default, parse, "a list of numbers", must)
 
     def get_choice(self, key: str, choices: tuple[str, ...], default: str | None = None) -> str:
         # tuple.index raises the ValueError for a value outside ``choices``

@@ -51,7 +51,6 @@ from .diffops import (
     div_array,
     grad_array,
     grad_norm,
-    sym_div_array,
     sym_div_rows,
     sym_grad_array,
     sym_grad_norm_bound,
@@ -166,10 +165,10 @@ class _Block:
     ``primal`` names its iterates besides u, ``dual`` its dual iterates (both
     keys of ``_KINDS``).  The functions take the regularizer, the grid spacing
     h, then arrays: ``apply`` (K_reg, one array per dual) and ``value`` (the
-    part of R outside K_reg) take (u, *primal); ``adjoint`` (the u part, None
-    if K_reg ignores u, then one per primal) takes the duals; ``adjoint_over``
-    gives bitwise the same, but may write over the duals it takes and return
-    them, for :func:`pd_step` to pass it the dead extrapolated duals.
+    part of R outside K_reg) take (u, *primal); ``adjoint_over`` (K_reg^T: the
+    u part, None if K_reg ignores u, then one per primal) takes the duals, and
+    may write over them and return them, for :func:`pd_step` to pass it the
+    dead extrapolated duals.
     ``balls`` takes the regularizer and gives each dual's ball, a (radius,
     coupling) pair: the dual prox projects onto it, in the weights of the
     dual's field kind, and R sums radius times the coupling norm of K_reg's
@@ -182,7 +181,6 @@ class _Block:
     primal: tuple[str, ...] = ()
     dual: tuple[str, ...] = ()
     apply: Callable = lambda reg, h, u: ()
-    adjoint: Callable = lambda reg, h: (None,)
     adjoint_over: Callable = lambda reg, h: (None,)
     balls: Callable = lambda reg: ()
     norms: Callable = lambda reg, grid: ()
@@ -215,7 +213,6 @@ _BLOCKS = {
         primal=("v",),
         dual=("p", "q"),
         apply=_tgv_apply,
-        adjoint=lambda reg, h, p, q: (-div_array(p, h), -p - sym_div_array(q, h)),
         adjoint_over=_tgv_adjoint_over,
         balls=lambda reg: ((reg.alpha1, reg.coupling), (reg.alpha0, "frobenius")),
         norms=lambda reg, grid: (
@@ -227,7 +224,6 @@ _BLOCKS = {
     WaveletL21: _Block(
         dual=("s",),
         apply=lambda reg, h, u: (cpl.haar_forward_array(u, reg.levels),),
-        adjoint=lambda reg, h, s: (cpl.haar_inverse_array(s, reg.levels),),
         adjoint_over=lambda reg, h, s: (cpl._haar_levels(s, reg.levels, inverse=True),),
         balls=lambda reg: ((1.0, "frobenius"),),
         norms=lambda reg, grid: ((1.0,),),  # the Haar transform is orthonormal

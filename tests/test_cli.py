@@ -10,7 +10,7 @@ import pytest
 
 import coupledrec
 from coupledrec.cli import _build_problem, _build_solver_config, main, random_fourier_mask
-from coupledrec.config import load_config, parse_config
+from coupledrec.config import RunConfig, load_config, parse_config
 from coupledrec.fileio import read_mfi
 from coupledrec.forward import default_n_bins
 from coupledrec.problem import TGV2
@@ -713,3 +713,167 @@ def test_solve_and_phantom_write_no_previews_off_a_2d_grid(tmp_path, capsys, dim
     assert [p.name for p in drawn.iterdir()] == ["phantom.mfi"]
     assert read_mfi(drawn / "phantom.mfi").values.shape == dims + (2,)
     assert out == f"wrote phantom.mfi and 0 PGM file(s) to {drawn}\n"
+
+
+# --- ranges checked at the key's line -----------------------------------------
+
+_RANGE_BASE = {
+    "schema": "1",
+    "grid.dims": "8 8",
+    "channels": "1",
+    "regularizer.kind": "quadratic",
+    "solver.max_iters": "3",
+    "rates.rule": "two_norm",
+    "rates.mu": "1.0",
+    "rates.levels": "5",
+    "rates.seeds": "1",
+}
+
+# key (as the README's range table names it), a value out of its range, and
+# the settings under which a run reads the key
+_RANGE_CASES = [
+    ("seed", "-1", {}),
+    ("grid.dims", "0 8", {}),
+    ("grid.spacing", "1 0", {}),
+    ("channels", "0", {}),
+    ("channel.i.lam", "0", {}),
+    ("channel.i.counts", "-3", {"channel.1.noise": "poisson"}),
+    ("channel.i.kernel_sigma", "inf", {"channel.1.op": "conv"}),
+    ("channel.i.noise_level", "nan", {"channel.1.noise": "gaussian"}),
+    ("channel.i.background", "-1", {"channel.1.kind": "kl"}),
+    ("channel.i.background", "nan", {"channel.1.kind": "kl"}),
+    ("channel.i.background", "2", {"channel.1.kind": "l2"}),
+    ("channel.i.mask_fraction", "1.5", {"channel.1.op": "fourier"}),
+    ("channel.i.angles", "0", {"channel.1.op": "radon"}),
+    ("regularizer.alpha0", "0", {"regularizer.kind": "tgv2"}),
+    ("regularizer.alpha1", "-1", {"regularizer.kind": "tgv2"}),
+    ("regularizer.weight", "nan", {}),
+    ("regularizer.levels", "4", {"regularizer.kind": "wavelet"}),
+    ("solver.max_iters", "0", {}),
+    ("solver.tol", "-1", {}),
+    ("solver.diag_every", "-1", {}),
+    ("rates.mu", "0.5", {}),
+    ("rates.mu", "1 2", {}),
+    ("rates.mu", "2", {}),
+    ("rates.mu", "inf", {"rates.rule": "mixed_nkl"}),
+    ("rates.nu", "1.5", {"rates.rule": "general"}),
+    ("rates.nu", "0.5 0.5", {"rates.rule": "general"}),
+    ("rates.start", "0", {}),
+    ("rates.start", "inf", {}),
+    ("rates.ratio", "1", {}),
+    ("rates.ratio", "0", {}),
+    ("rates.levels", "4", {}),
+    ("rates.seeds", "0", {}),
+    ("rates.gate.data_i", "nan", {}),
+    ("rates.gate.data_i", "inf", {}),
+    ("rates.gate.bregman", "1.2 0.85", {}),
+    ("rates.gate.bregman", "nan 1", {}),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, context", _RANGE_CASES, ids=[f"{k}={v}" for k, v, _ in _RANGE_CASES]
+)
+def test_out_of_range_value_is_a_configuration_error_at_its_line(
+    tmp_path, capsys, monkeypatch, key, value, context
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the whole config was read")
+
+    for name in ("solve", "run_rate_experiment", "phantom"):
+        monkeypatch.setattr(f"coupledrec.cli.{name}", must_not_run)
+    name = key.replace("channel.i.", "channel.1.").replace("data_i", "data_1")
+    settings = dict(_RANGE_BASE, **context)
+    settings[name] = value
+    cfg = _write_config(tmp_path / "run.cfg", settings)
+    out = tmp_path / "out"
+    out.mkdir()
+    command = "rates" if key.startswith("rates.") else "solve"
+    code, stdout, err = run(capsys, command, str(cfg), "--out-dir", str(out))
+    assert code == 1
+    assert err.startswith(f"config error: line {list(settings).index(name) + 1}: {name} = {value}")
+    assert stdout == ""
+    assert list(out.iterdir()) == []
+
+
+def _readme_range_keys():
+    """The keys of the README's range table, as it names them."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = readme.split("| key | range |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    # a row's first cell lists its keys, then any note in parentheses
+    cells = [row.split("|")[1].split(" (")[0] for row in rows.splitlines()]
+    return {key for cell in cells for key in re.findall(r"`([\w.]+)`", cell)}
+
+
+def test_readme_range_table_lists_every_key_read_under_a_range(tmp_path, capsys, monkeypatch):
+    table = _readme_range_keys()
+    assert table == {key for key, _, _ in _RANGE_CASES}
+    checked = set()
+    get = RunConfig._get
+
+    def recording_get(self, key, default, parse, what="", must=None):
+        if must is not None:
+            checked.add(re.sub(r"\.\d+\b", ".i", re.sub(r"data_\d+", "data_i", key)))
+        return get(self, key, default, parse, what, must)
+
+    class AllRead(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise AllRead
+
+    monkeypatch.setattr(RunConfig, "_get", recording_get)
+    monkeypatch.setattr("coupledrec.cli._echo", stop)
+    # between them these configs take every branch that reads a key
+    channels = {
+        "channels": "3",
+        "channel.1.op": "conv",
+        "channel.1.noise": "gaussian",
+        "channel.2.op": "fourier",
+        "channel.2.noise": "poisson",
+        "channel.3.op": "radon",
+        "channel.3.kind": "kl",
+        "channel.3.background": "0.5",
+    }
+    rates = {"rates.rule": "general", "rates.mu": "1 1 1", "rates.nu": "1 1 1"}
+    gates = {"rates.gate.data_1": "1", "rates.gate.bregman": "0.5 1.5", "seed": "2"}
+    configs = [
+        ("solve", {**_RANGE_BASE, **channels, "regularizer.kind": "tgv2", "seed": "2"}),
+        ("solve", {**_RANGE_BASE, "regularizer.kind": "wavelet"}),
+        ("solve", _RANGE_BASE),
+        ("rates", {**_RANGE_BASE, **channels, **rates, **gates}),
+    ]
+    for command, settings in configs:
+        cfg = _write_config(tmp_path / "run.cfg", settings)
+        with pytest.raises(AllRead):
+            run(capsys, command, str(cfg), "--out-dir", str(tmp_path))
+    assert checked <= table
+
+
+def test_rates_does_not_read_nu_under_a_rule_without_it(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "rates.cfg", dict(_RANGE_BASE, **{"rates.nu": "0.5"}))
+    code, out, _ = run(capsys, "rates", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 0
+    assert f"# not read: line {len(_RANGE_BASE) + 1}: rates.nu\n" in out
+
+
+@pytest.mark.parametrize(
+    "numbers, message",
+    [
+        (["0", "8", "1"], "grid dims must be positive integers, got (0, 8)"),
+        (["8", "8", "0"], "channels must be >= 1"),
+    ],
+)
+def test_phantom_command_reports_what_is_out_of_range(tmp_path, capsys, numbers, message):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "phantom", "smooth_bump", *numbers, "--out-dir", str(out))
+    assert code == 1
+    assert (stdout, err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_info_prints_the_schema_version_it_reads(capsys, monkeypatch):
+    monkeypatch.setattr("coupledrec.cli.SCHEMA_VERSION", 7)
+    code, out, _ = run(capsys, "info")
+    assert code == 0
+    assert "config schema version 7 (" in out

@@ -94,3 +94,14 @@ def test_config_records_the_keys_its_accessors_read():
     cfg.get_int("solver.max_iters", 2000)
     assert cfg.values.keys() - cfg.read == {"solver.max_iter"}
     assert cfg == parse_config("schema = 1\nsolver.max_iter = 3\nchannels = 2\n")
+
+
+def test_a_present_value_must_pass_the_rule_of_its_read():
+    cfg = parse_config("schema = 1\nchannels = 0\n")
+    at_least_one = (lambda n: n >= 1, "be >= 1")
+    with pytest.raises(ConfigError) as exc:
+        cfg.get_int("channels", must=at_least_one)
+    assert exc.value.line == 2
+    assert str(exc.value) == "line 2: channels = 0 must be >= 1"
+    # a default is the program's own value and is not checked
+    assert cfg.get_float("rates.start", -1.0, must=at_least_one) == -1.0
